@@ -10,11 +10,10 @@ Run:  python3 demos/06_scaling_study.py
 
 import warnings
 
-from domainlm.evaluation import scaling_study, write_scaling_csv
 from domainlm.model import Checkpoint, ModelConfig, init_parameters
 from domainlm.synthetic import GENERAL_TOY_CODES, NFC_TOY_CODES, binary_corpus, make_corpus
 from domainlm.tokenizer import Tokenizer
-from domainlm.training import TrainingConfig, pack_segments, pretrain_mlm
+from domainlm.training import TrainingConfig, pack_segments, pretrain_mlm, scaling_study, write_scaling_csv
 
 docs = binary_corpus(280, seed=11)
 holdout = make_corpus(60, NFC_TOY_CODES + GENERAL_TOY_CODES, seed=55, prefix="hold")

@@ -22,37 +22,31 @@ from .corpus import (
 from .tokenizer import MergeTable, SpecialTokens, Tokenizer, Vocabulary, train_bpe
 from .model import (
     Checkpoint,
-    EncoderOutput,
     ModelBundle,
     ModelConfig,
     backward,
-    cls_logits,
-    forward_encoder,
     init_parameters,
     load_checkpoint,
-    mlm_logits,
     predict_top_k,
     save_checkpoint,
 )
-from .training import (
-    AdamW,
-    CheckpointMeta,
-    MaskingPolicy,
-    TrainingConfig,
-    apply_dynamic_masking,
-    finetune_classifier,
-    hyperparameter_grid,
-    pack_segments,
-    pretrain_mlm,
-)
+from .data import MaskingPolicy, apply_dynamic_masking, pack_segments
 from .evaluation import (
     ConfusionMatrix,
     MetricsReport,
-    ScalingStudyResult,
     classification_metrics,
     evaluate_checkpoint,
     evaluate_mlm,
     mlm_cross_entropy,
+)
+from .training import (
+    AdamW,
+    CheckpointMeta,
+    ScalingStudyResult,
+    TrainingConfig,
+    finetune_classifier,
+    hyperparameter_grid,
+    pretrain_mlm,
     scaling_study,
 )
 from .analysis import (

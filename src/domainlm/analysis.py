@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .corpus import Document
-from .evaluation import encode_for_classification
+from .data import encode_for_classification, pad_batch
 from .model import Checkpoint, encoder_forward
 from .tokenizer import Tokenizer
 
@@ -106,12 +106,7 @@ def export_cls_embeddings(
     rows = []
     with no_grad():
         for start in range(0, len(sequences), batch_size):
-            chunk = sequences[start : start + batch_size]
-            ids = np.full((len(chunk), pad_to), tokenizer.pad_id, dtype=np.int64)
-            mask = np.zeros((len(chunk), pad_to), dtype=bool)
-            for row, seq in enumerate(chunk):
-                ids[row, : len(seq)] = seq
-                mask[row, : len(seq)] = True
+            ids, mask = pad_batch(sequences[start : start + batch_size], tokenizer.pad_id, pad_to)
             hidden = encoder_forward(checkpoint.params, config, ids, pad_mask=mask)
             rows.append(hidden.data[:, 0, :])
     return EmbeddingMatrix(
@@ -184,46 +179,37 @@ def cluster_embeddings(
 
     Points whose distance is at most `radius` are density-connected; connected
     groups of at least `min_cluster_size` points become clusters (numbered by
-    decreasing size), everything else is an outlier.
+    decreasing size, then by smallest member row), everything else is an
+    outlier. The radius graph is built from k-d tree pairs, so memory grows
+    with the number of close pairs rather than with n^2.
     """
+    # Imported here, not at module level: they add about 14 MB of resident
+    # memory to every command that imports this module, and only this
+    # function needs them.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     if min_cluster_size < 2:
         raise AnalysisError(f"min_cluster_size must be at least 2, got {min_cluster_size}")
     if radius <= 0:
         raise AnalysisError(f"radius must be positive, got {radius}")
-    x = matrix.matrix if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix)
-    ids = matrix.ids if isinstance(matrix, EmbeddingMatrix) else [str(i) for i in range(x.shape[0])]
+    x, ids = matrix.matrix, matrix.ids
     n = x.shape[0]
     if n < min_cluster_size:
         raise AnalysisError(f"{n} rows cannot contain a cluster of size {min_cluster_size}")
 
     reduced = pca_project(x, min(intermediate_dim, x.shape[1], n))
-    d2 = np.sum((reduced[:, None, :] - reduced[None, :, :]) ** 2, axis=-1)
-    adjacent = d2 <= radius * radius
+    pairs = cKDTree(reduced).query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    _, first_row, sizes = np.unique(component, return_index=True, return_counts=True)
 
-    component = np.full(n, -1, dtype=np.int64)
-    components: list[list[int]] = []
-    for start in range(n):
-        if component[start] >= 0:
-            continue
-        label = len(components)
-        queue = [start]
-        component[start] = label
-        members = [start]
-        while queue:
-            node = queue.pop()
-            for neighbor in np.flatnonzero(adjacent[node]):
-                if component[neighbor] < 0:
-                    component[neighbor] = label
-                    queue.append(int(neighbor))
-                    members.append(int(neighbor))
-        components.append(sorted(members))
-
-    big = [c for c in components if len(c) >= min_cluster_size]
-    big.sort(key=lambda c: (-len(c), c[0]))
-    assignments = {doc_id: OUTLIER for doc_id in ids}
-    for number, members in enumerate(big, start=1):
-        for row in members:
-            assignments[ids[row]] = number
+    order = np.lexsort((first_row, -sizes))
+    big = order[sizes[order] >= min_cluster_size]
+    number = np.full(len(sizes), OUTLIER, dtype=np.int64)
+    number[big] = np.arange(1, len(big) + 1)
+    assignments = {doc_id: int(number[c]) for doc_id, c in zip(ids, component)}
     return ClusterAssignment(assignments=assignments, n_clusters=len(big))
 
 

@@ -93,9 +93,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -171,14 +168,10 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         return self._make(self.data.reshape(shape), (self,), (lambda g: g.reshape(old),))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = np.argsort(axes)
         return self._make(
             self.data.transpose(axes),

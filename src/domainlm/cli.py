@@ -350,7 +350,7 @@ def _cmd_scale_study(args) -> int:
     validation = _load_split_docs(args.corpus, splits_dir / "finetune_validation.txt")
     holdout = _load_split_docs(args.corpus, splits_dir / "test.txt")
     out_dir = Path(args.out)
-    results = evaluation.scaling_study(
+    results = training.scaling_study(
         fractions,
         config,
         inits,

@@ -1,5 +1,5 @@
 """Quantitative evaluation: masked-token cross-entropy, classification metrics,
-checkpoint evaluation, and the training-set-size scaling study.
+and checkpoint evaluation.
 
 Classification metrics are computed in exact rational arithmetic from integer
 confusion counts and converted to float at the end, so algebraic identities
@@ -8,37 +8,41 @@ confusion counts and converted to float at the end, so algebraic identities
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import no_grad
-from .corpus import Document, nested_subsets
+from .autodiff import Tensor, log_softmax, no_grad
+from .corpus import Document
+from .data import (
+    MaskingPolicy,
+    apply_dynamic_masking,
+    assemble_mlm_batch,
+    encode_for_classification,
+    pack_segments,
+    pad_batch,
+)
 from .model import (
     Checkpoint,
     ModelConfig,
     cls_logits_from_hidden,
     encoder_forward,
+    mlm_logits_from_hidden,
 )
 from .tokenizer import Tokenizer
 
 __all__ = [
     "ConfusionMatrix",
     "MetricsReport",
-    "ScalingStudyResult",
     "EvaluationError",
     "mlm_cross_entropy",
     "classification_metrics",
     "evaluate_checkpoint",
     "evaluate_mlm",
-    "scaling_study",
-    "write_scaling_csv",
 ]
 
 
@@ -231,7 +235,7 @@ def classification_metrics(
 
 
 def mlm_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]) -> float:
-    """Mean categorical cross-entropy of true token ids under softmax(logits)."""
+    """Mean categorical cross-entropy of true ids (tokens or classes) under softmax(logits)."""
     target_ids = np.asarray(target_ids, dtype=np.int64)
     logits = np.asarray(logits, dtype=np.float64)
     if target_ids.size == 0:
@@ -241,18 +245,12 @@ def mlm_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]) -> float:
         raise EvaluationError(
             f"{logits.shape[0]} logit rows for {target_ids.shape[0]} targets"
         )
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
-    picked = shifted[np.arange(target_ids.shape[0]), target_ids]
-    return float(np.mean(lse - picked))
+    with no_grad():
+        log_probs = log_softmax(Tensor(logits)).data
+    return float(np.mean(-log_probs[np.arange(target_ids.shape[0]), target_ids]))
 
 
 # -- batched classifier evaluation ----------------------------------------------------
-
-
-def encode_for_classification(doc: Document, tokenizer: Tokenizer, max_positions: int) -> np.ndarray:
-    body = tokenizer.encode(doc.text)[: max_positions - 2]
-    return np.array([tokenizer.cls_id] + body + [tokenizer.sep_id], dtype=np.int64)
 
 
 def batched_cls_logits(
@@ -261,28 +259,16 @@ def batched_cls_logits(
     sequences: Sequence[np.ndarray],
     pad_id: int,
     batch_size: int = 32,
-    pad_to: int | None = None,
 ) -> np.ndarray:
     """Class logits for each sequence; padding cannot affect the results."""
-    if pad_to is None:
-        pad_to = max(len(s) for s in sequences)
+    pad_to = max(len(s) for s in sequences)
     out = []
     with no_grad():
         for start in range(0, len(sequences), batch_size):
-            chunk = sequences[start : start + batch_size]
-            ids = np.full((len(chunk), pad_to), pad_id, dtype=np.int64)
-            mask = np.zeros((len(chunk), pad_to), dtype=bool)
-            for row, seq in enumerate(chunk):
-                ids[row, : len(seq)] = seq
-                mask[row, : len(seq)] = True
+            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
             hidden = encoder_forward(params, config, ids, pad_mask=mask)
             out.append(cls_logits_from_hidden(hidden[:, 0], params, config).data)
     return np.concatenate(out, axis=0)
-
-
-def log_loss_from_logits(logits: np.ndarray, label_indices: np.ndarray) -> float:
-    """Mean cross-entropy (natural log) of true class indices."""
-    return mlm_cross_entropy(logits, label_indices)
 
 
 def document_label(doc: Document, task: str):
@@ -324,7 +310,7 @@ def evaluate_classifier(
         )
     if in_set.any():
         label_idx = np.array([index[lab] for lab, ok in zip(labels, in_set) if ok])
-        loss = log_loss_from_logits(logits[in_set], label_idx)
+        loss = mlm_cross_entropy(logits[in_set], label_idx)
     else:
         loss = None
 
@@ -349,8 +335,6 @@ def evaluate_mlm(
     The mask positions are a deterministic function of `seed`, so two
     evaluations of different checkpoints on the same data are paired.
     """
-    from .training import MaskingPolicy, apply_dynamic_masking, assemble_mlm_batch
-
     policy = policy or MaskingPolicy()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
@@ -364,12 +348,8 @@ def evaluate_mlm(
             if targets.size == 0:
                 continue
             hidden = encoder_forward(params, config, ids, pad_mask=pad_mask)
-            from .model import mlm_logits_from_hidden
-
-            logits = mlm_logits_from_hidden(hidden[rows, cols], params, config).data
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            lse = np.log(np.exp(shifted).sum(axis=-1))
-            total += float(np.sum(lse - shifted[np.arange(targets.size), targets]))
+            log_probs = log_softmax(mlm_logits_from_hidden(hidden[rows, cols], params, config)).data
+            total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
             count += targets.size
     if count == 0:
         warnings.warn("no maskable tokens in any segment; defining loss = 0")
@@ -391,8 +371,6 @@ def evaluate_checkpoint(
             "tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer"
         )
     if task == "mlm":
-        from .training import pack_segments
-
         token_stream = (tokenizer.encode(d.text) for d in documents)
         segments = pack_segments(token_stream, tokenizer.sep_id, checkpoint.config.max_positions)
         loss = evaluate_mlm(
@@ -412,107 +390,3 @@ def evaluate_checkpoint(
         checkpoint.params, checkpoint.config, documents, class_labels, task, tokenizer, batch_size
     )
 
-
-# -- scaling study ---------------------------------------------------------------
-
-
-@dataclass
-class ScalingStudyResult:
-    init_name: str
-    fractions: list[float]
-    train_sizes: list[int]
-    holdout_log_losses: list[float]
-    checkpoint_refs: list
-
-    def rows(self):
-        return list(zip(self.fractions, self.train_sizes, self.holdout_log_losses, self.checkpoint_refs))
-
-
-def scaling_study(
-    fractions: Sequence[float],
-    base_config,
-    inits: dict[str, Checkpoint],
-    train_pool: Sequence[Document],
-    validation: Sequence[Document],
-    holdout: Sequence[Document],
-    tokenizer: Tokenizer,
-    subset_seed: int = 0,
-    out_dir=None,
-) -> list[ScalingStudyResult]:
-    """Fine-tune each init on nested subsets and track hold-out log-loss.
-
-    Every (init, fraction) cell runs the same fine-tuning protocol on its
-    subset; the tracked quantity is mean cross-entropy on the hold-out split
-    under the best checkpoint of that run.
-    """
-    from dataclasses import replace as dc_replace
-
-    from .training import finetune_classifier
-
-    if not inits:
-        raise EvaluationError("need at least one model init")
-    subsets = nested_subsets(train_pool, fractions, subset_seed)
-
-    results = []
-    for name, init in inits.items():
-        sizes, losses, refs = [], [], []
-        for fraction, subset in zip(fractions, subsets):
-            if len(subset) == 0:
-                raise EvaluationError(f"fraction {fraction} selects zero documents")
-            config = base_config
-            if config.batch_size > len(subset):
-                warnings.warn(
-                    f"subset of {len(subset)} documents smaller than batch size "
-                    f"{config.batch_size}; reducing batch size"
-                )
-                config = dc_replace(config, batch_size=len(subset))
-            if config.total_steps is None and config.epochs is not None:
-                steps = config.epochs * -(-len(subset) // config.batch_size)
-                if steps < config.eval_checkpoints:
-                    warnings.warn(
-                        f"subset of {len(subset)} documents yields only {steps} steps; "
-                        f"reducing eval_checkpoints from {config.eval_checkpoints}"
-                    )
-                    config = dc_replace(config, eval_checkpoints=steps)
-            run = finetune_classifier(
-                config,
-                init,
-                "binary",
-                train_docs=subset,
-                validation_docs=validation,
-                tokenizer=tokenizer,
-            )
-            labels = [document_label(d, "binary") for d in holdout]
-            index = {label: i for i, label in enumerate(run.class_labels)}
-            sequences = [
-                encode_for_classification(d, tokenizer, run.model_config.max_positions) for d in holdout
-            ]
-            logits = batched_cls_logits(run.params, run.model_config, sequences, tokenizer.pad_id)
-            loss = log_loss_from_logits(logits, np.array([index[lab] for lab in labels]))
-            sizes.append(len(subset))
-            losses.append(loss)
-            refs.append(run.best)
-        results.append(
-            ScalingStudyResult(
-                init_name=name,
-                fractions=list(fractions),
-                train_sizes=sizes,
-                holdout_log_losses=losses,
-                checkpoint_refs=refs,
-            )
-        )
-    if out_dir is not None:
-        write_scaling_csv(results, Path(out_dir) / "scaling_study.csv")
-    return results
-
-
-def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["init_name", "fraction", "train_size", "log_loss"])
-        for result in results:
-            for fraction, size, loss, _ in result.rows():
-                writer.writerow([result.init_name, fraction, size, f"{loss:.10f}"])
-    return path

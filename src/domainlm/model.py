@@ -14,7 +14,6 @@ import hashlib
 import json
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,15 +23,11 @@ from .tokenizer import Tokenizer
 __all__ = [
     "ModelConfig",
     "ModelError",
-    "EncoderOutput",
     "ModelBundle",
     "Checkpoint",
     "init_parameters",
     "encoder_forward",
-    "forward_encoder",
-    "mlm_logits",
     "mlm_logits_from_hidden",
-    "cls_logits",
     "cls_logits_from_hidden",
     "cross_entropy",
     "predict_top_k",
@@ -148,10 +143,8 @@ def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
 
 def _check_ids(ids: np.ndarray, config: ModelConfig) -> np.ndarray:
     ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
-        raise ModelError(f"token ids must be 1-D or 2-D, got shape {ids.shape}")
+        raise ModelError(f"token ids must be 2-D (batch, length), got shape {ids.shape}")
     if ids.shape[1] == 0:
         raise ModelError("cannot encode an empty sequence")
     if ids.shape[1] > config.max_positions:
@@ -224,21 +217,6 @@ def encoder_forward(
     return _layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
 
-@dataclass
-class EncoderOutput:
-    """Final-layer hidden states for one sequence; position 0 is the CLS slot."""
-
-    hidden_states: np.ndarray
-    cls_vector: np.ndarray
-
-
-def forward_encoder(ids: Sequence[int], params: dict[str, Tensor], config: ModelConfig) -> EncoderOutput:
-    """Deterministic single-sequence forward pass with dropout disabled."""
-    with no_grad():
-        hidden = encoder_forward(params, config, np.asarray(ids, dtype=np.int64)).data[0]
-    return EncoderOutput(hidden_states=hidden, cls_vector=hidden[0])
-
-
 def _mlm_projection(params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     if config.tie_mlm_weights:
         return params["tok_emb"].swapaxes(0, 1)
@@ -248,23 +226,6 @@ def _mlm_projection(params: dict[str, Tensor], config: ModelConfig) -> Tensor:
 def mlm_logits_from_hidden(hidden: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Project hidden rows (N, H) onto the vocabulary -> (N, V)."""
     return hidden @ _mlm_projection(params, config) + params["mlm.bias"]
-
-
-def mlm_logits(
-    output: EncoderOutput,
-    positions: Sequence[int],
-    params: dict[str, Tensor],
-    config: ModelConfig,
-) -> np.ndarray:
-    """Vocabulary logits at each masked position of a single sequence."""
-    length = output.hidden_states.shape[0]
-    positions = list(positions)
-    for pos in positions:
-        if not (0 <= pos < length):
-            raise ModelError(f"masked position {pos} outside sequence of length {length}")
-    with no_grad():
-        rows = Tensor(output.hidden_states[positions])
-        return mlm_logits_from_hidden(rows, params, config).data
 
 
 def cls_logits_from_hidden(cls_rows: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
@@ -278,12 +239,6 @@ def cls_logits_from_hidden(cls_rows: Tensor, params: dict[str, Tensor], config: 
     if config.pooler_tanh:
         cls_rows = cls_rows.tanh()
     return cls_rows @ params["cls.w"] + params["cls.b"]
-
-
-def cls_logits(output: EncoderOutput, params: dict[str, Tensor], config: ModelConfig) -> np.ndarray:
-    """Class logits from the position-0 hidden state of a single sequence."""
-    with no_grad():
-        return cls_logits_from_hidden(Tensor(output.cls_vector[None, :]), params, config).data[0]
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -336,16 +291,14 @@ def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, flo
     # Match the pretraining distribution: packed segments carry separator
     # tokens at document ends but no leading classification token.
     ids = tok.encode(prefix) + [tok.mask_id] + tok.encode(suffix) + [tok.sep_id]
-    if len(ids) > bundle.config.max_positions:
-        raise ModelError(f"input of {len(ids)} tokens exceeds max_positions {bundle.config.max_positions}")
     mask_position = len(tok.encode(prefix))
 
-    output = forward_encoder(ids, bundle.params, bundle.config)
-    logits = mlm_logits(output, [mask_position], bundle.params, bundle.config)[0]
-    shifted = logits - logits.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    top = sorted(range(len(probs)), key=lambda i: (-probs[i], i))[: min(k, len(probs))]
-    return [(tok.token_text(i), float(probs[i])) for i in top]
+    with no_grad():
+        hidden = encoder_forward(bundle.params, bundle.config, np.array([ids]))
+        logits = mlm_logits_from_hidden(hidden[0, [mask_position]], bundle.params, bundle.config)
+        log_probs = log_softmax(logits).data[0]
+    top = np.argsort(-log_probs, kind="stable")[:k]
+    return [(tok.token_text(i), float(np.exp(log_probs[i]))) for i in top]
 
 
 # -- checkpoints -------------------------------------------------------------------
@@ -359,9 +312,6 @@ class Checkpoint:
     params: dict[str, Tensor]
     tokenizer_hash: str
     extra: dict = field(default_factory=dict)
-
-    def clone_params(self) -> dict[str, Tensor]:
-        return {name: Tensor(p.data.copy(), requires_grad=True) for name, p in self.params.items()}
 
     def fingerprint(self) -> str:
         """Content hash over config and every parameter tensor."""

@@ -22,7 +22,6 @@ __all__ = [
     "domain_corpus",
     "general_corpus",
     "binary_corpus",
-    "multiclass_corpus",
 ]
 
 # Content-word pools keyed by subject-category code. Codes 5/12/21/73 are in
@@ -84,7 +83,3 @@ def general_corpus(n_docs: int, seed: int = 0) -> list[Document]:
 def binary_corpus(n_docs: int, seed: int = 0) -> list[Document]:
     """Half nuclear-fuel-cycle documents, half not, interleaved."""
     return make_corpus(n_docs, NFC_TOY_CODES + GENERAL_TOY_CODES, seed=seed, prefix="bin")
-
-
-def multiclass_corpus(n_docs: int, seed: int = 0, codes: tuple[int, ...] = (5, 14, 58, 97)) -> list[Document]:
-    return make_corpus(n_docs, codes, seed=seed, prefix="multi")

@@ -22,14 +22,8 @@ __all__ = [
     "Tokenizer",
     "TokenizerError",
     "train_bpe",
-    "encode",
     "decode",
-    "VOCAB_PRESETS",
 ]
-
-# Named vocabulary sizes: "toy" for desk-scale runs, the two larger presets
-# mirror common web-corpus and scientific-corpus tokenizer sizes.
-VOCAB_PRESETS = {"toy": 4096, "web-50k": 50000, "sci-30k": 30000}
 
 VOCAB_FILE_HEADER = "domainlm-vocab v1"
 MERGES_FILE_HEADER = "domainlm-merges v1"
@@ -245,16 +239,6 @@ def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list
     return symbols
 
 
-def encode(text: str, vocab: Vocabulary, merges: MergeTable) -> list[int]:
-    """Encode text to token ids; every byte is covered by exactly one token."""
-    ranks = merges.rank_map()
-    ids: list[int] = []
-    for chunk in _PRETOKEN_RE.findall(text):
-        symbols = _apply_merges(list(_chunk_to_symbols(chunk)), ranks)
-        ids.extend(vocab.token_to_id[s] for s in symbols)
-    return ids
-
-
 def decode(ids, vocab: Vocabulary, allow_special: bool = False) -> str:
     """Invert encode(); rejects special-token ids unless `allow_special`."""
     special_ids = vocab.special_ids
@@ -330,6 +314,7 @@ class Tokenizer:
         return self.vocab.special_ids
 
     def encode(self, text: str) -> list[int]:
+        """Encode text to token ids; every byte is covered by exactly one token."""
         ids: list[int] = []
         for chunk in _PRETOKEN_RE.findall(text):
             cached = self._chunk_cache.get(chunk)

@@ -1,6 +1,6 @@
-"""Training loops: segment packing, dynamic masking, masked-token pretraining
-(fresh or continued from a checkpoint), classifier fine-tuning with
-best-checkpoint selection, and the learning-rate/batch-size grid search.
+"""Training loops: masked-token pretraining (fresh or continued from a
+checkpoint), classifier fine-tuning with best-checkpoint selection, the
+learning-rate/batch-size grid search, and the training-set-size scaling study.
 
 Every random draw comes from a generator seeded by (config.seed, stream, step),
 so runs are bitwise reproducible from (config, data, init).
@@ -13,20 +13,31 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import Document
+from .configio import write_flat_config
+from .corpus import Document, nested_subsets
+from .data import (
+    _STREAM_MASK,
+    MaskingPolicy,
+    TrainingError,
+    apply_dynamic_masking,
+    assemble_mlm_batch,
+    encode_for_classification,
+    pack_segments,
+    pad_batch,
+)
 from .evaluation import (
+    EvaluationError,
     MetricsReport,
     batched_cls_logits,
     document_label,
-    encode_for_classification,
     evaluate_classifier,
     evaluate_mlm,
-    log_loss_from_logits,
+    mlm_cross_entropy,
 )
 from .model import (
     Checkpoint,
@@ -43,12 +54,13 @@ from .model import (
 )
 from .tokenizer import Tokenizer
 
+# MaskingPolicy, TrainingError and the masking and packing functions live in
+# `data`; they are re-exported here under their established import path.
 __all__ = [
     "MaskingPolicy",
     "TrainingConfig",
     "CheckpointMeta",
     "LossRecord",
-    "MaskedSegment",
     "TrainingError",
     "TrainingDivergedError",
     "AdamW",
@@ -68,46 +80,18 @@ __all__ = [
     "REFERENCE_FINETUNE_CONFIG",
     "REFERENCE_GRID_LEARNING_RATES",
     "REFERENCE_GRID_BATCH_SIZES",
+    "ScalingStudyResult",
+    "scaling_study",
+    "write_scaling_csv",
 ]
 
 # Seed-stream salts so independent random streams never collide.
 _STREAM_ORDER = 0xB0
-_STREAM_MASK = 0x3A
 _STREAM_DROPOUT = 0xD7
-
-
-class TrainingError(ValueError):
-    pass
 
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class MaskingPolicy:
-    """Which fraction of maskable tokens to corrupt, and how.
-
-    Of the selected positions, `replace_with_mask` become the mask token,
-    `replace_with_random` become a random non-special token different from the
-    original, and `keep_original` stay unchanged (the model must still predict
-    them). With `dynamic` set, positions are drawn fresh at every step.
-    """
-
-    mask_rate: float = 0.15
-    replace_with_mask: float = 0.8
-    replace_with_random: float = 0.1
-    keep_original: float = 0.1
-    dynamic: bool = True
-
-    def validate(self) -> None:
-        if not (0.0 <= self.mask_rate < 1.0):
-            raise TrainingError(f"mask_rate must be in [0, 1), got {self.mask_rate}")
-        parts = (self.replace_with_mask, self.replace_with_random, self.keep_original)
-        if any(p < 0 for p in parts):
-            raise TrainingError("replacement ratios must be nonnegative")
-        if abs(sum(parts) - 1.0) > 1e-12:
-            raise TrainingError(f"replacement ratios must sum to 1, got {sum(parts)!r}")
 
 
 @dataclass(frozen=True)
@@ -182,123 +166,6 @@ class LossRecord:
     step: int
     train_loss: float
     validation_loss: float | None = None
-
-
-# -- data preparation -----------------------------------------------------------
-
-
-def pack_segments(
-    token_stream: Iterable[Sequence[int]],
-    separator_id: int,
-    segment_length: int = 512,
-) -> list[np.ndarray]:
-    """Pack per-document token sequences into fixed-length training segments.
-
-    Documents are concatenated with a separator token between them and the
-    stream is chopped every `segment_length` tokens, so segments freely cross
-    document boundaries. A final short segment is kept (it is padded at batch
-    assembly, not dropped).
-    """
-    if segment_length < 1:
-        raise TrainingError("segment_length must be at least 1")
-    segments: list[np.ndarray] = []
-    buffer: list[int] = []
-    any_tokens = False
-    for i, tokens in enumerate(token_stream):
-        if i > 0:
-            buffer.append(separator_id)
-        buffer.extend(int(t) for t in tokens)
-        any_tokens = any_tokens or len(buffer) > 0
-        while len(buffer) >= segment_length:
-            segments.append(np.array(buffer[:segment_length], dtype=np.int64))
-            del buffer[:segment_length]
-    if buffer:
-        segments.append(np.array(buffer, dtype=np.int64))
-    if not any_tokens and not segments:
-        raise TrainingError("token stream is empty; nothing to pack")
-    return segments
-
-
-@dataclass
-class MaskedSegment:
-    input_ids: np.ndarray
-    target_positions: np.ndarray
-    target_ids: np.ndarray
-
-
-def apply_dynamic_masking(
-    segment: np.ndarray,
-    policy: MaskingPolicy,
-    rng: np.random.Generator | int,
-    tokenizer: Tokenizer,
-) -> MaskedSegment:
-    """Corrupt a fresh random selection of non-special positions.
-
-    round(mask_rate * maskable) positions are selected (at least one whenever
-    mask_rate > 0); targets record the original token ids at exactly those
-    positions. Random replacements are drawn from non-special tokens and never
-    equal the original token, so the corruption kind is recoverable from the
-    output.
-    """
-    policy.validate()
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence((int(rng), _STREAM_MASK)))
-    segment = np.asarray(segment, dtype=np.int64)
-    special_ids = np.fromiter(tokenizer.special_ids, dtype=np.int64)
-    maskable = ~np.isin(segment, special_ids)
-    n_maskable = int(maskable.sum())
-    if n_maskable == 0:
-        raise TrainingError("segment contains only special tokens; nothing to mask")
-
-    if policy.mask_rate == 0.0:
-        empty = np.array([], dtype=np.int64)
-        return MaskedSegment(segment.copy(), empty, empty.copy())
-
-    n_select = max(1, int(policy.mask_rate * n_maskable + 0.5))
-    candidates = np.flatnonzero(maskable)
-    selected = np.sort(rng.choice(candidates, size=n_select, replace=False))
-    originals = segment[selected]
-
-    draw = rng.random(n_select)
-    corrupted = segment.copy()
-    to_mask = draw < policy.replace_with_mask
-    to_random = (~to_mask) & (draw < policy.replace_with_mask + policy.replace_with_random)
-    corrupted[selected[to_mask]] = tokenizer.mask_id
-
-    n_random = int(to_random.sum())
-    if n_random:
-        lo = len(tokenizer.specials.as_tuple())
-        hi = tokenizer.vocab_size
-        if hi - lo < 2:
-            raise TrainingError("vocabulary too small to draw replacement tokens")
-        repl = rng.integers(lo, hi - 1, size=n_random)
-        repl = repl + (repl >= originals[to_random])
-        corrupted[selected[to_random]] = repl
-
-    return MaskedSegment(corrupted, selected, originals)
-
-
-def assemble_mlm_batch(masked: Sequence[MaskedSegment], pad_id: int):
-    """Pad masked segments to a common length; returns (ids, pad_mask, rows, cols, targets)."""
-    length = max(m.input_ids.shape[0] for m in masked)
-    batch = len(masked)
-    ids = np.full((batch, length), pad_id, dtype=np.int64)
-    pad_mask = np.zeros((batch, length), dtype=bool)
-    rows, cols, targets = [], [], []
-    for i, m in enumerate(masked):
-        n = m.input_ids.shape[0]
-        ids[i, :n] = m.input_ids
-        pad_mask[i, :n] = True
-        rows.extend([i] * len(m.target_positions))
-        cols.extend(int(p) for p in m.target_positions)
-        targets.append(m.target_ids)
-    return (
-        ids,
-        pad_mask,
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.concatenate(targets) if targets else np.array([], dtype=np.int64),
-    )
 
 
 # -- optimizer and schedule --------------------------------------------------------
@@ -457,19 +324,8 @@ def pretrain_mlm(
 
     for step in range(total_steps):
         batch_idx = next(batches)
-        if policy.dynamic:
-            mask_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, step)))
-            masked = [apply_dynamic_masking(segments[i], policy, mask_rng, tokenizer) for i in batch_idx]
-        else:
-            masked = [
-                apply_dynamic_masking(
-                    segments[i],
-                    policy,
-                    np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, int(i)))),
-                    tokenizer,
-                )
-                for i in batch_idx
-            ]
+        mask_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, step)))
+        masked = [apply_dynamic_masking(segments[i], policy, mask_rng, tokenizer) for i in batch_idx]
         ids, pad_mask, rows, cols, targets = assemble_mlm_batch(masked, tokenizer.pad_id)
 
         if targets.size == 0:
@@ -584,7 +440,6 @@ def finetune_classifier(
 
     train_seqs = [encode_for_classification(d, tokenizer, model_config.max_positions) for d in train_docs]
     val_seqs = [encode_for_classification(d, tokenizer, model_config.max_positions) for d in validation_docs]
-    val_pad_to = max(len(s) for s in val_seqs)
 
     total_steps = _resolve_total_steps(config, len(train_seqs))
     eval_steps = set(checkpoint_steps(total_steps, config.eval_checkpoints))
@@ -599,20 +454,12 @@ def finetune_classifier(
     out_dir = Path(out_dir) if out_dir is not None else None
 
     def validation_loss() -> float:
-        logits = batched_cls_logits(
-            params, model_config, val_seqs, tokenizer.pad_id, config.batch_size, pad_to=val_pad_to
-        )
-        return log_loss_from_logits(logits, val_idx)
+        logits = batched_cls_logits(params, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
+        return mlm_cross_entropy(logits, val_idx)
 
     for step in range(total_steps):
         batch_idx = next(batches)
-        seqs = [train_seqs[i] for i in batch_idx]
-        length = max(len(s) for s in seqs)
-        ids = np.full((len(seqs), length), tokenizer.pad_id, dtype=np.int64)
-        pad_mask = np.zeros((len(seqs), length), dtype=bool)
-        for row, seq in enumerate(seqs):
-            ids[row, : len(seq)] = seq
-            pad_mask[row, : len(seq)] = True
+        ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
         dropout_rng = (
             np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_DROPOUT, step)))
             if model_config.dropout_rate > 0
@@ -741,12 +588,107 @@ def write_grid_csv(cells: Sequence[GridCell], path) -> Path:
     return path
 
 
+# -- scaling study ---------------------------------------------------------------
+
+
+@dataclass
+class ScalingStudyResult:
+    init_name: str
+    fractions: list[float]
+    train_sizes: list[int]
+    holdout_log_losses: list[float]
+    checkpoint_refs: list
+
+    def rows(self):
+        return list(zip(self.fractions, self.train_sizes, self.holdout_log_losses, self.checkpoint_refs))
+
+
+def scaling_study(
+    fractions: Sequence[float],
+    base_config: TrainingConfig,
+    inits: dict[str, Checkpoint],
+    train_pool: Sequence[Document],
+    validation: Sequence[Document],
+    holdout: Sequence[Document],
+    tokenizer: Tokenizer,
+    subset_seed: int = 0,
+    out_dir=None,
+) -> list[ScalingStudyResult]:
+    """Fine-tune each init on nested subsets and track hold-out log-loss.
+
+    Every (init, fraction) cell runs the same fine-tuning protocol on its
+    subset; the tracked quantity is mean cross-entropy on the hold-out split
+    under the best checkpoint of that run.
+    """
+    if not inits:
+        raise EvaluationError("need at least one model init")
+    subsets = nested_subsets(train_pool, fractions, subset_seed)
+
+    results = []
+    for name, init in inits.items():
+        sizes, losses, refs = [], [], []
+        for fraction, subset in zip(fractions, subsets):
+            if len(subset) == 0:
+                raise EvaluationError(f"fraction {fraction} selects zero documents")
+            config = base_config
+            if config.batch_size > len(subset):
+                warnings.warn(
+                    f"subset of {len(subset)} documents smaller than batch size "
+                    f"{config.batch_size}; reducing batch size"
+                )
+                config = replace(config, batch_size=len(subset))
+            if config.total_steps is None and config.epochs is not None:
+                steps = _resolve_total_steps(config, len(subset))
+                if steps < config.eval_checkpoints:
+                    warnings.warn(
+                        f"subset of {len(subset)} documents yields only {steps} steps; "
+                        f"reducing eval_checkpoints from {config.eval_checkpoints}"
+                    )
+                    config = replace(config, eval_checkpoints=steps)
+            run = finetune_classifier(
+                config,
+                init,
+                "binary",
+                train_docs=subset,
+                validation_docs=validation,
+                tokenizer=tokenizer,
+            )
+            holdout_report = evaluate_classifier(
+                run.params, run.model_config, holdout, run.class_labels, "binary", tokenizer
+            )
+            sizes.append(len(subset))
+            losses.append(holdout_report.loss)
+            refs.append(run.best)
+        results.append(
+            ScalingStudyResult(
+                init_name=name,
+                fractions=list(fractions),
+                train_sizes=sizes,
+                holdout_log_losses=losses,
+                checkpoint_refs=refs,
+            )
+        )
+    if out_dir is not None:
+        write_scaling_csv(results, Path(out_dir) / "scaling_study.csv")
+    return results
+
+
+def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["init_name", "fraction", "train_size", "log_loss"])
+        for result in results:
+            for fraction, size, loss, _ in result.rows():
+                writer.writerow([result.init_name, fraction, size, f"{loss:.10f}"])
+    return path
+
+
 # -- run directory ---------------------------------------------------------------
 
 
 def _write_run_dir(out_dir: Path, config: TrainingConfig, history: Sequence[LossRecord]) -> None:
-    from .configio import write_flat_config
-
     out_dir.mkdir(parents=True, exist_ok=True)
     write_flat_config(config, out_dir / "config.txt")
     write_loss_history(history, out_dir / "loss_history.csv")

@@ -17,7 +17,7 @@ import pytest
 
 from domainlm.analysis import ClusterAssignment, cbtfidf_topics
 from domainlm.corpus import DEFAULT_LABEL_SCHEME, CorpusError, map_binary_label, nested_subsets
-from domainlm.evaluation import classification_metrics, evaluate_mlm, scaling_study
+from domainlm.evaluation import classification_metrics, evaluate_mlm
 from domainlm.corpus import make_document
 from domainlm.model import (
     Checkpoint,
@@ -49,6 +49,7 @@ from domainlm.training import (
     hyperparameter_grid,
     pack_segments,
     pretrain_mlm,
+    scaling_study,
     select_best_checkpoint,
 )
 

@@ -1,9 +1,13 @@
 import csv
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from domainlm.analysis import (
     OUTLIER,
@@ -15,6 +19,7 @@ from domainlm.analysis import (
     export_cls_embeddings,
     extract_words,
     load_embeddings,
+    pca_project,
     project_2d,
     save_embeddings,
     topic_report,
@@ -151,6 +156,78 @@ def test_cluster_assignment_permutation_invariant_up_to_relabeling():
         other = shuffled.assignments[doc_id]
         mapping.setdefault(cluster, other)
         assert mapping[cluster] == other
+
+
+def _oracle_cluster(x, min_cluster_size, radius, intermediate_dim=16):
+    """Reference clusterer: dense pairwise distances plus breadth-first search.
+
+    Returns row -> cluster number (OUTLIER for rows outside every cluster).
+    """
+    n = x.shape[0]
+    reduced = pca_project(x, min(intermediate_dim, x.shape[1], n))
+    d2 = np.sum((reduced[:, None, :] - reduced[None, :, :]) ** 2, axis=-1)
+    adjacent = d2 <= radius * radius
+    component = np.full(n, -1, dtype=np.int64)
+    components = []
+    for start in range(n):
+        if component[start] >= 0:
+            continue
+        label = len(components)
+        queue = [start]
+        component[start] = label
+        members = [start]
+        while queue:
+            node = queue.pop()
+            for neighbor in np.flatnonzero(adjacent[node]):
+                if component[neighbor] < 0:
+                    component[neighbor] = label
+                    queue.append(int(neighbor))
+                    members.append(int(neighbor))
+        components.append(sorted(members))
+    big = [c for c in components if len(c) >= min_cluster_size]
+    big.sort(key=lambda c: (-len(c), c[0]))
+    out = {row: OUTLIER for row in range(n)}
+    for number, members in enumerate(big, start=1):
+        for row in members:
+            out[row] = number
+    return out, reduced
+
+
+@pytest.mark.filterwarnings("ignore:all embedding rows are identical")
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(2, 40).flatmap(
+        lambda n: st.integers(1, 5).flatmap(
+            lambda d: arrays(np.float64, (n, d), elements=st.floats(-3, 3, allow_nan=False, width=64))
+        )
+    ),
+    radius=st.floats(0.05, 3.0),
+    min_cluster_size=st.integers(2, 6),
+)
+def test_clustering_matches_dense_bfs_oracle(x, radius, min_cluster_size):
+    assume(x.shape[0] >= min_cluster_size)
+    expected, reduced = _oracle_cluster(x, min_cluster_size, radius)
+    distances = np.sqrt(np.sum((reduced[:, None, :] - reduced[None, :, :]) ** 2, axis=-1))
+    assume(np.all(np.abs(distances - radius) > 1e-9))
+    assignment = cluster_embeddings(_matrix(x), min_cluster_size=min_cluster_size, radius=radius)
+    assert assignment.assignments == {f"d{row}": c for row, c in expected.items()}
+    assert assignment.n_clusters == max(expected.values())
+
+
+def test_clustering_memory_stays_below_dense_distance_tensor():
+    # 40 blobs of 50 points, 100 apart: a dense (n, n, 16) float64 distance
+    # tensor alone would take 512 MB.
+    rng = np.random.default_rng(9)
+    centers = rng.normal(size=(40, 16)) * 100.0
+    x = np.repeat(centers, 50, axis=0) + rng.normal(size=(2000, 16)) * 0.05
+    tracemalloc.start()
+    try:
+        assignment = cluster_embeddings(_matrix(x), min_cluster_size=10, radius=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assignment.n_clusters == 40
+    assert peak < 64 * 2**20
 
 
 def test_min_cluster_size_below_two_rejected():

@@ -8,11 +8,15 @@ from domainlm.evaluation import (
     evaluate_checkpoint,
     evaluate_mlm,
     mlm_cross_entropy,
+)
+from domainlm.corpus import nested_subsets
+from domainlm.training import (
+    TrainingConfig,
+    finetune_classifier,
+    pack_segments,
     scaling_study,
     write_scaling_csv,
 )
-from domainlm.corpus import nested_subsets
-from domainlm.training import TrainingConfig, finetune_classifier, pack_segments
 
 # Frozen expected values, computed independently at 30 digits.
 LN_4096 = 8.317766166719343
@@ -257,12 +261,13 @@ def test_full_fraction_study_matches_single_finetune(
     run = finetune_classifier(
         scaling_config, toy_base_checkpoint, "binary", subset, validation, toy_tokenizer
     )
-    from domainlm.evaluation import batched_cls_logits, log_loss_from_logits, encode_for_classification
+    from domainlm.data import encode_for_classification
+    from domainlm.evaluation import batched_cls_logits
 
     seqs = [encode_for_classification(d, toy_tokenizer, run.model_config.max_positions) for d in holdout]
     logits = batched_cls_logits(run.params, run.model_config, seqs, toy_tokenizer.pad_id)
     index = {lab: i for i, lab in enumerate(run.class_labels)}
-    expected = log_loss_from_logits(logits, np.array([index[bool(d.nfc_label)] for d in holdout]))
+    expected = mlm_cross_entropy(logits, np.array([index[bool(d.nfc_label)] for d in holdout]))
     assert result.holdout_log_losses[0] == pytest.approx(expected, abs=1e-12)
     assert result.train_sizes == [80]
 

@@ -8,14 +8,11 @@ from domainlm.model import (
     ModelConfig,
     ModelError,
     backward,
-    cls_logits,
     cls_logits_from_hidden,
     cross_entropy,
     encoder_forward,
-    forward_encoder,
     init_parameters,
     load_checkpoint,
-    mlm_logits,
     mlm_logits_from_hidden,
     parameter_shapes,
     predict_top_k,
@@ -43,6 +40,19 @@ def tiny_params(tiny_config):
 def _softmax(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _hidden(ids, params, config):
+    """(L, H) final hidden states of one unpadded sequence."""
+    return encoder_forward(params, config, np.array([ids], dtype=np.int64))[0]
+
+
+def _mlm_logits(ids, positions, params, config):
+    return mlm_logits_from_hidden(_hidden(ids, params, config)[positions], params, config).data
+
+
+def _cls_logits(ids, params, config):
+    return cls_logits_from_hidden(_hidden(ids, params, config)[[0]], params, config).data[0]
 
 
 # -- config ---------------------------------------------------------------------
@@ -88,39 +98,34 @@ def test_permuting_positions_with_zero_position_embeddings(tiny_config, tiny_par
     base = np.array([3, 10, 20, 30, 40], dtype=np.int64)
     swapped = base.copy()
     swapped[[2, 3]] = swapped[[3, 2]]
-    out_base = forward_encoder(base, tiny_params, tiny_config).hidden_states
-    out_swapped = forward_encoder(swapped, tiny_params, tiny_config).hidden_states
+    out_base = _hidden(base, tiny_params, tiny_config).data
+    out_swapped = _hidden(swapped, tiny_params, tiny_config).data
     np.testing.assert_allclose(out_swapped[2], out_base[3], atol=1e-12)
     np.testing.assert_allclose(out_swapped[3], out_base[2], atol=1e-12)
     for pos in (0, 1, 4):
         np.testing.assert_allclose(out_swapped[pos], out_base[pos], atol=1e-12)
 
 
-def test_cls_vector_is_position_zero(tiny_config, tiny_params):
-    out = forward_encoder([1, 2, 3], tiny_params, tiny_config)
-    np.testing.assert_array_equal(out.cls_vector, out.hidden_states[0])
-
-
 def test_forward_is_deterministic(tiny_config, tiny_params):
     ids = [5, 6, 7, 8]
-    a = forward_encoder(ids, tiny_params, tiny_config).hidden_states
-    b = forward_encoder(ids, tiny_params, tiny_config).hidden_states
+    a = _hidden(ids, tiny_params, tiny_config).data
+    b = _hidden(ids, tiny_params, tiny_config).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_overlong_sequence_rejected(tiny_config, tiny_params):
     with pytest.raises(ModelError, match="max_positions"):
-        forward_encoder(list(range(9)), tiny_params, tiny_config)
+        encoder_forward(tiny_params, tiny_config, np.arange(9)[None, :])
 
 
 def test_invalid_token_id_rejected(tiny_config, tiny_params):
     with pytest.raises(ModelError, match="64"):
-        forward_encoder([1, 64], tiny_params, tiny_config)
+        encoder_forward(tiny_params, tiny_config, np.array([[1, 64]]))
 
 
 def test_empty_sequence_rejected(tiny_config, tiny_params):
     with pytest.raises(ModelError, match="empty"):
-        forward_encoder([], tiny_params, tiny_config)
+        encoder_forward(tiny_params, tiny_config, np.zeros((1, 0), dtype=np.int64))
 
 
 def test_padding_does_not_change_cls_logits(tiny_config, tiny_params):
@@ -138,16 +143,9 @@ def test_padding_does_not_change_cls_logits(tiny_config, tiny_params):
 
 
 def test_mlm_logit_softmax_rows_sum_to_one(tiny_config, tiny_params):
-    out = forward_encoder([1, 2, 3, 4], tiny_params, tiny_config)
-    logits = mlm_logits(out, [1, 3], tiny_params, tiny_config)
+    logits = _mlm_logits([1, 2, 3, 4], [1, 3], tiny_params, tiny_config)
     assert logits.shape == (2, tiny_config.vocab_size)
     np.testing.assert_allclose(_softmax(logits).sum(axis=-1), 1.0, atol=1e-9)
-
-
-def test_mlm_position_out_of_range(tiny_config, tiny_params):
-    out = forward_encoder([1, 2, 3], tiny_params, tiny_config)
-    with pytest.raises(ModelError, match="position"):
-        mlm_logits(out, [3], tiny_params, tiny_config)
 
 
 def test_zero_untied_projection_gives_uniform_distribution():
@@ -158,8 +156,7 @@ def test_zero_untied_projection_gives_uniform_distribution():
     params = init_parameters(config, seed=0)
     params["mlm.w"].data[:] = 0.0
     params["mlm.bias"].data[:] = 0.0
-    out = forward_encoder([1, 2, 3], params, config)
-    logits = mlm_logits(out, [0, 1, 2], params, config)
+    logits = _mlm_logits([1, 2, 3], [0, 1, 2], params, config)
     probs = _softmax(logits)
     np.testing.assert_allclose(probs, 1.0 / 32, atol=1e-12)
     loss = cross_entropy(Tensor(logits), np.array([4, 5, 6]))
@@ -169,29 +166,26 @@ def test_zero_untied_projection_gives_uniform_distribution():
 def test_zero_classifier_weights_give_uniform_classes(tiny_config, tiny_params):
     tiny_params["cls.w"].data[:] = 0.0
     tiny_params["cls.b"].data[:] = 0.0
-    out = forward_encoder([1, 2, 3], tiny_params, tiny_config)
-    logits = cls_logits(out, tiny_params, tiny_config)
+    logits = _cls_logits([1, 2, 3], tiny_params, tiny_config)
     assert logits.shape == (2,)
     np.testing.assert_allclose(_softmax(logits), 0.5, atol=1e-12)
 
 
 def test_cls_logit_length_matches_num_classes(tiny_config, tiny_params):
-    out = forward_encoder([1, 2], tiny_params, tiny_config)
-    assert cls_logits(out, tiny_params, tiny_config).shape == (tiny_config.num_classes,)
+    assert _cls_logits([1, 2], tiny_params, tiny_config).shape == (tiny_config.num_classes,)
 
 
 def test_classifier_head_shape_mismatch_rejected(tiny_config, tiny_params):
     bad = dict(tiny_params)
     bad["cls.w"] = Tensor(np.zeros((tiny_config.hidden_dim, 5)), requires_grad=True)
-    out = forward_encoder([1, 2], bad, tiny_config)
     with pytest.raises(ModelError, match="classifier"):
-        cls_logits(out, bad, tiny_config)
+        _cls_logits([1, 2], bad, tiny_config)
 
 
 def test_identical_cls_vectors_give_identical_logits(tiny_config, tiny_params):
-    out = forward_encoder([4, 5, 6], tiny_params, tiny_config)
-    a = cls_logits(out, tiny_params, tiny_config)
-    b = cls_logits(out, tiny_params, tiny_config)
+    hidden = _hidden([4, 5, 6], tiny_params, tiny_config)[[0]]
+    a = cls_logits_from_hidden(hidden, tiny_params, tiny_config).data
+    b = cls_logits_from_hidden(hidden, tiny_params, tiny_config).data
     np.testing.assert_array_equal(a, b)
 
 

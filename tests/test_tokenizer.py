@@ -7,7 +7,6 @@ from domainlm.tokenizer import (
     Tokenizer,
     TokenizerError,
     decode,
-    encode,
     train_bpe,
 )
 
@@ -46,7 +45,7 @@ def test_training_is_deterministic():
 
 def test_merged_pair_encodes_to_single_token():
     vocab, merges = train_bpe(["aaaa aaaa"], MIN_VOCAB + 1)
-    ids = encode("aa", vocab, merges)
+    ids = Tokenizer(vocab, merges).encode("aa")
     assert len(ids) == 1
     assert vocab.id_to_token[ids[0]] == "aa"
 
