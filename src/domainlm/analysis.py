@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import no_grad
 from .corpus import Document
-from .data import encode_for_classification, pad_batch
-from .model import Checkpoint, encoder_forward
+from .data import encode_for_classification
+from .evaluation import cls_vectors
+from .model import Checkpoint
 from .tokenizer import Tokenizer
 
 __all__ = [
@@ -102,16 +102,9 @@ def export_cls_embeddings(
 
     config = checkpoint.config
     sequences = [encode_for_classification(d, tokenizer, config.max_positions) for d in sample]
-    pad_to = max(len(s) for s in sequences)
-    rows = []
-    with no_grad():
-        for start in range(0, len(sequences), batch_size):
-            ids, mask = pad_batch(sequences[start : start + batch_size], tokenizer.pad_id, pad_to)
-            hidden = encoder_forward(checkpoint.params, config, ids, pad_mask=mask)
-            rows.append(hidden.data[:, 0, :])
     return EmbeddingMatrix(
         ids=[d.id for d in sample],
-        matrix=np.concatenate(rows, axis=0),
+        matrix=cls_vectors(checkpoint.params, config, sequences, tokenizer.pad_id, batch_size),
         checkpoint_hash=checkpoint.fingerprint(),
     )
 

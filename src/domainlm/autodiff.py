@@ -3,7 +3,12 @@
 A small tape: every operation on :class:`Tensor` records the parent tensors
 and a vector-Jacobian closure. Calling ``backward()`` on a scalar loss walks
 the graph in reverse topological order and accumulates gradients into
-``.grad`` of every tensor created with ``requires_grad=True``.
+``.grad`` of every leaf tensor created with ``requires_grad=True``; the walk
+consumes the graph, so a second ``backward()`` needs a new forward pass.
+
+The encoder's hot layers are fused nodes (``linear``, ``layer_norm``,
+``attention``, ``softmax_cross_entropy``), each one node with a closed-form
+backward pass. Every operation computes in the dtype of its operands.
 
 Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
@@ -11,13 +16,20 @@ what the finite-difference checks in the test suite verify.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
-__all__ = ["Tensor", "no_grad", "GraphError", "softmax", "log_softmax", "dropout"]
+__all__ = [
+    "Tensor", "no_grad", "GraphError", "log_softmax", "dropout_mask", "dropout",
+    "linear", "layer_norm", "attention", "softmax_cross_entropy",
+]
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy float64 scalars: under NumPy 2 promotion a Python
+# float takes the dtype of the array it meets, so float32 math stays float32.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
 
@@ -71,8 +83,9 @@ class Tensor:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
+    def _lift(value, dtype) -> "Tensor":
+        """Wrap a constant as a Tensor of `dtype`, the other operand's dtype."""
+        return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=dtype))
 
     @staticmethod
     def _make(data, parents, vjps) -> "Tensor":
@@ -99,7 +112,7 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
         return self._make(
             self.data + other.data,
             (self, other),
@@ -113,7 +126,7 @@ class Tensor:
         return self._make(-self.data, (self,), (lambda g: -g,))
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
         return self._make(
             self.data - other.data,
             (self, other),
@@ -122,10 +135,10 @@ class Tensor:
         )
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return self._lift(other, self.data.dtype) - self
 
     def __mul__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
         return self._make(
             self.data * other.data,
             (self, other),
@@ -136,7 +149,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
         return self._make(
             self.data / other.data,
             (self, other),
@@ -145,24 +158,16 @@ class Tensor:
         )
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return self._lift(other, self.data.dtype) / self
 
     def __matmul__(self, other):
-        other = self._lift(other)
+        other = self._lift(other, self.data.dtype)
         a, b = self.data, other.data
         return self._make(
             a @ b,
             (self, other),
             (lambda g: _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
              lambda g: _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)),
-        )
-
-    def __pow__(self, exponent: float):
-        data = self.data
-        return self._make(
-            data ** exponent,
-            (self,),
-            (lambda g: g * exponent * data ** (exponent - 1),),
         )
 
     # -- shape ops -----------------------------------------------------------
@@ -211,18 +216,6 @@ class Tensor:
 
     # -- elementwise nonlinearities -------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        return self._make(out_data, (self,), (lambda g: g * out_data,))
-
-    def log(self):
-        data = self.data
-        return self._make(np.log(data), (self,), (lambda g: g / data,))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return self._make(out_data, (self,), (lambda g: g * 0.5 / out_data,))
-
     def tanh(self):
         out_data = np.tanh(self.data)
         return self._make(out_data, (self,), (lambda g: g * (1.0 - out_data * out_data),))
@@ -231,14 +224,20 @@ class Tensor:
         """Gaussian error linear unit, exact erf form: x * Phi(x)."""
         x = self.data
         cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-        out_data = x * cdf
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return self._make(out_data, (self,), (lambda g: g * (cdf + x * pdf),))
+
+        def vjp(g):
+            return g * (cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+
+        return self._make(x * cdf, (self,), (vjp,))
 
     # -- backward pass ---------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable leaf tensor.
+
+        Interior nodes are released as the walk passes them, so the graph
+        cannot be walked twice.
+        """
         if self.data.size != 1:
             raise GraphError("backward() requires a scalar loss")
         if not self._parents:
@@ -271,27 +270,167 @@ class Tensor:
                     parent.grad = contribution
                 else:
                     parent.grad = parent.grad + contribution
+            if node._parents:
+                # An interior node is spent once its gradient is passed on:
+                # dropping it and its closures frees the saved activations
+                # while the rest of the walk runs.
+                node.grad = None
+                node._parents = node._vjps = ()
 
 
-# -- composite helpers --------------------------------------------------------
+# -- array-level helpers -------------------------------------------------------
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`."""
-    shifted = t - t.data.max(axis=axis, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable log-softmax of an array along `axis` (no tape)."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along `axis`."""
-    shifted = t - t.data.max(axis=axis, keepdims=True)
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 where dropped, 1 / (1 - rate) where kept.
+
+    The uniform draw is float64 whatever `dtype` is, so a given generator
+    state drops the same positions in float32 and float64.
+    """
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    keep *= 1.0 / (1.0 - rate)
+    return keep
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return t
-    keep = (rng.random(t.data.shape) >= rate) / (1.0 - rate)
-    return t * keep
+    return t * dropout_mask(t.data.shape, rate, rng, t.data.dtype)
+
+
+# -- fused nodes -----------------------------------------------------------------
+#
+# Each of these records one tape node with a closed-form backward pass in
+# place of the many elementwise nodes the same math takes when composed from
+# Tensor operations.
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows."""
+    shape = x.data.shape
+    x2 = x.data.reshape(-1, shape[-1])
+    out = x2 @ w.data
+    out += b.data
+
+    def rows(g):
+        return g.reshape(-1, g.shape[-1])
+
+    return Tensor._make(
+        out.reshape(shape[:-1] + out.shape[-1:]),
+        (x, w, b),
+        (
+            lambda g: (rows(g) @ w.data.T).reshape(shape),
+            lambda g: x2.T @ rows(g),
+            lambda g: rows(g).sum(axis=0),
+        ),
+    )
+
+
+def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale and shift."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+    x_hat = centered * inv_std
+    lead = tuple(range(x_hat.ndim - 1))
+
+    def vjp_x(grad):
+        d_hat = grad * g.data
+        return inv_std * (
+            d_hat
+            - d_hat.mean(axis=-1, keepdims=True)
+            - x_hat * np.mean(d_hat * x_hat, axis=-1, keepdims=True)
+        )
+
+    return Tensor._make(
+        x_hat * g.data + b.data,
+        (x, g, b),
+        (vjp_x, lambda grad: (grad * x_hat).sum(axis=lead), lambda grad: grad.sum(axis=lead)),
+    )
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    num_heads: int,
+    bias: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention over (batch, length, hidden) inputs.
+
+    scores = q k^T / sqrt(head_dim) + bias, softmax over keys, then the
+    dropout multipliers `keep` (batch, heads, length, length), then the
+    weighted sum of values. Returns the context (batch, length, hidden) and
+    the attention probabilities before dropout. The node keeps only the
+    probabilities and `keep` for its backward pass.
+    """
+    batch, length, hidden = q.data.shape
+    head_dim = hidden // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(a):  # (B, L, H) -> (B, nh, L, dh)
+        return a.reshape(batch, length, num_heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, nh, L, dh) -> (B, L, H)
+        return a.transpose(0, 2, 1, 3).reshape(batch, length, hidden)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if bias is not None:
+        scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if keep is None else probs * keep
+    context = merge(weights @ vh)
+
+    memo: list = []
+
+    def d_scores(g):
+        """Gradient at the scaled scores, shared by the q and k VJPs of one backward."""
+        if not memo or memo[0] is not g:
+            d_probs = split(g) @ vh.swapaxes(-1, -2)
+            if keep is not None:
+                d_probs *= keep
+            d_probs -= (d_probs * probs).sum(axis=-1, keepdims=True)
+            d_probs *= probs
+            d_probs *= scale
+            memo[:] = [g, d_probs]
+        return memo[1]
+
+    def vjp_v(g):
+        weights = probs if keep is None else probs * keep
+        return merge(weights.swapaxes(-1, -2) @ split(g))
+
+    out = Tensor._make(
+        context,
+        (q, k, v),
+        (
+            lambda g: merge(d_scores(g) @ kh),
+            lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh),
+            vjp_v,
+        ),
+    )
+    return out, probs
+
+
+def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of integer `targets` under softmax(logits), rows (N, C)."""
+    rows = np.arange(targets.shape[0])
+    log_probs = log_softmax(logits.data, axis=-1)
+    loss = -(log_probs[rows, targets].sum() * (1.0 / rows.size))
+
+    def vjp(g):
+        grad = np.exp(log_probs)
+        grad[rows, targets] -= 1.0
+        grad *= g * (1.0 / rows.size)
+        return grad
+
+    return Tensor._make(loss, (logits,), (vjp,))

@@ -18,11 +18,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import analysis, corpus, evaluation, training
-from .configio import ConfigError, build_dataclass, read_flat_config, split_known_keys
+from .configio import ConfigError, build_dataclass, dataclass_to_mapping, read_flat_config, split_known_keys
 from .model import Checkpoint, ModelBundle, ModelConfig, load_checkpoint, predict_top_k
 from .tokenizer import Tokenizer
 from .training import TrainingConfig, TrainingDivergedError
@@ -108,10 +109,16 @@ def _collect_overrides(args) -> dict[str, str]:
 
 def _load_configs(
     args,
-    need_model: bool,
+    inits: Sequence[ModelConfig] = (),
     default_vocab_size: int | None = None,
 ) -> tuple[TrainingConfig, ModelConfig | None, dict]:
-    """Merge config file and flag overrides; report every problem at once."""
+    """Merge config file and flag overrides; report every problem at once.
+
+    Without `inits` the model config is built from the merged keys. With
+    them the model comes from checkpoints: a model flag must then repeat each
+    checkpoint's value, because it cannot change it. Model keys in a config
+    file describe fresh pretraining and are ignored then.
+    """
     problems: list[str] = []
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
@@ -119,7 +126,8 @@ def _load_configs(
             mapping.update(read_flat_config(args.config))
         except (ConfigError, FileNotFoundError) as exc:
             raise CliValidationError(str(exc))
-    mapping.update(_collect_overrides(args))
+    flags = _collect_overrides(args)
+    mapping.update(flags)
 
     owned, unknown = split_known_keys(mapping, TrainingConfig, ModelConfig)
     for key in unknown:
@@ -130,7 +138,7 @@ def _load_configs(
         problems.extend(train_config.problems())
 
     model_config = None
-    if need_model:
+    if not inits:
         model_mapping = dict(owned["ModelConfig"])
         if "vocab_size" not in model_mapping and default_vocab_size is not None:
             model_mapping["vocab_size"] = str(default_vocab_size)
@@ -140,6 +148,15 @@ def _load_configs(
                 model_config.validate()
             except ValueError as exc:
                 problems.append(str(exc))
+    model_flags = {k: v for k, v in flags.items() if k in owned["ModelConfig"]}
+    for init in inits:
+        requested = build_dataclass(ModelConfig, {**dataclass_to_mapping(init), **model_flags}, problems)
+        problems.extend(
+            f"--{key} {getattr(requested, key)} differs from the checkpoint's {key} "
+            f"{getattr(init, key)}; the model settings come from --init"
+            for key in model_flags
+            if getattr(requested, key) != getattr(init, key)
+        )
     if problems:
         raise CliValidationError(problems)
     return train_config, model_config, dict(mapping)
@@ -213,12 +230,9 @@ def _cmd_pretrain(args) -> int:
     init: ModelConfig | Checkpoint
     if args.init:
         init = load_checkpoint(args.init)
-        config, _, snapshot = _load_configs(args, need_model=False)
+        config, _, snapshot = _load_configs(args, [init.config])
     else:
-        config, model_config, snapshot = _load_configs(
-            args, need_model=True, default_vocab_size=tokenizer.vocab_size
-        )
-        init = model_config
+        config, init, snapshot = _load_configs(args, default_vocab_size=tokenizer.vocab_size)
     docs = corpus.load_corpus(args.corpus)
     segments = training.pack_segments(
         (tokenizer.encode(d.text) for d in docs), tokenizer.sep_id, config.segment_length
@@ -256,13 +270,14 @@ def _cmd_pretrain(args) -> int:
 def _cmd_finetune(args) -> int:
     started = time.time()
     tokenizer = _load_tokenizer(args.tokenizer)
-    config, _, snapshot = _load_configs(args, need_model=False)
+    init = load_checkpoint(args.init)
+    config, _, snapshot = _load_configs(args, [init.config])
     splits_dir = Path(args.splits)
     train_docs = _load_split_docs(args.corpus, splits_dir / "finetune_train.txt")
     val_docs = _load_split_docs(args.corpus, splits_dir / "finetune_validation.txt")
     out_dir = Path(args.out)
     result = training.finetune_classifier(
-        config, args.init, args.task, train_docs, val_docs, tokenizer, out_dir=out_dir
+        config, init, args.task, train_docs, val_docs, tokenizer, out_dir=out_dir
     )
     _write_manifest(
         out_dir,
@@ -330,7 +345,6 @@ def _cmd_mask_predict(args) -> int:
 def _cmd_scale_study(args) -> int:
     started = time.time()
     tokenizer = _load_tokenizer(args.tokenizer)
-    config, _, snapshot = _load_configs(args, need_model=False)
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f]
     except ValueError:
@@ -345,6 +359,7 @@ def _cmd_scale_study(args) -> int:
         inits[name] = load_checkpoint(path)
     if not inits:
         raise CliValidationError("at least one --init name=path is required")
+    config, _, snapshot = _load_configs(args, [ckpt.config for ckpt in inits.values()])
     splits_dir = Path(args.splits)
     train_pool = _load_split_docs(args.corpus, splits_dir / "finetune_train.txt")
     validation = _load_split_docs(args.corpus, splits_dir / "finetune_validation.txt")

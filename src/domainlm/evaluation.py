@@ -41,6 +41,7 @@ __all__ = [
     "EvaluationError",
     "mlm_cross_entropy",
     "classification_metrics",
+    "cls_vectors",
     "evaluate_checkpoint",
     "evaluate_mlm",
 ]
@@ -245,12 +246,34 @@ def mlm_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]) -> float:
         raise EvaluationError(
             f"{logits.shape[0]} logit rows for {target_ids.shape[0]} targets"
         )
-    with no_grad():
-        log_probs = log_softmax(Tensor(logits)).data
+    log_probs = log_softmax(logits)
     return float(np.mean(-log_probs[np.arange(target_ids.shape[0]), target_ids]))
 
 
 # -- batched classifier evaluation ----------------------------------------------------
+
+
+def cls_vectors(
+    params,
+    config: ModelConfig,
+    sequences: Sequence[np.ndarray],
+    pad_id: int,
+    batch_size: int = 32,
+) -> np.ndarray:
+    """Final-layer position-0 vectors (N, H), one padded batch at a time.
+
+    Every batch is padded to the longest sequence overall, so batch
+    composition cannot change the numbers. Rows are copied out of each batch,
+    so no batch's (B, L, H) hidden array outlives its forward pass.
+    """
+    pad_to = max(len(s) for s in sequences)
+    rows = []
+    with no_grad():
+        for start in range(0, len(sequences), batch_size):
+            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
+            hidden = encoder_forward(params, config, ids, pad_mask=mask)
+            rows.append(hidden.data[:, 0].copy())
+    return np.concatenate(rows, axis=0)
 
 
 def batched_cls_logits(
@@ -261,14 +284,9 @@ def batched_cls_logits(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Class logits for each sequence; padding cannot affect the results."""
-    pad_to = max(len(s) for s in sequences)
-    out = []
+    vectors = cls_vectors(params, config, sequences, pad_id, batch_size)
     with no_grad():
-        for start in range(0, len(sequences), batch_size):
-            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
-            hidden = encoder_forward(params, config, ids, pad_mask=mask)
-            out.append(cls_logits_from_hidden(hidden[:, 0], params, config).data)
-    return np.concatenate(out, axis=0)
+        return cls_logits_from_hidden(Tensor(vectors), params, config).data
 
 
 def document_label(doc: Document, task: str):
@@ -348,7 +366,7 @@ def evaluate_mlm(
             if targets.size == 0:
                 continue
             hidden = encoder_forward(params, config, ids, pad_mask=pad_mask)
-            log_probs = log_softmax(mlm_logits_from_hidden(hidden[rows, cols], params, config)).data
+            log_probs = log_softmax(mlm_logits_from_hidden(hidden[rows, cols], params, config).data)
             total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
             count += targets.size
     if count == 0:

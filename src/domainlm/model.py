@@ -4,20 +4,32 @@ The encoder is the pre-layer-norm variant with learned position embeddings and
 GELU feed-forward blocks. The masked-token head projects final-layer hidden
 states onto the vocabulary (weights tied to the input embeddings by default);
 the classifier head is a single affine layer over the hidden state at
-position 0. All math runs through the autodiff tape in float64 by default so
-gradients can be validated against finite differences.
+position 0. All math runs through the autodiff tape in the configured dtype:
+float64 by default, so gradients can be validated against finite
+differences, or float32.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, softmax, log_softmax, dropout
+from .autodiff import (
+    Tensor,
+    attention,
+    dropout,
+    dropout_mask,
+    layer_norm,
+    linear,
+    log_softmax,
+    no_grad,
+    softmax_cross_entropy,
+)
 from .tokenizer import Tokenizer
 
 __all__ = [
@@ -134,13 +146,6 @@ def init_classifier_head(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     }
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + eps) ** -0.5 * g + b
-
-
 def _check_ids(ids: np.ndarray, config: ModelConfig) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 2:
@@ -173,48 +178,37 @@ def encoder_forward(
     """
     ids = _check_ids(ids, config)
     batch, length = ids.shape
-    nh, dh = config.num_heads, config.head_dim
-    scale = 1.0 / np.sqrt(dh)
+    dtype = config.np_dtype
 
     if pad_mask is None:
         attn_bias = None
     else:
         pad_mask = np.asarray(pad_mask, dtype=bool).reshape(batch, length)
-        attn_bias = np.where(pad_mask, 0.0, ATTENTION_MASK_BIAS)[:, None, None, :]
+        attn_bias = np.where(pad_mask, 0.0, ATTENTION_MASK_BIAS).astype(dtype)[:, None, None, :]
 
     rate = config.dropout_rate if dropout_rng is not None else 0.0
 
-    x = params["tok_emb"][ids] + params["pos_emb"][np.arange(length)]
-    if rate > 0.0:
-        x = dropout(x, rate, dropout_rng)
+    x = dropout(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], rate, dropout_rng)
 
     for i in range(config.num_layers):
         p = f"layer{i}"
-        normed = _layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        q = (normed @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]).reshape(batch, length, nh, dh).transpose(0, 2, 1, 3)
-        k = (normed @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]).reshape(batch, length, nh, dh).transpose(0, 2, 1, 3)
-        v = (normed @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]).reshape(batch, length, nh, dh).transpose(0, 2, 1, 3)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        if attn_bias is not None:
-            scores = scores + attn_bias
-        attn = softmax(scores, axis=-1)
+        normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
+        k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
+        v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
+        keep = None
+        if rate > 0.0:
+            keep = dropout_mask((batch, config.num_heads, length, length), rate, dropout_rng, dtype)
+        context, probs = attention(q, k, v, config.num_heads, attn_bias, keep)
         if attention_sink is not None:
-            attention_sink.append(attn.data.copy())
-        if rate > 0.0:
-            attn = dropout(attn, rate, dropout_rng)
-        context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, config.hidden_dim)
-        attn_out = context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-        if rate > 0.0:
-            attn_out = dropout(attn_out, rate, dropout_rng)
-        x = x + attn_out
+            attention_sink.append(probs.copy())
+        x = x + dropout(linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]), rate, dropout_rng)
 
-        normed2 = _layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        ff = (normed2 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]).gelu() @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"]
-        if rate > 0.0:
-            ff = dropout(ff, rate, dropout_rng)
-        x = x + ff
+        normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        inner = linear(normed2, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]).gelu()
+        x = x + dropout(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rate, dropout_rng)
 
-    return _layer_norm(x, params["final_ln.g"], params["final_ln.b"])
+    return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
 
 def _mlm_projection(params: dict[str, Tensor], config: ModelConfig) -> Tensor:
@@ -225,7 +219,7 @@ def _mlm_projection(params: dict[str, Tensor], config: ModelConfig) -> Tensor:
 
 def mlm_logits_from_hidden(hidden: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
     """Project hidden rows (N, H) onto the vocabulary -> (N, V)."""
-    return hidden @ _mlm_projection(params, config) + params["mlm.bias"]
+    return linear(hidden, _mlm_projection(params, config), params["mlm.bias"])
 
 
 def cls_logits_from_hidden(cls_rows: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
@@ -238,15 +232,12 @@ def cls_logits_from_hidden(cls_rows: Tensor, params: dict[str, Tensor], config: 
         )
     if config.pooler_tanh:
         cls_rows = cls_rows.tanh()
-    return cls_rows @ params["cls.w"] + params["cls.b"]
+    return linear(cls_rows, params["cls.w"], params["cls.b"])
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax(logits)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(targets.shape[0]), targets]
-    return -picked.mean()
+    return softmax_cross_entropy(logits, np.asarray(targets, dtype=np.int64))
 
 
 def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -296,7 +287,7 @@ def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, flo
     with no_grad():
         hidden = encoder_forward(bundle.params, bundle.config, np.array([ids]))
         logits = mlm_logits_from_hidden(hidden[0, [mask_position]], bundle.params, bundle.config)
-        log_probs = log_softmax(logits).data[0]
+    log_probs = log_softmax(logits.data)[0]
     top = np.argsort(-log_probs, kind="stable")[:k]
     return [(tok.token_text(i), float(np.exp(log_probs[i]))) for i in top]
 
@@ -334,7 +325,17 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> Path:
         "extra": checkpoint.extra,
     }
     arrays = {f"param:{name}": p.data for name, p in checkpoint.params.items()}
-    np.savez_compressed(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    # Uncompressed: zlib cost far more time per write than the disk it saved.
+    # Written beside the target and renamed over it, so the path holds either
+    # the previous checkpoint or the whole new one, never a partial file.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as handle:
+            np.savez(handle, __meta__=np.array(json.dumps(meta)), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from domainlm.autodiff import GraphError, Tensor, dropout, log_softmax, no_grad, softmax
+from domainlm.autodiff import (
+    GraphError,
+    Tensor,
+    attention,
+    dropout,
+    dropout_mask,
+    layer_norm,
+    linear,
+    log_softmax,
+    no_grad,
+    softmax_cross_entropy,
+)
 
 from conftest import max_relative_error
 
@@ -57,7 +68,7 @@ def test_matmul_2d(rng):
 def test_matmul_batched_with_2d_rhs(rng):
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    _check_op(lambda: ((a @ b) ** 2.0).sum(), a, b)
+    _check_op(lambda: ((a @ b) * (a @ b)).sum(), a, b)
 
 
 def test_matmul_batched_4d(rng):
@@ -87,23 +98,104 @@ def test_reductions_and_shapes(rng):
 
 def test_elementwise_nonlinearities(rng):
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = Tensor(np.abs(rng.normal(size=(4, 3))) + 0.5, requires_grad=True)
     _check_op(lambda: a.tanh().sum(), a)
     _check_op(lambda: a.gelu().sum(), a)
-    _check_op(lambda: a.exp().sum(), a)
-    _check_op(lambda: b.log().sum(), b)
-    _check_op(lambda: b.sqrt().sum(), b)
-    _check_op(lambda: (b ** -0.5).sum(), b)
 
 
 def test_softmax_rows_and_gradient(rng):
-    a = Tensor(rng.normal(size=(5, 7)) * 3, requires_grad=True)
-    out = softmax(a, axis=-1)
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-    assert (out.data >= 0).all()
-    weights = rng.normal(size=(5, 7))
-    _check_op(lambda: (softmax(a, -1) * weights).sum(), a)
-    _check_op(lambda: (log_softmax(a, -1) * weights).sum(), a)
+    """The softmax lives inside the attention core and the cross-entropy node."""
+    x = rng.normal(size=(5, 7)) * 3
+    log_probs = log_softmax(x)
+    np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-12)
+    assert (log_probs <= 0).all()
+    np.testing.assert_allclose(log_probs, x - np.log(np.exp(x).sum(axis=-1, keepdims=True)), atol=1e-12)
+
+    logits = Tensor(x, requires_grad=True)
+    targets = rng.integers(0, 7, size=5)
+    loss = softmax_cross_entropy(logits, targets)
+    np.testing.assert_allclose(float(loss.data), -np.mean(log_probs[np.arange(5), targets]), atol=1e-12)
+    _check_op(lambda: softmax_cross_entropy(logits, targets), logits)
+
+    q, k, v = (Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True) for _ in range(3))
+    _, probs = attention(q, k, v, num_heads=3)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+    assert probs.shape == (2, 3, 4, 4) and (probs >= 0).all()
+
+
+# -- fused nodes --------------------------------------------------------------------
+
+
+def test_linear_is_one_affine_map_with_gradients(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    np.testing.assert_allclose(linear(x, w, b).data, x.data @ w.data + b.data, atol=1e-12)
+    weights = rng.normal(size=(2, 3, 5))
+    _check_op(lambda: (linear(x, w, b) * weights).sum(), x, w, b)
+    rows = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    _check_op(lambda: (linear(rows, w, b) * weights[0]).sum(), rows, w, b)
+
+
+def test_layer_norm_normalizes_rows_with_gradients(rng):
+    """Covers the square root and the -0.5 power the unfused layer norm was built from."""
+    x = Tensor(rng.normal(size=(2, 3, 6)) * 2 + 1, requires_grad=True)
+    g = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    b = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    unit = layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))).data
+    np.testing.assert_allclose(unit.mean(axis=-1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(unit.var(axis=-1), 1.0, rtol=1e-4)
+    weights = rng.normal(size=(2, 3, 6))
+    _check_op(lambda: (layer_norm(x, g, b) * weights).sum(), x, g, b)
+
+
+def test_attention_gradients_with_pad_bias_and_dropout(rng):
+    """Covers the exp and softmax the unfused attention was built from."""
+    batch, length, heads, hidden = 2, 5, 2, 6
+    q, k, v = (Tensor(rng.normal(size=(batch, length, hidden)) * 0.5, requires_grad=True) for _ in range(3))
+    real = np.ones((batch, length), dtype=bool)
+    real[1, 3:] = False
+    bias = np.where(real, 0.0, -1e30)[:, None, None, :]
+    keep = dropout_mask((batch, heads, length, length), 0.3, np.random.default_rng(5), np.float64)
+    assert 0 < np.count_nonzero(keep) < keep.size
+    weights = rng.normal(size=(batch, length, hidden))
+
+    def loss():
+        return (attention(q, k, v, heads, bias, keep)[0] * weights).sum()
+
+    _check_op(loss, q, k, v)
+    _, probs = attention(q, k, v, heads, bias)
+    np.testing.assert_array_equal(probs[1, :, :, 3:], 0.0)
+
+
+def test_softmax_cross_entropy_gradient_is_softmax_minus_onehot(rng):
+    """Covers the exp and log of the taped log-softmax it replaced."""
+    x = rng.normal(size=(4, 6))
+    logits = Tensor(x, requires_grad=True)
+    targets = np.array([0, 5, 5, 2])
+    softmax_cross_entropy(logits, targets).backward()
+    expected = np.exp(log_softmax(x))
+    expected[np.arange(4), targets] -= 1.0
+    np.testing.assert_allclose(logits.grad, expected / 4, atol=1e-12)
+
+
+def test_float32_stays_float32(rng):
+    """Constants, dropout multipliers and every fused node keep a float32 operand float32."""
+    f32 = np.float32
+    x = Tensor(rng.normal(size=(2, 4, 6)).astype(f32), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 6)).astype(f32), requires_grad=True)
+    g = Tensor(np.ones(6, dtype=f32), requires_grad=True)
+    b = Tensor(np.zeros(6, dtype=f32), requires_grad=True)
+    keep = dropout_mask((2, 2, 4, 4), 0.1, rng, f32)
+    assert keep.dtype == f32
+    normed = layer_norm(x * 0.5 + 1.0 - 2.0 / (x * x + 1.0), g, b)
+    bias = np.zeros((2, 1, 1, 4), dtype=f32)
+    context, probs = attention(linear(normed, w, b), linear(x, w, b), normed, 2, bias, keep)
+    hidden = dropout(linear(context, w, b).gelu().tanh(), 0.1, rng)
+    loss = softmax_cross_entropy(hidden[:, 0], np.array([1, 2])) + hidden.mean()
+    assert probs.dtype == f32 and loss.data.dtype == f32
+    loss.backward()
+    for t in (x, w, g, b):
+        assert t.grad.dtype == f32
 
 
 def test_shared_tensor_accumulates_both_paths(rng):

@@ -1,11 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from domainlm import cli
 from domainlm.corpus import save_corpus, split_corpus, SplitSpec, write_split_manifests
-from domainlm.model import save_checkpoint
+from domainlm.model import load_checkpoint, save_checkpoint
 from domainlm.training import TrainingDivergedError
 
 
@@ -321,3 +322,69 @@ def test_runtime_errors_exit_two(monkeypatch, workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "step 1" in capsys.readouterr().err
+
+
+def test_float32_pretrain_and_finetune_stay_float32(tmp_path, workspace, capsys):
+    pretrain_out = tmp_path / "pre32"
+    assert cli.main([
+        "pretrain",
+        "--config", str(workspace["config"]),
+        "--corpus", str(workspace["corpus"]),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--dtype", "float32",
+        "--total_steps", "40",
+        "--out", str(pretrain_out),
+    ]) == 0
+    final = load_checkpoint(pretrain_out / "checkpoints" / "final.npz")
+    assert final.config.dtype == "float32"
+    assert {p.data.dtype for p in final.params.values()} == {np.dtype(np.float32)}
+
+    finetune_out = tmp_path / "ft32"
+    assert cli.main([
+        "finetune",
+        "--config", str(workspace["config"]),
+        "--corpus", str(workspace["corpus"]),
+        "--splits", str(workspace["splits"]),
+        "--task", "binary",
+        "--init", str(pretrain_out / "checkpoints" / "final.npz"),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--dtype", "float32",
+        "--epochs", "10",
+        "--out", str(finetune_out),
+    ]) == 0
+    best = load_checkpoint(finetune_out / "checkpoints" / "best.npz")
+    assert {p.data.dtype for p in best.params.values()} == {np.dtype(np.float32)}
+    assert json.loads((finetune_out / "metrics.json").read_text())["accuracy"] >= 0.95
+    # The validation split holds two documents; the test split is the larger check.
+    assert cli.main([
+        "eval",
+        "--checkpoint", str(finetune_out / "checkpoints" / "best.npz"),
+        "--corpus", str(workspace["corpus"]),
+        "--split", str(workspace["splits"] / "test.txt"),
+        "--task", "binary",
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--out", str(tmp_path / "eval32"),
+    ]) == 0
+    assert json.loads((tmp_path / "eval32" / "metrics.json").read_text())["accuracy"] >= 0.95
+
+
+@pytest.mark.parametrize("command", ["finetune", "pretrain"])
+def test_model_flag_differing_from_checkpoint_rejected(tmp_path, workspace, capsys, command):
+    argv = [
+        command,
+        "--config", str(workspace["config"]),
+        "--corpus", str(workspace["corpus"]),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--init", str(workspace["checkpoint"]),
+        "--out", str(tmp_path / "x"),
+    ]
+    if command == "finetune":
+        argv += ["--splits", str(workspace["splits"]), "--task", "binary"]
+    assert cli.main(argv + ["--dtype", "float32", "--dropout_rate", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "--dtype float32 differs from the checkpoint's dtype float64" in err
+    assert "--dropout_rate 0.1 differs from the checkpoint's dropout_rate 0.0" in err
+    assert not (tmp_path / "x").exists()
+
+    # Repeating the checkpoint's own values is accepted.
+    assert cli.main(argv + ["--dtype", "float64", "--dropout_rate", "0.0", "--total_steps", "2"]) == 0

@@ -1,8 +1,15 @@
+import json
+import zipfile
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+import domainlm.model as fused
+import unfused_encoder
 from domainlm.autodiff import GraphError, Tensor
 from domainlm.model import (
+    CHECKPOINT_FORMAT,
     Checkpoint,
     ModelBundle,
     ModelConfig,
@@ -20,6 +27,7 @@ from domainlm.model import (
     with_fresh_classifier,
 )
 from domainlm.tokenizer import Tokenizer
+from domainlm.training import AdamW
 
 from conftest import finite_difference_gradients, max_relative_error
 
@@ -238,6 +246,116 @@ def test_constant_loss_gives_zero_gradients(tiny_config, tiny_params):
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
 
+def _mlm_batch(config, batch, length, seed):
+    """Random ids with the last row padded from the middle, and masked-token targets."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(5, config.vocab_size, size=(batch, length))
+    pad_mask = np.ones((batch, length), dtype=bool)
+    pad_mask[-1, length // 2 :] = False
+    ids[~pad_mask] = 0
+    per_row = max(1, length * 15 // 100)
+    rows = np.repeat(np.arange(batch), per_row)
+    cols = np.concatenate([
+        rng.choice(int(row.sum()), size=per_row, replace=False) for row in pad_mask
+    ])
+    targets = rng.integers(5, config.vocab_size, size=rows.size)
+    return ids, pad_mask, rows, cols, targets
+
+
+def _mlm_loss(impl, params, config, batch, dropout_rng):
+    ids, pad_mask, rows, cols, targets = batch
+    hidden = impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+    return impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
+
+
+def test_fused_training_matches_unfused_encoder_over_20_steps():
+    """The benchmark's pretraining shape, float64, with dropout and a padded row."""
+    config = ModelConfig(
+        num_layers=4, num_heads=4, hidden_dim=128, ff_dim=512, vocab_size=1024,
+        max_positions=128, dropout_rate=0.1,
+    )
+    batch = _mlm_batch(config, 16, 128, seed=0)
+    runs = {}
+    for impl in (fused, unfused_encoder):
+        params = init_parameters(config, seed=1, include_classifier=False)
+        optimizer = AdamW(params, learning_rate=1e-3)
+        losses = []
+        for step in range(20):
+            dropout_rng = np.random.default_rng(np.random.SeedSequence((7, step)))
+            loss = _mlm_loss(impl, params, config, batch, dropout_rng)
+            optimizer.step(backward(loss, params))
+            losses.append(float(loss.data))
+        runs[impl] = np.array(losses), {name: p.data for name, p in params.items()}
+    (fused_losses, fused_params), (losses, params) = runs[fused], runs[unfused_encoder]
+    assert np.max(np.abs(fused_losses - losses) / np.abs(losses)) < 1e-12
+    # The key biases get an exactly-zero gradient (softmax ignores a shift
+    # shared by all keys), so their values are rounding noise of both paths;
+    # they are held to the scale of the whole parameter set instead.
+    scale = max(np.abs(p).max() for p in params.values())
+    for name, p in params.items():
+        denominator = scale if name.endswith("attn.bk") else np.abs(p).max()
+        assert np.abs(fused_params[name] - p).max() < 1e-12 * denominator, name
+
+
+@pytest.mark.parametrize("pooler_tanh", [False, True])
+def test_fused_gradients_match_unfused_encoder(pooler_tanh):
+    config = ModelConfig(
+        num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=12,
+        num_classes=3, dropout_rate=0.2, tie_mlm_weights=False, pooler_tanh=pooler_tanh,
+    )
+    ids, pad_mask, rows, cols, targets = _mlm_batch(config, 3, 12, seed=4)
+    grads = []
+    for impl in (fused, unfused_encoder):
+        params = init_parameters(config, seed=2)
+        dropout_rng = np.random.default_rng(9)
+        hidden = impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+        mlm = impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
+        cls = impl.cross_entropy(impl.cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 2, 1]))
+        grads.append(backward(mlm + cls, params))
+    for name in grads[0]:
+        np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=1e-10, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("objective", ["mlm", "classifier"])
+def test_float32_step_keeps_every_node_and_gradient_float32(objective):
+    config = ModelConfig(
+        num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=8,
+        dropout_rate=0.1, dtype="float32",
+    )
+    params = init_parameters(config, seed=3)
+    ids, pad_mask, rows, cols, targets = batch = _mlm_batch(config, 3, 8, seed=1)
+    if objective == "mlm":
+        loss = _mlm_loss(fused, params, config, batch, np.random.default_rng(0))
+    else:
+        hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=np.random.default_rng(0))
+        loss = cross_entropy(cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 1, 1]))
+
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
+
+    contributions = []
+
+    def recording(vjp):
+        def wrapped(g):
+            contributions.append(vjp(g))
+            return contributions[-1]
+
+        return wrapped
+
+    for node in nodes:
+        node._vjps = tuple(recording(v) for v in node._vjps)
+    grads = backward(loss, params)
+    assert contributions
+    assert {c.dtype for c in contributions} == {np.dtype(np.float32)}
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
 # -- predict_top_k -------------------------------------------------------------------
 
 
@@ -296,6 +414,37 @@ def test_checkpoint_shape_validation(tmp_path, tiny_config, tiny_params):
     path = save_checkpoint(ckpt, tmp_path / "bad.npz")
     with pytest.raises(ModelError, match="tok_emb"):
         load_checkpoint(path)
+
+
+def test_compressed_checkpoint_still_loads(tmp_path, tiny_config, tiny_params):
+    """Checkpoints are written uncompressed now; files written with zlib still load."""
+    ckpt = Checkpoint(tiny_config, tiny_params, tokenizer_hash="abc", extra={"step": 3})
+    meta = {"format": CHECKPOINT_FORMAT, "config": asdict(tiny_config), "tokenizer_hash": "abc", "extra": {"step": 3}}
+    old = tmp_path / "old.npz"
+    np.savez_compressed(
+        old, __meta__=np.array(json.dumps(meta)), **{f"param:{n}": p.data for n, p in tiny_params.items()}
+    )
+    assert load_checkpoint(old).fingerprint() == ckpt.fingerprint()
+    new = save_checkpoint(ckpt, tmp_path / "new.npz")
+    with zipfile.ZipFile(new) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+    assert load_checkpoint(new).fingerprint() == ckpt.fingerprint()
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, tiny_config, tiny_params):
+    path = tmp_path / "model.npz"
+    save_checkpoint(Checkpoint(tiny_config, tiny_params, tokenizer_hash="first"), path)
+    before = path.read_bytes()
+
+    def fail_partway(file, **arrays):
+        file.write(b"PK partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", fail_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(Checkpoint(tiny_config, tiny_params, tokenizer_hash="second"), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -96,3 +96,54 @@ def test_benchmark_hooks_install():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def _module_aliases(tree: ast.AST) -> set[str]:
+    """Names bound by plain `import x` / `import x as y` in a module."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _references(name: str, attribute_only: bool) -> int:
+    """Uses of `name` in src/domainlm outside its definition in autodiff.
+
+    A use is an attribute access `<expr>.name` whose receiver is not an
+    imported module (so `np.sqrt` is not a use of a `sqrt` method) or, unless
+    `attribute_only`, a bare name. A method that shares its name with an
+    ndarray method is counted by array calls of that name too.
+    """
+    count = 0
+    for path in PACKAGE_DIR.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = _module_aliases(tree)
+        inside_definition = {
+            id(inner)
+            for node in ast.walk(tree)
+            if path.stem == "autodiff"
+            and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name == name
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside_definition:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                receiver = node.value
+                count += not (isinstance(receiver, ast.Name) and receiver.id in modules)
+            elif isinstance(node, ast.Name) and node.id == name and not attribute_only:
+                count += 1
+    return count
+
+
+def test_every_tape_op_has_a_caller():
+    """Tape operations nothing in the package calls are deleted, not kept for later."""
+    from domainlm import autodiff
+
+    methods = [n for n, v in vars(autodiff.Tensor).items() if not n.startswith("_") and callable(v)]
+    unused = [n for n in autodiff.__all__ if _references(n, attribute_only=False) == 0]
+    unused += [f"Tensor.{n}" for n in methods if _references(n, attribute_only=True) == 0]
+    assert unused == []

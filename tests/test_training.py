@@ -499,3 +499,11 @@ def test_empty_grid_rejected(toy_docs, toy_tokenizer, toy_base_checkpoint):
     base = TrainingConfig()
     with pytest.raises(TrainingError, match="grid"):
         hyperparameter_grid("binary", base, [], [16], toy_base_checkpoint, toy_docs[:10], toy_docs[10:12], toy_tokenizer)
+
+
+def test_adam_keeps_float32_parameters_and_state():
+    f32 = np.dtype(np.float32)
+    params = {"w": Tensor(np.full((3,), 2.0, dtype=f32), requires_grad=True)}
+    opt = AdamW(params, learning_rate=0.1)
+    opt.step({"w": np.array([0.5, -1.0, 0.0], dtype=f32)}, learning_rate=0.05)
+    assert params["w"].data.dtype == opt.m["w"].dtype == opt.v["w"].dtype == f32
