@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .configio import atomic_open, atomic_write_text
 from .corpus import Document
 from .data import encode_for_classification
 from .evaluation import cls_vectors
@@ -295,10 +296,10 @@ def save_embeddings(matrix: EmbeddingMatrix, base_path) -> tuple[Path, Path]:
     base_path.parent.mkdir(parents=True, exist_ok=True)
     npy_path = base_path.with_suffix(".npy")
     ids_path = base_path.with_suffix(".ids.txt")
-    np.save(npy_path, matrix.matrix)
-    ids_path.write_text(
-        f"# checkpoint {matrix.checkpoint_hash}\n" + "".join(i + "\n" for i in matrix.ids),
-        encoding="utf-8",
+    with atomic_open(npy_path, "wb") as handle:
+        np.save(handle, matrix.matrix)
+    atomic_write_text(
+        ids_path, f"# checkpoint {matrix.checkpoint_hash}\n" + "".join(i + "\n" for i in matrix.ids)
     )
     return npy_path, ids_path
 
@@ -326,7 +327,7 @@ def write_projection_csv(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     labels = {d.id: d.nfc_label for d in documents}
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "x", "y", "cluster", "true_label"])
         for i, doc_id in enumerate(matrix.ids):
@@ -346,7 +347,7 @@ def write_projection_csv(
 def write_topic_csv(summary: TopicSummary, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["cluster", "rank", "word", "score"])
         for cluster in sorted(summary.top_words):

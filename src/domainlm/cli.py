@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, corpus, evaluation, training
-from .configio import ConfigError, build_dataclass, dataclass_to_mapping, read_flat_config, split_known_keys
+from .configio import (
+    ConfigError,
+    atomic_write_text,
+    build_dataclass,
+    dataclass_to_mapping,
+    read_flat_config,
+    split_known_keys,
+)
 from .model import Checkpoint, ModelBundle, ModelConfig, load_checkpoint, predict_top_k
 from .tokenizer import Tokenizer
 from .training import TrainingConfig, TrainingDivergedError
@@ -74,11 +80,7 @@ def _write_manifest(
         "seed": seed,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _tokenizer_input_hash(tokenizer_dir: Path) -> Path | None:
@@ -308,8 +310,8 @@ def _cmd_eval(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "metrics.json").write_text(report.to_json(), encoding="utf-8")
-        (out_dir / "metrics.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+        atomic_write_text(out_dir / "metrics.json", report.to_json())
+        atomic_write_text(out_dir / "metrics.txt", report.format_table() + "\n")
         _write_manifest(
             out_dir,
             "eval",

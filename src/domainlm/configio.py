@@ -4,16 +4,23 @@ One `key = value` pair per line, `#` starts a comment. Every key corresponds
 to a dataclass field and can be overridden from the command line by a flag of
 the same name. Parsing collects all problems instead of stopping at the first
 so a bad config is reported exhaustively.
+
+`atomic_open` is the one way the package writes a file: the content goes to
+`<name>.tmp` beside the target, which is renamed over it once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 from pathlib import Path
 from typing import get_args, get_origin
 
 __all__ = [
     "ConfigError",
+    "atomic_open",
+    "atomic_write_text",
     "read_flat_config",
     "write_flat_config",
     "dataclass_to_mapping",
@@ -24,6 +31,32 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open `<path>.tmp` for writing and rename it over `path` on success.
+
+    The target holds either its previous content or the whole new file, never
+    a partial one. On any exception the temporary file is removed and the
+    exception propagates. `mode` and `kwargs` go to `Path.open`.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, **kwargs) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> Path:
+    """Write UTF-8 `text` to `path` through `atomic_open`."""
+    with atomic_open(path, encoding="utf-8") as handle:
+        handle.write(text)
+    return Path(path)
 
 
 def read_flat_config(path) -> dict[str, str]:
@@ -66,8 +99,7 @@ def write_flat_config(instance_or_mapping, path) -> Path:
         else dataclass_to_mapping(instance_or_mapping)
     )
     lines = [f"{key} = {_format_value(value)}" for key, value in mapping.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 _TRUE = {"true", "1", "yes", "on"}

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .configio import atomic_open, atomic_write_text
+
 __all__ = [
     "Document",
     "LabelScheme",
@@ -210,7 +212,7 @@ def load_corpus(path, format: str = "jsonl", scheme: LabelScheme = DEFAULT_LABEL
 def save_corpus(docs: Iterable[Document], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    with atomic_open(path, encoding="utf-8") as handle:
         for doc in docs:
             record = {"id": doc.id, "text": doc.text, "categories": list(doc.categories)}
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -335,7 +337,7 @@ def write_split_manifests(splits: DatasetSplits, directory) -> dict[str, Path]:
     paths = {}
     for name, docs in splits.as_dict().items():
         path = directory / f"{name}.txt"
-        path.write_text("".join(doc.id + "\n" for doc in docs), encoding="utf-8")
+        atomic_write_text(path, "".join(doc.id + "\n" for doc in docs))
         paths[name] = path
     return paths
 

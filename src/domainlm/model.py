@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .autodiff import (
     no_grad,
     softmax_cross_entropy,
 )
+from .configio import atomic_open
 from .tokenizer import Tokenizer
 
 __all__ = [
@@ -326,16 +326,8 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> Path:
     }
     arrays = {f"param:{name}": p.data for name, p in checkpoint.params.items()}
     # Uncompressed: zlib cost far more time per write than the disk it saved.
-    # Written beside the target and renamed over it, so the path holds either
-    # the previous checkpoint or the whole new one, never a partial file.
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as handle:
-            np.savez(handle, __meta__=np.array(json.dumps(meta)), **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as handle:
+        np.savez(handle, __meta__=np.array(json.dumps(meta)), **arrays)
     return path
 
 

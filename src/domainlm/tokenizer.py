@@ -10,10 +10,13 @@ be encoded and decoded losslessly with no out-of-vocabulary fallback.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .configio import atomic_open
 
 __all__ = [
     "SpecialTokens",
@@ -131,14 +134,6 @@ def _chunk_to_symbols(chunk: str) -> tuple[str, ...]:
     return tuple(_BYTE_TO_CHAR[b] for b in raw)
 
 
-def _count_pairs(words: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for symbols, freq in words.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) -> tuple[str, ...]:
     out = []
     i = 0
@@ -163,7 +158,8 @@ def train_bpe(
     Each round merges the adjacent symbol pair with the highest total
     frequency across the corpus; ties break to the lexicographically smallest
     pair so training is deterministic. Merging stops early when no adjacent
-    pair occurs more than once.
+    pair occurs more than once. Pair counts are kept across rounds, and a
+    merge updates only the words that contain its pair.
     """
     specials = specials or SpecialTokens()
     floor = 256 + len(specials.as_tuple())
@@ -172,56 +168,95 @@ def train_bpe(
             f"target_vocab_size must be at least {floor} (256 bytes + {len(specials.as_tuple())} specials)"
         )
 
-    words: dict[tuple[str, ...], int] = {}
-    total_bytes = 0
+    chunks: Counter = Counter()
     empty = True
     for text in corpus:
         empty = False
-        for chunk in _PRETOKEN_RE.findall(text):
-            symbols = _chunk_to_symbols(chunk)
-            total_bytes += len(symbols)
-            words[symbols] = words.get(symbols, 0) + 1
+        chunks.update(_PRETOKEN_RE.findall(text))
     if empty:
         raise TokenizerError("training corpus is empty")
-    if total_bytes == 0:
+    # Every chunk holds at least one character, so no chunk means no bytes.
+    if not chunks:
         raise TokenizerError("training corpus contains zero bytes of text")
 
     vocab = _base_vocabulary(specials)
     merges = MergeTable()
     reserved = set(specials.as_tuple())
 
+    # Incremental state (Sennrich et al. 2016): each distinct chunk once as
+    # byte symbols with its frequency, the corpus count of every adjacent
+    # pair, and for every pair the set of words that contain it. A merge then
+    # revisits only the words the index names.
+    word_symbols = [_chunk_to_symbols(chunk) for chunk in chunks]
+    word_freqs = list(chunks.values())
+    counts: dict[tuple[str, str], int] = {}
+    where: dict[tuple[str, str], set[int]] = {}
+    for i, symbols in enumerate(word_symbols):
+        freq = word_freqs[i]
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] = counts.get(pair, 0) + freq
+            where.setdefault(pair, set()).add(i)
+
+    # Max-heap by count with lazy deletion: an entry is live only while its
+    # count equals counts[pair]; every count change pushes a fresh entry.
+    # Ordering by (-count, pair) breaks ties to the lexicographically
+    # smallest pair. A merge must never form a reserved token string, or
+    # encoding the literal text would collide with the special id, so such
+    # pairs never enter the heap; nor does a pair seen once, which can never
+    # be merged (its entry is pushed if its count later reaches 2).
+    def mergeable(pair: tuple[str, str], count: int) -> bool:
+        return count >= 2 and pair[0] + pair[1] not in reserved
+
+    heap = [(-count, pair) for pair, count in counts.items() if mergeable(pair, count)]
+    heapq.heapify(heap)
+
     while vocab.size < target_vocab_size:
-        counts = _count_pairs(words)
-        # A merge must never form a reserved token string, or encoding the
-        # literal text would collide with the special id.
-        candidates = [(pair, c) for pair, c in counts.items() if pair[0] + pair[1] not in reserved]
-        if not candidates:
+        while heap and -heap[0][0] != counts.get(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        pair, freq = min(candidates, key=lambda kv: (-kv[1], kv[0]))
-        if freq < 2:
-            break
+        _, pair = heapq.heappop(heap)
         merged = pair[0] + pair[1]
-        if merged in vocab.token_to_id:
-            # Already a token via a different merge path; record the rule only.
-            words = {_merge_word(w, pair, merged): f for w, f in _merge_items(words, pair)}
-            merges.pairs.append(pair)
-            continue
-        new_id = vocab.size
-        vocab.token_to_id[merged] = new_id
-        vocab.id_to_token[new_id] = merged
         merges.pairs.append(pair)
-        words = {_merge_word(w, pair, merged): f for w, f in _merge_items(words, pair)}
+        # A rule merges every occurrence of its pair, so no later pair should
+        # spell an existing token; if one did, it would record the rule and
+        # merge the words but keep the token's id.
+        if merged not in vocab.token_to_id:
+            new_id = vocab.size
+            vocab.token_to_id[merged] = new_id
+            vocab.id_to_token[new_id] = merged
+
+        # The index is exact, so every word it names contains the pair. A
+        # merged word never contains the pair again, so it leaves the index.
+        delta: dict[tuple[str, str], int] = {}
+        for i in where.pop(pair):
+            old = word_symbols[i]
+            new = _merge_word(old, pair, merged)
+            word_symbols[i] = new
+            freq = word_freqs[i]
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for p in old_pairs:
+                delta[p] = delta.get(p, 0) - freq
+            for p in new_pairs:
+                delta[p] = delta.get(p, 0) + freq
+            for p in set(old_pairs).difference(new_pairs):
+                if p != pair:
+                    where[p].discard(i)
+            for p in set(new_pairs).difference(old_pairs):
+                where.setdefault(p, set()).add(i)
+        for p, d in delta.items():
+            if d == 0:
+                continue
+            count = counts.get(p, 0) + d
+            if count:
+                counts[p] = count
+            else:
+                del counts[p]
+            if mergeable(p, count):
+                heapq.heappush(heap, (-count, p))
 
     return vocab, merges
-
-
-def _merge_items(words: dict[tuple[str, ...], int], pair: tuple[str, str]):
-    merged_symbol = pair[0] + pair[1]
-    out: dict[tuple[str, ...], int] = {}
-    for symbols, freq in words.items():
-        new = _merge_word(symbols, pair, merged_symbol)
-        out[new] = out.get(new, 0) + freq
-    return out.items()
 
 
 def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list[str]:
@@ -353,8 +388,12 @@ class Tokenizer:
         directory.mkdir(parents=True, exist_ok=True)
         vocab_path = directory / "vocab.txt"
         merges_path = directory / "merges.txt"
-        vocab_path.write_text(self.vocab_file_text(), encoding="utf-8")
-        merges_path.write_text(self.merges_file_text(), encoding="utf-8")
+        # Both files are written in full before either is renamed into place,
+        # so a failed write leaves the previous pair untouched.
+        with atomic_open(vocab_path, encoding="utf-8") as vocab_file:
+            with atomic_open(merges_path, encoding="utf-8") as merges_file:
+                vocab_file.write(self.vocab_file_text())
+                merges_file.write(self.merges_file_text())
         return vocab_path, merges_path
 
     @classmethod

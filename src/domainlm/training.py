@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .configio import write_flat_config
+from .configio import atomic_open, atomic_write_text, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
     _STREAM_MASK,
@@ -512,7 +512,7 @@ def finetune_classifier(
         _write_run_dir(out_dir, config, history)
         save_checkpoint(best_checkpoint, out_dir / "checkpoints" / "best.npz")
         _write_checkpoint_index(out_dir / "checkpoints.csv", checkpoints)
-        (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="utf-8")
+        atomic_write_text(out_dir / "metrics.json", metrics.to_json())
 
     return FinetuneResult(
         best=best_meta,
@@ -578,7 +578,7 @@ def hyperparameter_grid(
 def write_grid_csv(cells: Sequence[GridCell], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["learning_rate", "batch_size", "accuracy", "f1", "loss", "status"])
         for cell in cells:
@@ -676,7 +676,7 @@ def scaling_study(
 def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["init_name", "fraction", "train_size", "log_loss"])
         for result in results:
@@ -697,7 +697,7 @@ def _write_run_dir(out_dir: Path, config: TrainingConfig, history: Sequence[Loss
 def write_loss_history(history: Sequence[LossRecord], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step", "train_loss", "validation_loss"])
         for record in history:
@@ -712,7 +712,7 @@ def write_loss_history(history: Sequence[LossRecord], path) -> Path:
 
 
 def _write_checkpoint_index(path: Path, checkpoints: Sequence[CheckpointMeta]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["step", "validation_loss", "path", "is_best"])
         for meta in checkpoints:

@@ -1,7 +1,14 @@
+import os
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_bpe
+from conftest import MEMO_SENTENCE
+from domainlm import tokenizer as tokenizer_module
 from domainlm.tokenizer import (
     SpecialTokens,
     Tokenizer,
@@ -215,3 +222,142 @@ def test_token_display_roundtrips_word_marker(trained):
     ids = trained.encode("heavy water")
     rendered = "".join(trained.token_text(i) for i in ids)
     assert rendered == "heavy water"
+
+
+# -- incremental trainer ---------------------------------------------------------
+
+
+def _zipf_texts(n_docs, words_per_doc, lexicon, seed):
+    """Documents of Zipf-distributed (exponent 1.1) random lowercase words."""
+    rng = np.random.default_rng(np.random.SeedSequence((lexicon, seed)))
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    words = ["".join(rng.choice(letters, size=n)) for n in rng.integers(2, 11, size=lexicon)]
+    weights = 1.0 / np.arange(1, lexicon + 1) ** 1.1
+    draws = rng.choice(lexicon, size=(n_docs, words_per_doc), p=weights / weights.sum())
+    return [" ".join(words[j] for j in row) for row in draws]
+
+
+def _assert_matches_reference(corpus, target):
+    new = Tokenizer(*train_bpe(corpus, target))
+    ref = Tokenizer(*reference_bpe.train_bpe(corpus, target))
+    assert new.vocab_file_text() == ref.vocab_file_text()
+    assert new.merges_file_text() == ref.merges_file_text()
+    return new
+
+
+@pytest.mark.parametrize(
+    "corpus, target",
+    [
+        (["the heavy water reactor uses heavy water as moderator", "water is the moderator in the reactor",
+          "heavy heavy heavy water water water"], 320),
+        (["the quick brown fox", "jumps over the lazy dog"], 300),
+        (["aaaa aaaa"], MIN_VOCAB + 1),
+        (["abc abc abd abd", "xyz xyz"], 300),
+        (["aaab aaab aaab ab ab cdcd cdcd"] * 3, 310),
+        (["[MASK] [MASK] [MASK] [MASK] [MASK]"] * 20, 400),
+        (["completely different corpus text"], 280),
+        (["some text here"], MIN_VOCAB),
+    ],
+)
+def test_matches_reference_trainer_on_fixtures(corpus, target):
+    _assert_matches_reference(corpus, target)
+
+
+def test_matches_reference_trainer_on_toy_corpus(toy_docs):
+    _assert_matches_reference([d.text for d in toy_docs] + [MEMO_SENTENCE] * 5, 512)
+
+
+def test_matches_reference_trainer_on_zipf_corpus():
+    _assert_matches_reference(_zipf_texts(600, 60, 4000, seed=31), 360)
+
+
+# Few distinct symbols force count ties; whole special-token strings among
+# the fragments make the pairs that would spell one frequent candidates.
+_TINY_ALPHABET = "[]CLSMAKPDUNE "
+_TINY_TEXTS = st.one_of(
+    st.text(alphabet=_TINY_ALPHABET, min_size=1, max_size=40),
+    st.lists(st.sampled_from([*SpecialTokens().as_tuple(), *_TINY_ALPHABET]), min_size=1, max_size=30).map("".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TINY_TEXTS, min_size=1, max_size=6), st.integers(min_value=0, max_value=40))
+def test_matches_reference_trainer_on_tiny_alphabet(corpus, extra):
+    _assert_matches_reference(corpus, MIN_VOCAB + extra)
+
+
+def test_count_ties_break_to_smallest_pair():
+    # ("c", "d") is seen first, but ("a", "b") occurs as often and sorts first.
+    tok = _assert_matches_reference(["cd", "ab", "cd", "ab"], MIN_VOCAB + 1)
+    assert tok.merges.pairs == [("a", "b")]
+
+
+def test_reserved_string_is_skipped_for_the_next_pair():
+    # Once "[" and "CLS]" are the most frequent pair (6), joining them would
+    # spell "[CLS]"; training skips it and merges ("o", "k") at count 2.
+    tok = _assert_matches_reference(["[CLS]"] * 6 + ["ok"] * 2, 300)
+    assert tok.merges.pairs == [("C", "L"), ("CL", "S"), ("CLS", "]"), ("o", "k")]
+
+
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [
+        (["ab"] * 3 + ["bc"] * 3 + ["abc"] * 4, [("a", "b"), ("ab", "c"), ("b", "c")]),
+        (["bc"] * 4 + ["ab"] * 3 + ["abc"] * 4, [("b", "c"), ("a", "bc"), ("a", "b")]),
+    ],
+)
+def test_token_reachable_by_two_pairs_is_formed_once(corpus, expected):
+    # "abc" could come from (a, bc) or from (ab, c). A rule merges every
+    # occurrence at once, so whichever of (a, b) and (b, c) wins first leaves
+    # no other route to "abc": the branch for a merge whose token is already
+    # in the vocabulary records no second rule.
+    tok = _assert_matches_reference(corpus, 300)
+    assert tok.merges.pairs == expected
+
+
+def test_stops_when_no_pair_repeats():
+    tok = _assert_matches_reference(["abcdef ghij"], 400)
+    assert len(tok.merges) == 0
+
+
+def test_merge_visits_only_words_containing_the_pair(monkeypatch):
+    calls = []
+    real_merge_word = tokenizer_module._merge_word
+
+    def recording_merge_word(symbols, pair, merged):
+        out = real_merge_word(symbols, pair, merged)
+        calls.append((symbols, out))
+        return out
+
+    monkeypatch.setattr(tokenizer_module, "_merge_word", recording_merge_word)
+    _, merges = train_bpe(_zipf_texts(200, 30, 1000, seed=3), 360)
+    assert len(merges) == 360 - MIN_VOCAB
+    assert calls
+    assert all(out != symbols for symbols, out in calls)
+
+
+def test_vocab_2400_trains_within_budget():
+    # About 1.2 s on a 2-core box; the per-round recount took 150 s or more.
+    corpus = _zipf_texts(1500, 120, 20000, seed=5)
+    start = time.perf_counter()
+    vocab, _ = train_bpe(corpus, 2400)
+    elapsed = time.perf_counter() - start
+    assert vocab.size == 2400
+    assert elapsed < 15.0, f"train_bpe to vocab 2400 took {elapsed:.1f} s"
+
+
+def test_failed_save_keeps_previous_files(tmp_path, trained, monkeypatch):
+    trained.save(tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in ("vocab.txt", "merges.txt")}
+    other = Tokenizer.train(["completely different corpus text"], 280)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        other.save(tmp_path)
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["merges.txt", "vocab.txt"]
+    assert Tokenizer.load(tmp_path).fingerprint() == trained.fingerprint()

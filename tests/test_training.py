@@ -507,3 +507,16 @@ def test_adam_keeps_float32_parameters_and_state():
     opt = AdamW(params, learning_rate=0.1)
     opt.step({"w": np.array([0.5, -1.0, 0.0], dtype=f32)}, learning_rate=0.05)
     assert params["w"].data.dtype == opt.m["w"].dtype == opt.v["w"].dtype == f32
+
+
+def test_failed_loss_history_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "loss_history.csv"
+    training_module.write_loss_history([training_module.LossRecord(1, 2.5, 2.75)], path)
+    before = path.read_bytes()
+    # The second record cannot be formatted, so the write fails after the
+    # header and the first row are already in the temporary file.
+    broken = [training_module.LossRecord(1, 2.0), training_module.LossRecord(2, None)]
+    with pytest.raises(TypeError):
+        training_module.write_loss_history(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["loss_history.csv"]
