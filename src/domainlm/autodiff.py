@@ -312,11 +312,23 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # Tensor operations.
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with each row of the result independent of how many rows `a` has.
+
+    numpy hands a one-row product to BLAS gemv, which sums in another order
+    than gemm. A second copy of the row keeps it on gemm, so a row computed
+    alone equals the same row of a many-row product bit for bit.
+    """
+    if a.shape[-2] != 1:
+        return a @ b
+    return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows."""
     shape = x.data.shape
     x2 = x.data.reshape(-1, shape[-1])
-    out = x2 @ w.data
+    out = _gemm(x2, w.data)
     out += b.data
 
     def rows(g):
@@ -362,34 +374,48 @@ def attention(
     num_heads: int,
     bias: np.ndarray | None = None,
     keep: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over (batch, length, hidden) inputs.
 
     scores = q k^T / sqrt(head_dim) + bias, softmax over keys, then the
     dropout multipliers `keep` (batch, heads, length, length), then the
-    weighted sum of values. Returns the context (batch, length, hidden) and
-    the attention probabilities before dropout. The node keeps only the
-    probabilities and `keep` for its backward pass.
+    weighted sum of values. Returns the context (batch, Q, hidden) and the
+    attention probabilities (batch, heads, Q, length) before dropout, where Q
+    is `length`, or the width of `rows` (batch, Q) when that names the query
+    rows to compute. The node keeps only the probabilities and `keep` for its
+    backward pass.
+
+    With `rows`, the score product still runs over every query row and the
+    named rows of it and of `keep` are taken: a few-row product can go to
+    another BLAS kernel, which sums in another order, and the selected rows
+    must equal the same rows of the full attention bit for bit.
     """
-    batch, length, hidden = q.data.shape
+    hidden = q.data.shape[-1]
     head_dim = hidden // num_heads
     scale = 1.0 / math.sqrt(head_dim)
 
-    def split(a):  # (B, L, H) -> (B, nh, L, dh)
-        return a.reshape(batch, length, num_heads, head_dim).transpose(0, 2, 1, 3)
+    def split(a):  # (B, n, H) -> (B, nh, n, dh)
+        return a.reshape(a.shape[0], a.shape[1], num_heads, head_dim).transpose(0, 2, 1, 3)
 
-    def merge(a):  # (B, nh, L, dh) -> (B, L, H)
-        return a.transpose(0, 2, 1, 3).reshape(batch, length, hidden)
+    def merge(a):  # (B, nh, n, dh) -> (B, n, H)
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], hidden)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if rows is not None:
+        take = rows[:, None, :, None]
+        scores = np.take_along_axis(scores, take, axis=2)
+        qh = np.take_along_axis(qh, take, axis=2)
+        if keep is not None:
+            keep = np.take_along_axis(keep, take, axis=2)
     if bias is not None:
         scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
     weights = probs if keep is None else probs * keep
-    context = merge(weights @ vh)
+    context = merge(_gemm(weights, vh))
 
     memo: list = []
 
@@ -405,6 +431,14 @@ def attention(
             memo[:] = [g, d_probs]
         return memo[1]
 
+    def vjp_q(g):
+        d_q = merge(d_scores(g) @ kh)
+        if rows is None:
+            return d_q
+        full = np.zeros_like(q.data)
+        np.add.at(full, (np.arange(rows.shape[0])[:, None], rows), d_q)
+        return full
+
     def vjp_v(g):
         weights = probs if keep is None else probs * keep
         return merge(weights.swapaxes(-1, -2) @ split(g))
@@ -412,11 +446,7 @@ def attention(
     out = Tensor._make(
         context,
         (q, k, v),
-        (
-            lambda g: merge(d_scores(g) @ kh),
-            lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh),
-            vjp_v,
-        ),
+        (vjp_q, lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh), vjp_v),
     )
     return out, probs
 

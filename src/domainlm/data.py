@@ -24,6 +24,7 @@ __all__ = [
     "pad_batch",
     "assemble_mlm_batch",
     "encode_for_classification",
+    "cls_positions",
 ]
 
 # Seed-stream salt of the masking draws (see training for the other streams).
@@ -166,16 +167,25 @@ def pad_batch(
 
 
 def assemble_mlm_batch(masked: Sequence[MaskedSegment], pad_id: int):
-    """Pad masked segments to a common length; returns (ids, pad_mask, rows, cols, targets)."""
+    """Pad masked segments to a common length; returns (ids, pad_mask, positions, take, targets).
+
+    positions (B, Qmax) holds each segment's target positions, padded with
+    position 0, the form `encoder_forward(positions=...)` reads. take indexes
+    the B * Qmax rows of a (B, Qmax, H) result at the real targets, segment by
+    segment, in the order of `targets`; the padded slots are left out.
+    """
     ids, pad_mask = pad_batch([m.input_ids for m in masked], pad_id)
-    counts = [len(m.target_positions) for m in masked]
-    rows = np.repeat(np.arange(len(masked), dtype=np.int64), counts)
-    cols = np.concatenate([m.target_positions for m in masked])
+    positions, real = pad_batch([m.target_positions for m in masked], 0)
     targets = np.concatenate([m.target_ids for m in masked])
-    return ids, pad_mask, rows, cols, targets
+    return ids, pad_mask, positions, np.flatnonzero(real), targets
 
 
 def encode_for_classification(doc: Document, tokenizer: Tokenizer, max_positions: int) -> np.ndarray:
     """[CLS] + the document's tokens, truncated to fit, + [SEP]."""
     body = tokenizer.encode(doc.text)[: max_positions - 2]
     return np.array([tokenizer.cls_id] + body + [tokenizer.sep_id], dtype=np.int64)
+
+
+def cls_positions(batch: int) -> np.ndarray:
+    """(batch, 1) positions of the [CLS] token `encode_for_classification` puts first."""
+    return np.zeros((batch, 1), dtype=np.int64)

@@ -22,6 +22,7 @@ from .data import (
     MaskingPolicy,
     apply_dynamic_masking,
     assemble_mlm_batch,
+    cls_positions,
     encode_for_classification,
     pack_segments,
     pad_batch,
@@ -263,16 +264,17 @@ def cls_vectors(
     """Final-layer position-0 vectors (N, H), one padded batch at a time.
 
     Every batch is padded to the longest sequence overall, so batch
-    composition cannot change the numbers. Rows are copied out of each batch,
-    so no batch's (B, L, H) hidden array outlives its forward pass.
+    composition cannot change the numbers, given a BLAS that sums each row
+    the same way whatever the row count (the README names the one known
+    exception). The last encoder layer runs at position 0 only.
     """
     pad_to = max(len(s) for s in sequences)
     rows = []
     with no_grad():
         for start in range(0, len(sequences), batch_size):
             ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
-            hidden = encoder_forward(params, config, ids, pad_mask=mask)
-            rows.append(hidden.data[:, 0].copy())
+            hidden = encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids)))
+            rows.append(hidden.data[:, 0])
     return np.concatenate(rows, axis=0)
 
 
@@ -362,11 +364,12 @@ def evaluate_mlm(
     with no_grad():
         for start in range(0, len(masked), batch_size):
             chunk = masked[start : start + batch_size]
-            ids, pad_mask, rows, cols, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
+            ids, pad_mask, positions, take, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
             if targets.size == 0:
                 continue
-            hidden = encoder_forward(params, config, ids, pad_mask=pad_mask)
-            log_probs = log_softmax(mlm_logits_from_hidden(hidden[rows, cols], params, config).data)
+            hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
+            rows = hidden.reshape(-1, config.hidden_dim)[take]
+            log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
             total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
             count += targets.size
     if count == 0:

@@ -162,6 +162,24 @@ def _check_ids(ids: np.ndarray, config: ModelConfig) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+def _check_positions(positions, batch: int, length: int) -> np.ndarray | None:
+    if positions is None:
+        return None
+    positions = np.asarray(positions)
+    if positions.ndim != 2 or positions.shape[1] == 0 or positions.dtype.kind not in "iu":
+        raise ModelError(
+            f"positions must be a 2-D (batch, Q) integer array with Q >= 1, got "
+            f"{positions.dtype} array of shape {positions.shape}"
+        )
+    if positions.shape[0] != batch:
+        raise ModelError(f"positions has {positions.shape[0]} rows for a batch of {batch}")
+    if positions.min() < 0 or positions.max() >= length:
+        raise ModelError(
+            f"positions must lie in [0, {length}), got values in [{positions.min()}, {positions.max()}]"
+        )
+    return positions.astype(np.int64)
+
+
 def encoder_forward(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -169,16 +187,29 @@ def encoder_forward(
     pad_mask: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
     attention_sink: list | None = None,
+    positions: np.ndarray | None = None,
 ) -> Tensor:
     """Run the encoder over a (batch, length) id array; returns (B, L, H).
 
     `pad_mask` marks real tokens with True; padded positions receive a large
     negative attention bias so they contribute exactly zero attention weight.
     Dropout is active only when `dropout_rng` is given.
+
+    `positions` (B, Q) names the rows a head reads; the result is then
+    (B, Q, H), row [b, j] being row [b, positions[b, j]] of the full result.
+    The last layer computes queries, keys, values and attention scores over
+    every row, since every query attends to every key, and the softmax and
+    everything after it only at those rows. Its dropout masks are drawn at
+    full size and then cut to those rows, so the random stream does not
+    depend on the selection. `attention_sink` receives (B, nh, L, L)
+    probabilities per layer, (B, nh, Q, L) for the last layer under
+    `positions`.
     """
     ids = _check_ids(ids, config)
     batch, length = ids.shape
+    positions = _check_positions(positions, batch, length)
     dtype = config.np_dtype
+    hidden, heads = config.hidden_dim, config.num_heads
 
     if pad_mask is None:
         attn_bias = None
@@ -188,25 +219,40 @@ def encoder_forward(
 
     rate = config.dropout_rate if dropout_rng is not None else 0.0
 
+    def every_row(a):
+        return a
+
+    def selected_rows(a):  # (B, L, ...) -> (B, Q, ...), array or Tensor
+        return a[np.arange(batch)[:, None], positions]
+
+    def drop(t, rows):
+        """Residual dropout: the (B, L, H) mask is drawn whole, then cut down to `rows`."""
+        if rate == 0.0:
+            return t
+        return t * rows(dropout_mask((batch, length, hidden), rate, dropout_rng, dtype))
+
     x = dropout(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], rate, dropout_rng)
 
     for i in range(config.num_layers):
         p = f"layer{i}"
+        selecting = positions is not None and i == config.num_layers - 1
+        rows = selected_rows if selecting else every_row
         normed = layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
         keep = None
         if rate > 0.0:
-            keep = dropout_mask((batch, config.num_heads, length, length), rate, dropout_rng, dtype)
-        context, probs = attention(q, k, v, config.num_heads, attn_bias, keep)
+            keep = dropout_mask((batch, heads, length, length), rate, dropout_rng, dtype)
+        context, probs = attention(q, k, v, heads, attn_bias, keep, positions if selecting else None)
         if attention_sink is not None:
             attention_sink.append(probs.copy())
-        x = x + dropout(linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]), rate, dropout_rng)
+        out = linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"])
+        x = rows(x) + drop(out, rows)
 
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         inner = linear(normed2, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]).gelu()
-        x = x + dropout(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rate, dropout_rng)
+        x = x + drop(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rows)
 
     return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
@@ -285,8 +331,10 @@ def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, flo
     mask_position = len(tok.encode(prefix))
 
     with no_grad():
-        hidden = encoder_forward(bundle.params, bundle.config, np.array([ids]))
-        logits = mlm_logits_from_hidden(hidden[0, [mask_position]], bundle.params, bundle.config)
+        hidden = encoder_forward(
+            bundle.params, bundle.config, np.array([ids]), positions=np.array([[mask_position]])
+        )
+        logits = mlm_logits_from_hidden(hidden[0], bundle.params, bundle.config)
     log_probs = log_softmax(logits.data)[0]
     top = np.argsort(-log_probs, kind="stable")[:k]
     return [(tok.token_text(i), float(np.exp(log_probs[i]))) for i in top]

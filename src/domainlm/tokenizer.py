@@ -415,10 +415,19 @@ class Tokenizer:
         vocab = Vocabulary(token_to_id, id_to_token)
         vocab.validate()
         pairs = []
-        for line in merges_lines[1:]:
+        for number, line in enumerate(merges_lines[1:], start=2):
             if not line:
                 continue
             left, _, right = line.partition(" ")
+            # A merge whose pieces or result the vocabulary lacks belongs to
+            # another vocabulary; encoding would fail on the first word it
+            # reaches.
+            missing = [t for t in (left, right, left + right) if t not in token_to_id]
+            if missing:
+                raise TokenizerError(
+                    f"{directory / 'merges.txt'} line {number}: merge {line!r} uses "
+                    f"{missing[0]!r}, which is not in {directory / 'vocab.txt'}"
+                )
             pairs.append((left, right))
         return cls(vocab, MergeTable(pairs))
 

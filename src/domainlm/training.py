@@ -26,6 +26,7 @@ from .data import (
     TrainingError,
     apply_dynamic_masking,
     assemble_mlm_batch,
+    cls_positions,
     encode_for_classification,
     pack_segments,
     pad_batch,
@@ -249,6 +250,20 @@ def _resolve_total_steps(config: TrainingConfig, n_items: int) -> int:
     raise TrainingError("config must set total_steps or epochs")
 
 
+def _check_gradients(grads: dict[str, np.ndarray], step: int) -> None:
+    """Raise if the gradient norm is not finite, naming the first parameter at fault.
+
+    One dot product per tensor keeps the check to one read of the
+    gradients; the per-parameter scan runs only once the norm is already bad.
+    """
+    if math.isfinite(math.fsum(np.vdot(g, g) for g in grads.values())):
+        return
+    bad = [name for name in sorted(grads) if not np.isfinite(grads[name]).all()]
+    if bad:
+        raise TrainingDivergedError(f"non-finite gradient of parameter {bad[0]!r} at step {step}")
+    raise TrainingDivergedError(f"gradient norm overflows at step {step}")
+
+
 def _check_compat(checkpoint: Checkpoint, tokenizer: Tokenizer) -> None:
     if checkpoint.tokenizer_hash != tokenizer.fingerprint():
         raise TrainingError(
@@ -326,7 +341,7 @@ def pretrain_mlm(
         batch_idx = next(batches)
         mask_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, step)))
         masked = [apply_dynamic_masking(segments[i], policy, mask_rng, tokenizer) for i in batch_idx]
-        ids, pad_mask, rows, cols, targets = assemble_mlm_batch(masked, tokenizer.pad_id)
+        ids, pad_mask, positions, take, targets = assemble_mlm_batch(masked, tokenizer.pad_id)
 
         if targets.size == 0:
             train_loss = 0.0
@@ -336,13 +351,17 @@ def pretrain_mlm(
                 if model_config.dropout_rate > 0
                 else None
             )
-            hidden = encoder_forward(params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
-            logits = mlm_logits_from_hidden(hidden[rows, cols], params, model_config)
+            hidden = encoder_forward(
+                params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng, positions=positions
+            )
+            rows = hidden.reshape(-1, model_config.hidden_dim)[take]
+            logits = mlm_logits_from_hidden(rows, params, model_config)
             loss = cross_entropy(logits, targets)
             train_loss = float(loss.data)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(f"non-finite MLM loss at step {step + 1}")
             grads = model_backward(loss, params)
+            _check_gradients(grads, step + 1)
             optimizer.step(grads, learning_rate_at(step, total_steps, config.learning_rate, config.warmup_fraction))
 
         if (step + 1) % config.log_every == 0 or step + 1 == total_steps:
@@ -465,13 +484,16 @@ def finetune_classifier(
             if model_config.dropout_rate > 0
             else None
         )
-        hidden = encoder_forward(params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+        hidden = encoder_forward(
+            params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng, positions=cls_positions(len(ids))
+        )
         logits = cls_logits_from_hidden(hidden[:, 0], params, model_config)
         loss = cross_entropy(logits, train_idx[batch_idx])
         train_loss = float(loss.data)
         if not np.isfinite(train_loss):
             raise TrainingDivergedError(f"non-finite classification loss at step {step + 1}")
         grads = model_backward(loss, params)
+        _check_gradients(grads, step + 1)
         optimizer.step(grads, learning_rate_at(step, total_steps, config.learning_rate, config.warmup_fraction))
 
         step_1 = step + 1

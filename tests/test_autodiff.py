@@ -167,6 +167,29 @@ def test_attention_gradients_with_pad_bias_and_dropout(rng):
     np.testing.assert_array_equal(probs[1, :, :, 3:], 0.0)
 
 
+def test_attention_at_selected_query_rows(rng):
+    """`rows` gives the named rows of the full attention, and gradients that pass the same oracle."""
+    batch, length, heads, hidden = 2, 5, 2, 6
+    q, k, v = (Tensor(rng.normal(size=(batch, length, hidden)) * 0.5, requires_grad=True) for _ in range(3))
+    real = np.ones((batch, length), dtype=bool)
+    real[1, 3:] = False
+    bias = np.where(real, 0.0, -1e30)[:, None, None, :]
+    rows = np.array([[4, 0, 4], [2, 2, 0]])  # repeated rows, like the padded slots of a ragged batch
+    keep = dropout_mask((batch, heads, length, length), 0.3, np.random.default_rng(5), np.float64)
+    weights = rng.normal(size=(batch, 3, hidden))
+
+    full, full_probs = attention(q, k, v, heads, bias, keep)
+    context, probs = attention(q, k, v, heads, bias, keep, rows)
+    pick = (np.arange(batch)[:, None], rows)
+    np.testing.assert_array_equal(context.data, full.data[pick])
+    np.testing.assert_array_equal(probs, np.take_along_axis(full_probs, rows[:, None, :, None], axis=2))
+
+    def loss():
+        return (attention(q, k, v, heads, bias, keep, rows)[0] * weights).sum()
+
+    _check_op(loss, q, k, v)
+
+
 def test_softmax_cross_entropy_gradient_is_softmax_minus_onehot(rng):
     """Covers the exp and log of the taped log-softmax it replaced."""
     x = rng.normal(size=(4, 6))

@@ -8,6 +8,7 @@ import pytest
 import domainlm.model as fused
 import unfused_encoder
 from domainlm.autodiff import GraphError, Tensor
+from domainlm.data import MaskedSegment, assemble_mlm_batch
 from domainlm.model import (
     CHECKPOINT_FORMAT,
     Checkpoint,
@@ -354,6 +355,138 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
     assert contributions
     assert {c.dtype for c in contributions} == {np.dtype(np.float32)}
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+# -- last-layer row selection ----------------------------------------------------------
+
+
+def _selection_config(num_layers, dtype, dropout_rate):
+    return ModelConfig(
+        num_layers=num_layers, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=12,
+        num_classes=3, dropout_rate=dropout_rate, dtype=dtype,
+    )
+
+
+def _ragged_mlm_batch(config, seed):
+    """Three padded segments with 4, 1 and 2 targets, as `assemble_mlm_batch` packs them."""
+    rng = np.random.default_rng(seed)
+    masked = []
+    for length, count in ((12, 4), (9, 1), (5, 2)):
+        ids = rng.integers(5, config.vocab_size, size=length)
+        where = np.sort(rng.choice(length, size=count, replace=False))
+        masked.append(MaskedSegment(ids, where, rng.integers(5, config.vocab_size, size=count)))
+    ids, pad_mask, positions, take, targets = assemble_mlm_batch(masked, pad_id=0)
+    rows = np.repeat(np.arange(len(masked)), [len(m.target_positions) for m in masked])
+    cols = np.concatenate([m.target_positions for m in masked])
+    return ids, pad_mask, positions, take, targets, rows, cols
+
+
+def test_assemble_mlm_batch_takes_targets_in_segment_order():
+    ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(_selection_config(1, "float64", 0.0), 0)
+    assert positions.shape == (3, 4)
+    np.testing.assert_array_equal(positions.reshape(-1)[take], cols)
+    np.testing.assert_array_equal(take // positions.shape[1], rows)
+    assert (positions < pad_mask.sum(axis=1, keepdims=True)).all()
+
+
+def _selection_losses(params, config, objective, dropout_seed):
+    """(full-layer loss, row-selected loss, selected hidden, full hidden at the same rows)."""
+    def generator():
+        return np.random.default_rng(dropout_seed) if config.dropout_rate > 0 else None
+
+    ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(config, 1)
+    if objective == "cls":
+        positions = np.zeros((len(ids), 1), dtype=np.int64)
+    full = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=generator())
+    selected = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=generator(), positions=positions)
+    if objective == "cls":
+        labels = np.array([0, 2, 1])
+        full_loss = cross_entropy(cls_logits_from_hidden(full[:, 0], params, config), labels)
+        selected_loss = cross_entropy(cls_logits_from_hidden(selected[:, 0], params, config), labels)
+    else:
+        full_loss = cross_entropy(mlm_logits_from_hidden(full[rows, cols], params, config), targets)
+        picked = selected.reshape(-1, config.hidden_dim)[take]
+        selected_loss = cross_entropy(mlm_logits_from_hidden(picked, params, config), targets)
+    at_rows = full.data[np.arange(len(ids))[:, None], positions]
+    return full_loss, selected_loss, selected.data, at_rows
+
+
+@pytest.mark.parametrize("num_layers", [1, 4])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+@pytest.mark.parametrize("objective", ["cls", "mlm"])
+def test_row_selection_matches_the_full_last_layer(num_layers, dtype, dropout_rate, objective):
+    """Q = 1 ([CLS]) and ragged Q (masked positions), padded rows: outputs and loss bitwise,
+    gradients to rounding."""
+    config = _selection_config(num_layers, dtype, dropout_rate)
+    grads = []
+    for select in (False, True):
+        params = init_parameters(config, seed=2)
+        full_loss, selected_loss, selected, at_rows = _selection_losses(params, config, objective, dropout_seed=9)
+        np.testing.assert_array_equal(selected, at_rows)
+        assert selected_loss.data.tobytes() == full_loss.data.tobytes()
+        grads.append(backward(selected_loss if select else full_loss, params))
+    full_grads, selected_grads = grads
+    tol = 1e-12 if dtype == "float64" else 1e-5
+    # The key biases' exact gradient is zero (softmax ignores a shift shared
+    # by all keys); theirs is rounding noise, held to the scale of all gradients.
+    scale = max(np.abs(g).max() for g in full_grads.values())
+    for name, g in full_grads.items():
+        bound = tol * (scale if name.endswith("attn.bk") else np.abs(g).max())
+        assert np.abs(selected_grads[name] - g).max() <= bound, name
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_one_selected_row_of_one_sequence_matches_the_full_last_layer(dtype):
+    """One row in all: the products that would go to BLAS gemv must still match gemm's rows."""
+    config = _selection_config(2, dtype, 0.0)
+    params = init_parameters(config, seed=2)
+    ids = np.array([[1, 7, 13, 25, 2, 9, 40, 33, 12]])
+    full = encoder_forward(params, config, ids).data
+    np.testing.assert_array_equal(encoder_forward(params, config, ids, positions=np.array([[4]])).data, full[:, [4]])
+
+
+def test_last_layer_runs_feed_forward_only_at_selected_rows(monkeypatch):
+    config = _selection_config(3, "float64", 0.1)
+    params = init_parameters(config, seed=2)
+    ids, pad_mask, positions, *_ = _ragged_mlm_batch(config, 1)
+    gelu_rows = []
+    real_gelu = Tensor.gelu
+
+    def spy(self):
+        gelu_rows.append(int(np.prod(self.data.shape[:-1])))
+        return real_gelu(self)
+
+    monkeypatch.setattr(Tensor, "gelu", spy)
+    encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=np.random.default_rng(0), positions=positions)
+    assert gelu_rows == [ids.size] * (config.num_layers - 1) + [positions.size]
+
+
+def test_attention_sink_holds_selected_rows_of_the_last_layer(tiny_config, tiny_params):
+    ids = np.array([[1, 7, 13, 25, 2, 9], [3, 4, 5, 6, 7, 8]])
+    positions = np.array([[0, 4], [5, 5]])
+    full_sink, sink = [], []
+    encoder_forward(tiny_params, tiny_config, ids, attention_sink=full_sink)
+    encoder_forward(tiny_params, tiny_config, ids, attention_sink=sink, positions=positions)
+    heads = tiny_config.num_heads
+    assert [a.shape for a in sink] == [(2, heads, 6, 6)] * (tiny_config.num_layers - 1) + [(2, heads, 2, 6)]
+    np.testing.assert_array_equal(sink[-1], np.take_along_axis(full_sink[-1], positions[:, None, :, None], axis=2))
+
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        (np.array([0, 1]), "2-D"),
+        (np.zeros((2, 0), dtype=np.int64), "2-D"),
+        (np.zeros((2, 1)), "integer"),
+        (np.zeros((3, 1), dtype=np.int64), "3 rows for a batch of 2"),
+        (np.array([[0], [4]]), r"\[0, 4\)"),
+        (np.array([[-1], [0]]), r"\[0, 4\)"),
+    ],
+)
+def test_bad_positions_rejected(tiny_config, tiny_params, positions, message):
+    with pytest.raises(ModelError, match=message):
+        encoder_forward(tiny_params, tiny_config, np.ones((2, 4), dtype=np.int64), positions=positions)
 
 
 # -- predict_top_k -------------------------------------------------------------------

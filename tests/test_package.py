@@ -147,3 +147,16 @@ def test_every_tape_op_has_a_caller():
     unused = [n for n in autodiff.__all__ if _references(n, attribute_only=False) == 0]
     unused += [f"Tensor.{n}" for n in methods if _references(n, attribute_only=True) == 0]
     assert unused == []
+
+
+def test_every_encoder_call_names_the_rows_it_reads():
+    """A head reads a few rows of the last layer; a call without `positions=` runs all of them."""
+    calls = {
+        f"{path.name}:{node.lineno}": "positions" in {k.arg for k in node.keywords}
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "encoder_forward"
+    }
+    assert len(calls) >= 5
+    assert [where for where, named in calls.items() if not named] == []

@@ -213,6 +213,15 @@ def test_load_rejects_bad_header(tmp_path, trained):
         Tokenizer.load(tmp_path)
 
 
+def test_load_rejects_merges_of_another_vocabulary(tmp_path):
+    """A vocab.txt with a merges.txt trained on another corpus fails at load, naming the line."""
+    Tokenizer.train(["heavy water heavy water heavy water"], 270).save(tmp_path / "a")
+    Tokenizer.train(["uranium oxide uranium oxide uranium oxide"], 270).save(tmp_path / "b")
+    (tmp_path / "a" / "merges.txt").write_bytes((tmp_path / "b" / "merges.txt").read_bytes())
+    with pytest.raises(TokenizerError, match=r"merges\.txt line \d+: merge .* not in .*vocab\.txt"):
+        Tokenizer.load(tmp_path / "a")
+
+
 def test_fingerprint_distinguishes_tokenizers(trained):
     other = Tokenizer.train(["completely different corpus text"], 280)
     assert other.fingerprint() != trained.fingerprint()

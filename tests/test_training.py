@@ -342,6 +342,41 @@ def test_nan_loss_aborts_naming_step(monkeypatch, toy_tokenizer, small_model_con
         pretrain_mlm(config, small_segments, small_model_config, toy_tokenizer)
 
 
+def _poison_gradient(monkeypatch, name, at_call):
+    """Make `model_backward` return a NaN in one entry of `name`'s gradient from call `at_call` on."""
+    calls = {"n": 0}
+    real = training_module.model_backward
+
+    def poisoned(loss, params):
+        grads = real(loss, params)
+        calls["n"] += 1
+        if calls["n"] >= at_call:
+            grads[name].flat[3] = np.nan
+        return grads
+
+    monkeypatch.setattr(training_module, "model_backward", poisoned)
+
+
+def test_nan_gradient_aborts_pretraining_naming_step_and_parameter(
+    monkeypatch, toy_tokenizer, small_model_config, small_segments
+):
+    _poison_gradient(monkeypatch, "layer0.ff.w1", at_call=2)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=4, total_steps=5, seed=0)
+    with pytest.raises(TrainingDivergedError, match=r"parameter 'layer0\.ff\.w1' at step 2$"):
+        pretrain_mlm(config, small_segments, small_model_config, toy_tokenizer)
+
+
+def test_nan_gradient_aborts_finetuning_naming_the_first_parameter(
+    monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint
+):
+    # Both tensors are bad; the error names the first in name order.
+    _poison_gradient(monkeypatch, "tok_emb", at_call=1)
+    _poison_gradient(monkeypatch, "cls.w", at_call=1)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=4, eval_checkpoints=2, seed=0)
+    with pytest.raises(TrainingDivergedError, match=r"parameter 'cls\.w' at step 1$"):
+        finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:32], toy_docs[32:40], toy_tokenizer)
+
+
 def test_pretrain_rejects_mismatched_tokenizer(toy_docs, toy_base_checkpoint):
     from domainlm.tokenizer import Tokenizer
 
