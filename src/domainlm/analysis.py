@@ -13,7 +13,6 @@ m the number of sampled documents, and the sum runs over the classes.
 
 from __future__ import annotations
 
-import csv
 import re
 import warnings
 from collections import Counter
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configio import atomic_open, atomic_write_text
+from .configio import atomic_open, atomic_write_text, write_csv
 from .corpus import Document
 from .data import encode_for_classification
 from .evaluation import cls_vectors
@@ -87,10 +86,7 @@ def export_cls_embeddings(
     batch_size: int = 32,
 ) -> EmbeddingMatrix:
     """Final-layer position-0 vectors for a seeded document sample."""
-    if checkpoint.tokenizer_hash != tokenizer.fingerprint():
-        raise AnalysisError(
-            "tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer"
-        )
+    checkpoint.check_tokenizer(tokenizer)
     if sample_size < 1:
         raise AnalysisError("sample_size must be at least 1")
     if sample_size > len(documents):
@@ -324,33 +320,24 @@ def write_projection_csv(
     documents: Sequence[Document],
     path,
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     labels = {d.id: d.nfc_label for d in documents}
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "x", "y", "cluster", "true_label"])
-        for i, doc_id in enumerate(matrix.ids):
-            label = labels.get(doc_id)
-            writer.writerow(
-                [
-                    doc_id,
-                    f"{coords[i, 0]:.8f}",
-                    f"{coords[i, 1]:.8f}",
-                    assignment.assignments[doc_id],
-                    "" if label is None else int(label),
-                ]
-            )
-    return path
+    rows = (
+        [
+            doc_id,
+            f"{coords[i, 0]:.8f}",
+            f"{coords[i, 1]:.8f}",
+            assignment.assignments[doc_id],
+            "" if labels.get(doc_id) is None else int(labels[doc_id]),
+        ]
+        for i, doc_id in enumerate(matrix.ids)
+    )
+    return write_csv(path, ["id", "x", "y", "cluster", "true_label"], rows)
 
 
 def write_topic_csv(summary: TopicSummary, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cluster", "rank", "word", "score"])
-        for cluster in sorted(summary.top_words):
-            for rank, (word, score) in enumerate(summary.top_words[cluster], start=1):
-                writer.writerow([cluster, rank, word, f"{score:.12f}"])
-    return path
+    rows = (
+        [cluster, rank, word, f"{score:.12f}"]
+        for cluster in sorted(summary.top_words)
+        for rank, (word, score) in enumerate(summary.top_words[cluster], start=1)
+    )
+    return write_csv(path, ["cluster", "rank", "word", "score"], rows)

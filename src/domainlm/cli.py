@@ -333,8 +333,7 @@ def _cmd_eval(args) -> int:
 def _cmd_mask_predict(args) -> int:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
-    if checkpoint.tokenizer_hash != tokenizer.fingerprint():
-        raise CliValidationError("tokenizer fingerprint does not match the checkpoint")
+    checkpoint.check_tokenizer(tokenizer)
     bundle = ModelBundle(checkpoint.params, checkpoint.config, tokenizer)
     rows = predict_top_k(args.text, args.k, bundle)
     print(f"{'token':<20} score")

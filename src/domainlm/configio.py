@@ -7,20 +7,23 @@ so a bad config is reported exhaustively.
 
 `atomic_open` is the one way the package writes a file: the content goes to
 `<name>.tmp` beside the target, which is renamed over it once complete.
+`write_csv` is the one way it writes a CSV table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import os
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import Iterable, Sequence
 
 __all__ = [
     "ConfigError",
     "atomic_open",
     "atomic_write_text",
+    "write_csv",
     "read_flat_config",
     "write_flat_config",
     "dataclass_to_mapping",
@@ -59,6 +62,17 @@ def atomic_write_text(path, text: str) -> Path:
     return Path(path)
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write `header` and `rows` of caller-formatted cells through `atomic_open`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def read_flat_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
@@ -90,15 +104,10 @@ def dataclass_to_mapping(instance) -> dict[str, str]:
     return {f.name: _format_value(getattr(instance, f.name)) for f in dataclasses.fields(instance)}
 
 
-def write_flat_config(instance_or_mapping, path) -> Path:
+def write_flat_config(instance, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    mapping = (
-        instance_or_mapping
-        if isinstance(instance_or_mapping, dict)
-        else dataclass_to_mapping(instance_or_mapping)
-    )
-    lines = [f"{key} = {_format_value(value)}" for key, value in mapping.items()]
+    lines = [f"{key} = {value}" for key, value in dataclass_to_mapping(instance).items()]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -118,18 +127,12 @@ def _parse_scalar(text: str, target_type):
 
 
 def _field_type(f: dataclasses.Field):
-    t = f.type
-    if isinstance(t, str):
-        # Evaluate the common annotations used by this package's configs.
-        known = {"int": int, "float": float, "bool": bool, "str": str,
-                 "int | None": int, "float | None": float}
-        if t in known:
-            return known[t], t.endswith("| None")
-        raise ConfigError(f"unsupported config field annotation {t!r}")
-    if get_origin(t) is not None:  # e.g. int | None
-        args = [a for a in get_args(t) if a is not type(None)]
-        return args[0], True
-    return t, False
+    # Both config dataclasses use postponed annotations, so every field type is a string.
+    known = {"int": int, "float": float, "bool": bool, "str": str,
+             "int | None": int, "float | None": float}
+    if f.type not in known:
+        raise ConfigError(f"unsupported config field annotation {f.type!r}")
+    return known[f.type], f.type.endswith("| None")
 
 
 def build_dataclass(cls, mapping: dict[str, str], errors: list[str]):

@@ -268,6 +268,8 @@ def cls_vectors(
     the same way whatever the row count (the README names the one known
     exception). The last encoder layer runs at position 0 only.
     """
+    if batch_size < 1:
+        raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
     pad_to = max(len(s) for s in sequences)
     rows = []
     with no_grad():
@@ -355,6 +357,8 @@ def evaluate_mlm(
     The mask positions are a deterministic function of `seed`, so two
     evaluations of different checkpoints on the same data are paired.
     """
+    if batch_size < 1:
+        raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
     policy = policy or MaskingPolicy()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
@@ -387,10 +391,7 @@ def evaluate_checkpoint(
     mask_seed: int = 0,
 ) -> MetricsReport:
     """Evaluate a checkpoint on a document split; deterministic and batch-invariant."""
-    if checkpoint.tokenizer_hash != tokenizer.fingerprint():
-        raise EvaluationError(
-            "tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer"
-        )
+    checkpoint.check_tokenizer(tokenizer)
     if task == "mlm":
         token_stream = (tokenizer.encode(d.text) for d in documents)
         segments = pack_segments(token_stream, tokenizer.sep_id, checkpoint.config.max_positions)

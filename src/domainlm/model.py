@@ -362,6 +362,21 @@ class Checkpoint:
             h.update(np.ascontiguousarray(self.params[name].data).tobytes())
         return h.hexdigest()
 
+    def check_tokenizer(self, tokenizer: Tokenizer) -> None:
+        """Raise unless `tokenizer` is the one this checkpoint was trained with."""
+        if self.tokenizer_hash != tokenizer.fingerprint():
+            raise ModelError("tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer")
+        if self.config.vocab_size != tokenizer.vocab_size:
+            raise ModelError(f"checkpoint vocab_size {self.config.vocab_size} != tokenizer size {tokenizer.vocab_size}")
+
+    def encoder_params(self) -> dict[str, Tensor]:
+        """Trainable copies of every tensor but the classifier head."""
+        return {
+            name: Tensor(p.data.copy(), requires_grad=True)
+            for name, p in self.params.items()
+            if not name.startswith("cls.")
+        }
+
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> Path:
     path = Path(path)
@@ -413,10 +428,6 @@ def load_checkpoint(path) -> Checkpoint:
 def with_fresh_classifier(checkpoint: Checkpoint, num_classes: int, seed: int) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Encoder weights from a checkpoint plus a newly initialized classifier head."""
     config = replace(checkpoint.config, num_classes=num_classes)
-    params = {
-        name: Tensor(p.data.copy(), requires_grad=True)
-        for name, p in checkpoint.params.items()
-        if not name.startswith("cls.")
-    }
+    params = checkpoint.encoder_params()
     params.update(init_classifier_head(config, seed))
     return config, params

@@ -8,7 +8,6 @@ so runs are bitwise reproducible from (config, data, init).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .configio import atomic_open, atomic_write_text, write_flat_config
+from .configio import atomic_write_text, write_csv, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
     _STREAM_MASK,
@@ -48,7 +47,6 @@ from .model import (
     cross_entropy,
     encoder_forward,
     init_parameters,
-    load_checkpoint,
     mlm_logits_from_hidden,
     save_checkpoint,
     with_fresh_classifier,
@@ -264,15 +262,22 @@ def _check_gradients(grads: dict[str, np.ndarray], step: int) -> None:
     raise TrainingDivergedError(f"gradient norm overflows at step {step}")
 
 
-def _check_compat(checkpoint: Checkpoint, tokenizer: Tokenizer) -> None:
-    if checkpoint.tokenizer_hash != tokenizer.fingerprint():
-        raise TrainingError(
-            "tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer"
-        )
-    if checkpoint.config.vocab_size != tokenizer.vocab_size:
-        raise TrainingError(
-            f"checkpoint vocab_size {checkpoint.config.vocab_size} != tokenizer size {tokenizer.vocab_size}"
-        )
+def _dropout_rng(config: TrainingConfig, model_config: ModelConfig, step: int) -> np.random.Generator | None:
+    """The dropout stream of one step, or None when the model has no dropout."""
+    if model_config.dropout_rate == 0:
+        return None
+    return np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_DROPOUT, step)))
+
+
+def _update(loss: Tensor, objective: str, optimizer: AdamW, config: TrainingConfig, step: int, total_steps: int) -> float:
+    """Check the loss, backpropagate, check the gradients and take one AdamW step; returns the loss."""
+    train_loss = float(loss.data)
+    if not np.isfinite(train_loss):
+        raise TrainingDivergedError(f"non-finite {objective} loss at step {step + 1}")
+    grads = model_backward(loss, optimizer.params)
+    _check_gradients(grads, step + 1)
+    optimizer.step(grads, learning_rate_at(step, total_steps, config.learning_rate, config.warmup_fraction))
+    return train_loss
 
 
 # -- pretraining -------------------------------------------------------------------
@@ -288,7 +293,7 @@ class PretrainResult:
 def pretrain_mlm(
     config: TrainingConfig,
     segments: Sequence[np.ndarray],
-    init: ModelConfig | Checkpoint | str | Path,
+    init: ModelConfig | Checkpoint,
     tokenizer: Tokenizer,
     val_segments: Sequence[np.ndarray] | None = None,
     policy: MaskingPolicy | None = None,
@@ -308,24 +313,18 @@ def pretrain_mlm(
     if not segments:
         raise TrainingError("no training segments")
 
-    if isinstance(init, (str, Path)):
-        init = load_checkpoint(init)
     if isinstance(init, Checkpoint):
-        _check_compat(init, tokenizer)
+        init.check_tokenizer(tokenizer)
         model_config = init.config
-        params = {
-            name: Tensor(p.data.copy(), requires_grad=True)
-            for name, p in init.params.items()
-            if not name.startswith("cls.")
-        }
+        params = init.encoder_params()
     else:
         model_config = init
         model_config.validate()
+        if model_config.vocab_size != tokenizer.vocab_size:
+            raise TrainingError(
+                f"model vocab_size {model_config.vocab_size} != tokenizer size {tokenizer.vocab_size}"
+            )
         params = init_parameters(model_config, config.seed, include_classifier=False)
-    if model_config.vocab_size != tokenizer.vocab_size:
-        raise TrainingError(
-            f"model vocab_size {model_config.vocab_size} != tokenizer size {tokenizer.vocab_size}"
-        )
 
     total_steps = _resolve_total_steps(config, len(segments))
     optimizer = AdamW.from_config(params, config)
@@ -346,23 +345,13 @@ def pretrain_mlm(
         if targets.size == 0:
             train_loss = 0.0
         else:
-            dropout_rng = (
-                np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_DROPOUT, step)))
-                if model_config.dropout_rate > 0
-                else None
-            )
+            dropout_rng = _dropout_rng(config, model_config, step)
             hidden = encoder_forward(
                 params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng, positions=positions
             )
             rows = hidden.reshape(-1, model_config.hidden_dim)[take]
-            logits = mlm_logits_from_hidden(rows, params, model_config)
-            loss = cross_entropy(logits, targets)
-            train_loss = float(loss.data)
-            if not np.isfinite(train_loss):
-                raise TrainingDivergedError(f"non-finite MLM loss at step {step + 1}")
-            grads = model_backward(loss, params)
-            _check_gradients(grads, step + 1)
-            optimizer.step(grads, learning_rate_at(step, total_steps, config.learning_rate, config.warmup_fraction))
+            loss = cross_entropy(mlm_logits_from_hidden(rows, params, model_config), targets)
+            train_loss = _update(loss, "MLM", optimizer, config, step, total_steps)
 
         if (step + 1) % config.log_every == 0 or step + 1 == total_steps:
             history.append(LossRecord(step + 1, train_loss, validation_loss()))
@@ -414,7 +403,7 @@ def select_best_checkpoint(checkpoints: Sequence[CheckpointMeta]) -> CheckpointM
 
 def finetune_classifier(
     config: TrainingConfig,
-    init: Checkpoint | str | Path,
+    init: Checkpoint,
     task: str,
     train_docs: Sequence[Document],
     validation_docs: Sequence[Document],
@@ -435,9 +424,7 @@ def finetune_classifier(
     if not validation_docs:
         raise TrainingError("validation split is empty; checkpoint selection needs it")
 
-    if isinstance(init, (str, Path)):
-        init = load_checkpoint(init)
-    _check_compat(init, tokenizer)
+    init.check_tokenizer(tokenizer)
 
     train_labels = [document_label(d, task) for d in train_docs]
     val_labels = [document_label(d, task) for d in validation_docs]
@@ -476,38 +463,28 @@ def finetune_classifier(
         logits = batched_cls_logits(params, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
         return mlm_cross_entropy(logits, val_idx)
 
+    def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
+        extra = {"objective": task, "class_labels": serializable_labels, "step": step_1}
+        return Checkpoint(config=model_config, params=weights, tokenizer_hash=tokenizer.fingerprint(), extra=extra)
+
     for step in range(total_steps):
         batch_idx = next(batches)
         ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
-        dropout_rng = (
-            np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_DROPOUT, step)))
-            if model_config.dropout_rate > 0
-            else None
-        )
+        dropout_rng = _dropout_rng(config, model_config, step)
         hidden = encoder_forward(
             params, model_config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng, positions=cls_positions(len(ids))
         )
-        logits = cls_logits_from_hidden(hidden[:, 0], params, model_config)
-        loss = cross_entropy(logits, train_idx[batch_idx])
-        train_loss = float(loss.data)
-        if not np.isfinite(train_loss):
-            raise TrainingDivergedError(f"non-finite classification loss at step {step + 1}")
-        grads = model_backward(loss, params)
-        _check_gradients(grads, step + 1)
-        optimizer.step(grads, learning_rate_at(step, total_steps, config.learning_rate, config.warmup_fraction))
+        loss = cross_entropy(cls_logits_from_hidden(hidden[:, 0], params, model_config), train_idx[batch_idx])
+        train_loss = _update(loss, "classification", optimizer, config, step, total_steps)
 
         step_1 = step + 1
         if step_1 in eval_steps:
             val_loss = validation_loss()
             path = None
             if out_dir is not None:
-                ckpt = Checkpoint(
-                    config=model_config,
-                    params=params,
-                    tokenizer_hash=tokenizer.fingerprint(),
-                    extra={"objective": task, "class_labels": serializable_labels, "step": step_1},
+                path = save_checkpoint(
+                    checkpoint_at(step_1, params), out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
                 )
-                path = save_checkpoint(ckpt, out_dir / "checkpoints" / f"step_{step_1:06d}.npz")
             meta = CheckpointMeta(step=step_1, validation_loss=val_loss, path=path)
             checkpoints.append(meta)
             if best_meta is None or val_loss < best_meta.validation_loss:
@@ -521,12 +498,7 @@ def finetune_classifier(
     assert best_meta is select_best_checkpoint(checkpoints)
     best_meta.is_best = True
 
-    best_checkpoint = Checkpoint(
-        config=model_config,
-        params=best_params,
-        tokenizer_hash=tokenizer.fingerprint(),
-        extra={"objective": task, "class_labels": serializable_labels, "step": best_meta.step},
-    )
+    best_checkpoint = checkpoint_at(best_meta.step, best_params)
     metrics = evaluate_classifier(
         best_params, model_config, validation_docs, class_labels, task, tokenizer, config.batch_size
     )
@@ -566,7 +538,7 @@ def hyperparameter_grid(
     base_config: TrainingConfig,
     learning_rates: Sequence[float],
     batch_sizes: Sequence[int],
-    init: Checkpoint | str | Path,
+    init: Checkpoint,
     train_docs: Sequence[Document],
     validation_docs: Sequence[Document],
     tokenizer: Tokenizer,
@@ -598,16 +570,11 @@ def hyperparameter_grid(
 
 
 def write_grid_csv(cells: Sequence[GridCell], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["learning_rate", "batch_size", "accuracy", "f1", "loss", "status"])
-        for cell in cells:
-            writer.writerow(
-                [cell.learning_rate, cell.batch_size, f"{cell.accuracy:.10f}", f"{cell.f1:.10f}", f"{cell.loss:.10f}", cell.status]
-            )
-    return path
+    rows = (
+        [cell.learning_rate, cell.batch_size, f"{cell.accuracy:.10f}", f"{cell.f1:.10f}", f"{cell.loss:.10f}", cell.status]
+        for cell in cells
+    )
+    return write_csv(path, ["learning_rate", "batch_size", "accuracy", "f1", "loss", "status"], rows)
 
 
 # -- scaling study ---------------------------------------------------------------
@@ -696,15 +663,12 @@ def scaling_study(
 
 
 def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["init_name", "fraction", "train_size", "log_loss"])
-        for result in results:
-            for fraction, size, loss, _ in result.rows():
-                writer.writerow([result.init_name, fraction, size, f"{loss:.10f}"])
-    return path
+    rows = (
+        [result.init_name, fraction, size, f"{loss:.10f}"]
+        for result in results
+        for fraction, size, loss, _ in result.rows()
+    )
+    return write_csv(path, ["init_name", "fraction", "train_size", "log_loss"], rows)
 
 
 # -- run directory ---------------------------------------------------------------
@@ -717,27 +681,20 @@ def _write_run_dir(out_dir: Path, config: TrainingConfig, history: Sequence[Loss
 
 
 def write_loss_history(history: Sequence[LossRecord], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "train_loss", "validation_loss"])
-        for record in history:
-            writer.writerow(
-                [
-                    record.step,
-                    f"{record.train_loss:.10f}",
-                    "" if record.validation_loss is None else f"{record.validation_loss:.10f}",
-                ]
-            )
-    return path
+    rows = (
+        [
+            record.step,
+            f"{record.train_loss:.10f}",
+            "" if record.validation_loss is None else f"{record.validation_loss:.10f}",
+        ]
+        for record in history
+    )
+    return write_csv(path, ["step", "train_loss", "validation_loss"], rows)
 
 
 def _write_checkpoint_index(path: Path, checkpoints: Sequence[CheckpointMeta]) -> None:
-    with atomic_open(path, newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "validation_loss", "path", "is_best"])
-        for meta in checkpoints:
-            writer.writerow(
-                [meta.step, f"{meta.validation_loss:.10f}", "" if meta.path is None else str(meta.path), int(meta.is_best)]
-            )
+    rows = (
+        [meta.step, f"{meta.validation_loss:.10f}", "" if meta.path is None else str(meta.path), int(meta.is_best)]
+        for meta in checkpoints
+    )
+    write_csv(path, ["step", "validation_loss", "path", "is_best"], rows)

@@ -27,6 +27,7 @@ from domainlm.analysis import (
     write_topic_csv,
 )
 from domainlm.corpus import make_document
+from domainlm.model import ModelError
 
 # Frozen: (2/3) * ln(2), computed independently at 30 digits.
 HAND_SCORE = 0.4620981203732969
@@ -436,7 +437,7 @@ def test_export_rejects_foreign_tokenizer(toy_docs, toy_base_checkpoint):
     from domainlm.tokenizer import Tokenizer
 
     other = Tokenizer.train(["different text entirely"], 280)
-    with pytest.raises(AnalysisError, match="tokenizer"):
+    with pytest.raises(ModelError, match="tokenizer"):
         export_cls_embeddings(toy_base_checkpoint, toy_docs[:10], 5, seed=0, tokenizer=other)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from domainlm import cli
 from domainlm.corpus import save_corpus, split_corpus, SplitSpec, write_split_manifests
-from domainlm.model import load_checkpoint, save_checkpoint
+from domainlm.model import Checkpoint, load_checkpoint, save_checkpoint, with_fresh_classifier
 from domainlm.training import TrainingDivergedError
 
 
@@ -228,6 +228,31 @@ def test_eval_command_writes_metrics(tmp_path, workspace, capsys):
     assert "accuracy" in capsys.readouterr().out
     assert (out / "metrics.json").exists()
     assert (out / "metrics.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def classifier_checkpoint(workspace, toy_base_checkpoint):
+    """The base encoder with an untrained binary head: enough for `eval --task binary`."""
+    config, params = with_fresh_classifier(toy_base_checkpoint, 2, seed=0)
+    extra = {"objective": "binary", "class_labels": [False, True]}
+    checkpoint = Checkpoint(config, params, toy_base_checkpoint.tokenizer_hash, extra)
+    return save_checkpoint(checkpoint, workspace["root"] / "classifier.npz")
+
+
+@pytest.mark.parametrize("task", ["binary", "mlm"])
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_eval_rejects_batch_size_below_one(workspace, classifier_checkpoint, capsys, task, batch_size):
+    code = cli.main([
+        "eval",
+        "--checkpoint", str(classifier_checkpoint),
+        "--corpus", str(workspace["corpus"]),
+        "--split", str(workspace["splits"] / "test.txt"),
+        "--task", task,
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--batch-size", batch_size,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: batch_size must be at least 1, got {batch_size}\n"
 
 
 def test_mask_predict_requires_sentinel(workspace, capsys):

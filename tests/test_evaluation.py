@@ -10,6 +10,7 @@ from domainlm.evaluation import (
     mlm_cross_entropy,
 )
 from domainlm.corpus import nested_subsets
+from domainlm.model import ModelError
 from domainlm.training import (
     TrainingConfig,
     finetune_classifier,
@@ -218,7 +219,7 @@ def test_tokenizer_mismatch_rejected(finetuned, toy_docs):
     from domainlm.tokenizer import Tokenizer
 
     other = Tokenizer.train([d.text for d in toy_docs[:20]], 300)
-    with pytest.raises(EvaluationError, match="tokenizer"):
+    with pytest.raises(ModelError, match="tokenizer"):
         evaluate_checkpoint(finetuned, toy_docs[200:220], "binary", other)
 
 

@@ -610,3 +610,52 @@ def test_parameter_shapes_cover_all_params(tiny_config, tiny_params):
     assert set(shapes) == set(tiny_params)
     for name, shape in shapes.items():
         assert tiny_params[name].data.shape == shape
+
+
+# -- checkpoint-tokenizer check -------------------------------------------------------
+
+FOREIGN_TOKENIZER = "^tokenizer fingerprint mismatch: checkpoint was trained with a different tokenizer$"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["pretrain_mlm", "finetune_classifier", "evaluate_checkpoint", "export_cls_embeddings", "cli mask-predict"],
+)
+def test_every_entry_point_rejects_a_foreign_tokenizer(entry, tmp_path, capsys, toy_docs, toy_base_checkpoint):
+    from domainlm import cli
+    from domainlm.analysis import export_cls_embeddings
+    from domainlm.evaluation import evaluate_checkpoint
+    from domainlm.training import TrainingConfig, finetune_classifier, pack_segments, pretrain_mlm
+
+    other = Tokenizer.train(["different text entirely"], 280)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=4, total_steps=2, eval_checkpoints=1, seed=0)
+    if entry == "cli mask-predict":
+        checkpoint_path = save_checkpoint(toy_base_checkpoint, tmp_path / "base.npz")
+        other.save(tmp_path / "other")
+        argv = ["mask-predict", "--checkpoint", str(checkpoint_path), "--tokenizer", str(tmp_path / "other"),
+                "--text", "the fuel [MASK] assembly"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {FOREIGN_TOKENIZER[1:-1]}\n"
+        return
+    calls = {
+        "pretrain_mlm": lambda: pretrain_mlm(
+            config, pack_segments((other.encode(d.text) for d in toy_docs[:10]), other.sep_id, 32),
+            toy_base_checkpoint, other,
+        ),
+        "finetune_classifier": lambda: finetune_classifier(
+            config, toy_base_checkpoint, "binary", toy_docs[:8], toy_docs[8:12], other
+        ),
+        "evaluate_checkpoint": lambda: evaluate_checkpoint(toy_base_checkpoint, toy_docs[:8], "mlm", other),
+        "export_cls_embeddings": lambda: export_cls_embeddings(toy_base_checkpoint, toy_docs[:10], 5, 0, other),
+    }
+    with pytest.raises(ModelError, match=FOREIGN_TOKENIZER):
+        calls[entry]()
+
+
+def test_check_tokenizer_names_both_vocab_sizes(toy_tokenizer, toy_base_checkpoint):
+    size = toy_tokenizer.vocab_size
+    config = ModelConfig(**{**asdict(toy_base_checkpoint.config), "vocab_size": size + 1})
+    checkpoint = Checkpoint(config, toy_base_checkpoint.params, tokenizer_hash=toy_tokenizer.fingerprint())
+    with pytest.raises(ModelError, match=f"^checkpoint vocab_size {size + 1} != tokenizer size {size}$"):
+        checkpoint.check_tokenizer(toy_tokenizer)
+    toy_base_checkpoint.check_tokenizer(toy_tokenizer)

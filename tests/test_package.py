@@ -160,3 +160,46 @@ def test_every_encoder_call_names_the_rows_it_reads():
     }
     assert len(calls) >= 5
     assert [where for where, named in calls.items() if not named] == []
+
+
+def _enclosing(tree: ast.AST) -> dict[int, str]:
+    """id(node) -> dotted name of the innermost class or function around it."""
+    scope: dict[int, str] = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            scope[id(child)] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return scope
+
+
+def test_each_shared_job_has_one_implementation():
+    """One CSV writer, one checkpoint-tokenizer check and one dropout-stream seed."""
+    csv_writers, tokenizer_checks, dropout_reads = [], [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = _enclosing(tree)
+        for node in ast.walk(tree):
+            where = f"{path.stem}:{scope.get(id(node), '')}"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "writer"
+                and getattr(node.func.value, "id", None) == "csv"
+            ):
+                csv_writers.append(where)
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                names = {n.attr for side in sides for n in ast.walk(side) if isinstance(n, ast.Attribute)}
+                if {"tokenizer_hash", "fingerprint"} <= names:
+                    tokenizer_checks.append(where)
+            if isinstance(node, ast.Name) and node.id == "_STREAM_DROPOUT" and isinstance(node.ctx, ast.Load):
+                dropout_reads.append(where)
+    assert csv_writers == ["configio:write_csv"]
+    assert tokenizer_checks == ["model:Checkpoint.check_tokenizer"]
+    assert len(dropout_reads) == 1

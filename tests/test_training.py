@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from domainlm.autodiff import Tensor
-from domainlm.model import ModelConfig
+from domainlm.model import ModelConfig, ModelError
 from domainlm.training import (
     AdamW,
     MaskingPolicy,
@@ -383,7 +383,7 @@ def test_pretrain_rejects_mismatched_tokenizer(toy_docs, toy_base_checkpoint):
     other = Tokenizer.train([d.text for d in toy_docs[:10]], 300)
     segments = pack_segments((other.encode(d.text) for d in toy_docs[:10]), other.sep_id, 32)
     config = TrainingConfig(learning_rate=1e-3, batch_size=4, total_steps=2, seed=0)
-    with pytest.raises(TrainingError, match="tokenizer"):
+    with pytest.raises(ModelError, match="tokenizer"):
         pretrain_mlm(config, segments, toy_base_checkpoint, other)
 
 
@@ -555,3 +555,63 @@ def test_failed_loss_history_write_keeps_previous_file(tmp_path):
         training_module.write_loss_history(broken, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["loss_history.csv"]
+
+
+def _csv_cases():
+    from pathlib import Path
+
+    from domainlm import analysis
+    from domainlm.corpus import Document
+
+    nan = float("nan")
+    t = training_module
+    matrix = analysis.EmbeddingMatrix(ids=["a", "b"], matrix=np.ones((2, 2)), checkpoint_hash="x")
+    coords = np.array([[0.5, -0.25], [1.0, 2.0]])
+    assignment = analysis.ClusterAssignment({"a": 1, "b": analysis.OUTLIER}, n_clusters=1)
+    documents = [Document("a", "fuel rod", (1,), nfc_label=True), Document("b", "unlabeled text")]
+    summary = analysis.TopicSummary(
+        scores={}, top_words={2: [("fuel", 0.5)], 1: [("rod", 0.25), ("pin", 0.125)]}, n_documents=3, n_classes=2
+    )
+    scaling = t.ScalingStudyResult("base", [0.25, 1.0], [2, 8], [0.5, 0.125], [None, None])
+    index = [CheckpointMeta(2, 0.5, Path("ck") / "step_000002.npz"), CheckpointMeta(4, 0.25, None, is_best=True)]
+    return {
+        "grid": (
+            lambda path: t.write_grid_csv(
+                [t.GridCell(1e-5, 16, 0.75, 0.5, 0.25, "ok"), t.GridCell(2e-5, 64, nan, nan, nan, "failed")], path
+            ),
+            b"learning_rate,batch_size,accuracy,f1,loss,status\r\n"
+            b"1e-05,16,0.7500000000,0.5000000000,0.2500000000,ok\r\n"
+            b"2e-05,64,nan,nan,nan,failed\r\n",
+        ),
+        "scaling": (
+            lambda path: t.write_scaling_csv([scaling], path),
+            b"init_name,fraction,train_size,log_loss\r\nbase,0.25,2,0.5000000000\r\nbase,1.0,8,0.1250000000\r\n",
+        ),
+        "loss_history": (
+            lambda path: t.write_loss_history([t.LossRecord(50, 1.5), t.LossRecord(100, 1.25, 1.375)], path),
+            b"step,train_loss,validation_loss\r\n50,1.5000000000,\r\n100,1.2500000000,1.3750000000\r\n",
+        ),
+        "checkpoint_index": (
+            lambda path: t._write_checkpoint_index(path, index),
+            b"step,validation_loss,path,is_best\r\n2,0.5000000000,ck/step_000002.npz,0\r\n4,0.2500000000,,1\r\n",
+        ),
+        "projection": (
+            lambda path: analysis.write_projection_csv(matrix, coords, assignment, documents, path),
+            b"id,x,y,cluster,true_label\r\na,0.50000000,-0.25000000,1,1\r\nb,1.00000000,2.00000000,0,\r\n",
+        ),
+        "topics": (
+            lambda path: analysis.write_topic_csv(summary, path),
+            b"cluster,rank,word,score\r\n1,1,rod,0.250000000000\r\n1,2,pin,0.125000000000\r\n"
+            b"2,1,fuel,0.500000000000\r\n",
+        ),
+    }
+
+
+@pytest.mark.parametrize("writer", ["grid", "scaling", "loss_history", "checkpoint_index", "projection", "topics"])
+def test_csv_writers_write_exact_bytes(tmp_path, writer):
+    write, expected = _csv_cases()[writer]
+    path = tmp_path / "sub" / f"{writer}.csv"
+    path.parent.mkdir()
+    write(path)
+    assert path.read_bytes() == expected
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
