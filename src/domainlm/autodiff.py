@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "Tensor", "no_grad", "GraphError", "log_softmax", "dropout_mask", "dropout",
+    "Tensor", "no_grad", "GraphError", "log_softmax", "dropout_mask",
     "linear", "layer_norm", "attention", "softmax_cross_entropy",
 ]
 
@@ -296,13 +296,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndar
     keep = (rng.random(shape) >= rate).astype(dtype)
     keep *= 1.0 / (1.0 - rate)
     return keep
-
-
-def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
-        return t
-    return t * dropout_mask(t.data.shape, rate, rng, t.data.dtype)
 
 
 # -- fused nodes -----------------------------------------------------------------

@@ -113,13 +113,16 @@ def _load_configs(
     args,
     inits: Sequence[ModelConfig] = (),
     default_vocab_size: int | None = None,
+    packs_segments: bool = False,
 ) -> tuple[TrainingConfig, ModelConfig | None, dict]:
     """Merge config file and flag overrides; report every problem at once.
 
     Without `inits` the model config is built from the merged keys. With
     them the model comes from checkpoints: a model flag must then repeat each
     checkpoint's value, because it cannot change it. Model keys in a config
-    file describe fresh pretraining and are ignored then.
+    file describe fresh pretraining and are ignored then. `packs_segments`
+    (pretraining) also requires `segment_length` to fit the model's
+    `max_positions`.
     """
     problems: list[str] = []
     mapping: dict[str, str] = {}
@@ -158,6 +161,13 @@ def _load_configs(
             f"{getattr(init, key)}; the model settings come from --init"
             for key in model_flags
             if getattr(requested, key) != getattr(init, key)
+        )
+    if packs_segments and train_config is not None:
+        whose = "the checkpoint's " if inits else ""
+        problems.extend(
+            f"segment_length {train_config.segment_length} exceeds {whose}max_positions {model.max_positions}"
+            for model in ([model_config] if model_config is not None else inits)
+            if train_config.segment_length > model.max_positions
         )
     if problems:
         raise CliValidationError(problems)
@@ -232,9 +242,9 @@ def _cmd_pretrain(args) -> int:
     init: ModelConfig | Checkpoint
     if args.init:
         init = load_checkpoint(args.init)
-        config, _, snapshot = _load_configs(args, [init.config])
+        config, _, snapshot = _load_configs(args, [init.config], packs_segments=True)
     else:
-        config, init, snapshot = _load_configs(args, default_vocab_size=tokenizer.vocab_size)
+        config, init, snapshot = _load_configs(args, default_vocab_size=tokenizer.vocab_size, packs_segments=True)
     docs = corpus.load_corpus(args.corpus)
     segments = training.pack_segments(
         (tokenizer.encode(d.text) for d in docs), tokenizer.sep_id, config.segment_length

@@ -21,7 +21,6 @@ import numpy as np
 from .autodiff import (
     Tensor,
     attention,
-    dropout,
     dropout_mask,
     layer_norm,
     linear,
@@ -38,6 +37,7 @@ __all__ = [
     "ModelBundle",
     "Checkpoint",
     "init_parameters",
+    "draw_dropout_masks",
     "encoder_forward",
     "mlm_logits_from_hidden",
     "cls_logits_from_hidden",
@@ -180,6 +180,31 @@ def _check_positions(positions, batch: int, length: int) -> np.ndarray | None:
     return positions.astype(np.int64)
 
 
+def _dropout_shapes(config: ModelConfig, batch: int, length: int) -> list[tuple[int, ...]]:
+    residual = (batch, length, config.hidden_dim)
+    attention_probs = (batch, config.num_heads, length, length)
+    return [residual] + [attention_probs, residual, residual] * config.num_layers
+
+
+def draw_dropout_masks(
+    config: ModelConfig, batch: int, length: int, rng: np.random.Generator | None
+) -> list[np.ndarray]:
+    """Every keep multiplier of one (batch, length) encoder forward, in the order it reads them.
+
+    The embedding mask comes first, then per layer the attention, attention
+    output and feed-forward masks, each in the model dtype. A mask's rows
+    belong to the sequences of the same rows, so the masks of a row slice of
+    the batch are the same row slice of each mask. Empty without `rng` or
+    without dropout.
+    """
+    if rng is None or config.dropout_rate == 0.0:
+        return []
+    return [
+        dropout_mask(shape, config.dropout_rate, rng, config.np_dtype)
+        for shape in _dropout_shapes(config, batch, length)
+    ]
+
+
 def encoder_forward(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -188,22 +213,23 @@ def encoder_forward(
     dropout_rng: np.random.Generator | None = None,
     attention_sink: list | None = None,
     positions: np.ndarray | None = None,
+    dropout_masks: list[np.ndarray] | None = None,
 ) -> Tensor:
     """Run the encoder over a (batch, length) id array; returns (B, L, H).
 
     `pad_mask` marks real tokens with True; padded positions receive a large
     negative attention bias so they contribute exactly zero attention weight.
-    Dropout is active only when `dropout_rng` is given.
+    Dropout is active when `dropout_masks`, the multipliers of
+    `draw_dropout_masks`, are given, or `dropout_rng` to draw them from.
 
     `positions` (B, Q) names the rows a head reads; the result is then
     (B, Q, H), row [b, j] being row [b, positions[b, j]] of the full result.
     The last layer computes queries, keys, values and attention scores over
     every row, since every query attends to every key, and the softmax and
-    everything after it only at those rows. Its dropout masks are drawn at
-    full size and then cut to those rows, so the random stream does not
-    depend on the selection. `attention_sink` receives (B, nh, L, L)
-    probabilities per layer, (B, nh, Q, L) for the last layer under
-    `positions`.
+    everything after it only at those rows. Its dropout masks are full size
+    and cut to those rows, so the random stream does not depend on the
+    selection. `attention_sink` receives (B, nh, L, L) probabilities per
+    layer, (B, nh, Q, L) for the last layer under `positions`.
     """
     ids = _check_ids(ids, config)
     batch, length = ids.shape
@@ -211,13 +237,20 @@ def encoder_forward(
     dtype = config.np_dtype
     hidden, heads = config.hidden_dim, config.num_heads
 
+    if dropout_masks is None:
+        dropout_masks = draw_dropout_masks(config, batch, length, dropout_rng)
+    elif dropout_rng is not None:
+        raise ModelError("give dropout masks or a generator to draw them from, not both")
+    elif dropout_masks and [m.shape for m in dropout_masks] != _dropout_shapes(config, batch, length):
+        raise ModelError(f"dropout masks do not match a {batch} x {length} batch of this model")
+    dropping = bool(dropout_masks)
+    masks = iter(dropout_masks)
+
     if pad_mask is None:
         attn_bias = None
     else:
         pad_mask = np.asarray(pad_mask, dtype=bool).reshape(batch, length)
         attn_bias = np.where(pad_mask, 0.0, ATTENTION_MASK_BIAS).astype(dtype)[:, None, None, :]
-
-    rate = config.dropout_rate if dropout_rng is not None else 0.0
 
     def every_row(a):
         return a
@@ -226,12 +259,10 @@ def encoder_forward(
         return a[np.arange(batch)[:, None], positions]
 
     def drop(t, rows):
-        """Residual dropout: the (B, L, H) mask is drawn whole, then cut down to `rows`."""
-        if rate == 0.0:
-            return t
-        return t * rows(dropout_mask((batch, length, hidden), rate, dropout_rng, dtype))
+        """Residual dropout: the (B, L, H) mask is full size, cut down to `rows`."""
+        return t * rows(next(masks)) if dropping else t
 
-    x = dropout(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], rate, dropout_rng)
+    x = drop(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], every_row)
 
     for i in range(config.num_layers):
         p = f"layer{i}"
@@ -241,9 +272,7 @@ def encoder_forward(
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        keep = None
-        if rate > 0.0:
-            keep = dropout_mask((batch, heads, length, length), rate, dropout_rng, dtype)
+        keep = next(masks) if dropping else None
         context, probs = attention(q, k, v, heads, attn_bias, keep, positions if selecting else None)
         if attention_sink is not None:
             attention_sink.append(probs.copy())

@@ -5,7 +5,6 @@ from domainlm.autodiff import (
     GraphError,
     Tensor,
     attention,
-    dropout,
     dropout_mask,
     layer_norm,
     linear,
@@ -13,6 +12,8 @@ from domainlm.autodiff import (
     no_grad,
     softmax_cross_entropy,
 )
+
+from domainlm.model import ModelConfig, draw_dropout_masks
 
 from conftest import max_relative_error
 
@@ -213,7 +214,7 @@ def test_float32_stays_float32(rng):
     normed = layer_norm(x * 0.5 + 1.0 - 2.0 / (x * x + 1.0), g, b)
     bias = np.zeros((2, 1, 1, 4), dtype=f32)
     context, probs = attention(linear(normed, w, b), linear(x, w, b), normed, 2, bias, keep)
-    hidden = dropout(linear(context, w, b).gelu().tanh(), 0.1, rng)
+    hidden = linear(context, w, b).gelu().tanh() * dropout_mask((2, 4, 6), 0.1, rng, f32)
     loss = softmax_cross_entropy(hidden[:, 0], np.array([1, 2])) + hidden.mean()
     assert probs.dtype == f32 and loss.data.dtype == f32
     loss.backward()
@@ -255,14 +256,14 @@ def test_constant_path_gives_zero_gradient(rng):
 
 
 def test_dropout_zero_rate_is_identity(rng):
-    a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    out = dropout(a, 0.0, rng)
-    assert out is a
+    # A zero rate keeps every entry at multiplier 1, and the encoder draws no masks at all.
+    np.testing.assert_array_equal(dropout_mask((4, 4), 0.0, rng, np.float64), np.ones((4, 4)))
+    config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=4, ff_dim=8, vocab_size=16, dropout_rate=0.0)
+    assert draw_dropout_masks(config, 2, 4, rng) == []
 
 
 def test_dropout_scales_kept_entries(rng):
-    a = Tensor(np.ones((1000,)), requires_grad=True)
-    out = dropout(a, 0.25, np.random.default_rng(0)).data
+    out = dropout_mask((1000,), 0.25, np.random.default_rng(0), np.float64)
     kept = out[out > 0]
     np.testing.assert_allclose(kept, 1.0 / 0.75)
     assert 0.6 < kept.size / 1000 < 0.9

@@ -413,3 +413,29 @@ def test_model_flag_differing_from_checkpoint_rejected(tmp_path, workspace, caps
 
     # Repeating the checkpoint's own values is accepted.
     assert cli.main(argv + ["--dtype", "float64", "--dropout_rate", "0.0", "--total_steps", "2"]) == 0
+
+
+@pytest.mark.parametrize("init", [False, True], ids=["fresh", "init"])
+def test_segment_length_beyond_max_positions_reported_with_other_problems(
+    tmp_path, workspace, capsys, monkeypatch, init
+):
+    steps = []
+    monkeypatch.setattr(cli.training, "pretrain_mlm", lambda *a, **k: steps.append(a))
+    argv = [
+        "pretrain",
+        "--config", str(workspace["config"]),
+        "--corpus", str(workspace["corpus"]),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--segment_length", "100",
+        "--learning_rate", "-1",
+        "--out", str(tmp_path / "x"),
+    ]
+    if init:
+        argv += ["--init", str(workspace["checkpoint"])]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    whose = "the checkpoint's " if init else ""
+    assert "learning_rate must be positive, got -1.0" in err
+    assert f"segment_length 100 exceeds {whose}max_positions 64" in err
+    assert steps == []
+    assert not (tmp_path / "x").exists()

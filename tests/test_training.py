@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from domainlm.training import (
     CheckpointMeta,
 )
 import domainlm.training as training_module
+
+_check_gradients = training_module._check_gradients
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +539,37 @@ def test_empty_grid_rejected(toy_docs, toy_tokenizer, toy_base_checkpoint):
         hyperparameter_grid("binary", base, [], [16], toy_base_checkpoint, toy_docs[:10], toy_docs[10:12], toy_tokenizer)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_in_place_update_matches_the_formula_bitwise(dtype):
+    rng = np.random.default_rng(3)
+    shapes = {"w": (6, 5), "b": (5,), "emb": (11, 6)}
+    start = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+    params = {name: Tensor(value.copy(), requires_grad=True) for name, value in start.items()}
+    opt = AdamW(params, learning_rate=0.01, beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=0.01)
+    expected = {name: value.copy() for name, value in start.items()}
+    m = {name: np.zeros_like(value) for name, value in start.items()}
+    v = {name: np.zeros_like(value) for name, value in start.items()}
+    for t in range(1, 21):
+        grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        lr = 0.01 * t / 20
+        opt.step(grads, lr)
+        # The formula the in-place update replaced, operation for operation.
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.98 ** t
+        for name in sorted(shapes):
+            g, p = grads[name], expected[name]
+            m[name] *= 0.9
+            m[name] += (1.0 - 0.9) * g
+            v[name] *= 0.98
+            v[name] += (1.0 - 0.98) * g * g
+            update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-6)
+            p -= lr * (update + 0.01 * p)
+        for name in shapes:
+            assert params[name].data.dtype == dtype
+            np.testing.assert_array_equal(params[name].data, expected[name])
+            np.testing.assert_array_equal(opt.m[name], m[name])
+            np.testing.assert_array_equal(opt.v[name], v[name])
+
+
 def test_adam_keeps_float32_parameters_and_state():
     f32 = np.dtype(np.float32)
     params = {"w": Tensor(np.full((3,), 2.0, dtype=f32), requires_grad=True)}
@@ -615,3 +649,168 @@ def test_csv_writers_write_exact_bytes(tmp_path, writer):
     write(path)
     assert path.read_bytes() == expected
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+# -- split steps ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def split_model_config(toy_tokenizer):
+    # Small, so the suite stays fast; its 16 x 128 batches cross _SPLIT_ROWS.
+    return ModelConfig(
+        num_layers=2, num_heads=2, hidden_dim=32, ff_dim=64,
+        vocab_size=toy_tokenizer.vocab_size, max_positions=128, dropout_rate=0.1,
+    )
+
+
+@pytest.fixture(scope="module")
+def long_segments(toy_docs, toy_tokenizer):
+    return pack_segments((toy_tokenizer.encode(d.text) for d in toy_docs), toy_tokenizer.sep_id, 128)
+
+
+def _pretrain_16x128(monkeypatch, model_config, segments, tokenizer, steps=2):
+    """(loss history, step-1 gradients, final parameters) of pretraining at batch 16."""
+    grads = {}
+
+    def spy(g, step):
+        if step == 1:
+            grads.update({name: value.copy() for name, value in g.items()})
+        _check_gradients(g, step)
+
+    monkeypatch.setattr(training_module, "_check_gradients", spy)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=steps, log_every=1, seed=5)
+    result = pretrain_mlm(config, segments, model_config, tokenizer)
+    return result.history, grads, {name: p.data for name, p in result.checkpoint.params.items()}
+
+
+def _assert_bitwise(a, b):
+    assert a[0] == b[0]
+    for got, want in zip(a[1:], b[1:]):
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def _record_threads(monkeypatch):
+    """Thread ids of the encoder calls of training steps, in call order."""
+    threads = []
+    real = training_module.encoder_forward
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "encoder_forward", spy)
+    return threads
+
+
+def _needs_blas_thread_controls():
+    if training_module._blas_thread_controls() is None:
+        pytest.skip("numpy's BLAS does not export its thread-count functions")
+    return training_module._blas_thread_controls()
+
+
+def test_split_rule_on_the_bench_shapes():
+    assert training_module._SPLIT_ROWS <= 16 * 128
+    assert training_module._split(16, 128) == [slice(0, 8), slice(8, 16)]  # pretrain bench batch
+    assert training_module._split(16, 20) == [slice(0, 16)]  # finetune bench batch
+    assert training_module._split(16, 39) == [slice(0, 16)]
+    assert training_module._split(1, 4096) == [slice(0, 1)]
+    assert training_module._split(3, 1024) == [slice(0, 1), slice(1, 3)]
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
+def test_worker_count_is_the_usable_cpus_up_to_two(cpus, workers):
+    assert training_module._worker_count(set(range(cpus))) == workers
+
+
+def test_split_step_matches_whole_batch_step_and_reruns_bitwise(
+    monkeypatch, toy_tokenizer, split_model_config, long_segments
+):
+    args = (monkeypatch, split_model_config, long_segments, toy_tokenizer)
+    split = _pretrain_16x128(*args)
+    _assert_bitwise(_pretrain_16x128(*args), split)
+
+    monkeypatch.setattr(training_module, "_SPLIT_ROWS", 10**9)
+    whole = _pretrain_16x128(*args)
+    first_split, first_whole = split[0][0].train_loss, whole[0][0].train_loss
+    assert abs(first_split - first_whole) <= 1e-12 * abs(first_whole)
+    split_grads, whole_grads = split[1], whole[1]
+    assert split_grads.keys() == whole_grads.keys()
+    scale = max(np.abs(g).max() for g in whole_grads.values())
+    for name, want in whole_grads.items():
+        # attn.bk's gradient is zero in exact arithmetic: both hold rounding noise.
+        reference = scale if name.endswith("attn.bk") else np.abs(want).max()
+        assert np.abs(split_grads[name] - want).max() <= 1e-12 * reference, name
+
+
+def test_concurrent_halves_give_the_bits_of_halves_run_in_turn(
+    monkeypatch, toy_tokenizer, split_model_config, long_segments
+):
+    _needs_blas_thread_controls()
+    args = (monkeypatch, split_model_config, long_segments, toy_tokenizer)
+    threads = _record_threads(monkeypatch)
+    here = threading.get_ident()
+
+    monkeypatch.setattr(training_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    concurrent = _pretrain_16x128(*args)
+    assert len(threads) == 4  # two steps of two halves, each with one half on a worker thread
+    assert threads.count(here) == 2
+
+    threads.clear()
+    monkeypatch.setattr(training_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_turn = _pretrain_16x128(*args)
+    assert threads == [here] * 4
+    _assert_bitwise(in_turn, concurrent)
+
+
+def test_split_step_pins_blas_to_one_thread_and_restores_it(
+    monkeypatch, toy_tokenizer, split_model_config, long_segments
+):
+    get_threads, set_threads = _needs_blas_thread_controls()
+    args = (monkeypatch, split_model_config, long_segments, toy_tokenizer)
+    during = []
+    real_forward = training_module.encoder_forward
+
+    def spy(*a, **k):
+        during.append(get_threads())
+        return real_forward(*a, **k)
+
+    monkeypatch.setattr(training_module, "encoder_forward", spy)
+    original = get_threads()
+    try:
+        set_threads(2)
+        _pretrain_16x128(*args)
+        assert during == [1] * 4
+        assert get_threads() == 2
+
+        # A NaN gradient in the second half: found after the halves, in the sum.
+        _poison_gradient(monkeypatch, "layer0.ff.w1", at_call=2)
+        with pytest.raises(TrainingDivergedError, match=r"parameter 'layer0\.ff\.w1' at step 1$"):
+            _pretrain_16x128(*args)
+        assert get_threads() == 2
+
+        # A half that raises on the worker thread.
+        real_loss = training_module.cross_entropy
+
+        def poisoned(logits, targets):
+            if threading.current_thread() is not threading.main_thread():
+                return Tensor(np.float64("nan"))
+            return real_loss(logits, targets)
+
+        monkeypatch.setattr(training_module, "cross_entropy", poisoned)
+        with pytest.raises(TrainingDivergedError, match="non-finite MLM loss at step 1"):
+            _pretrain_16x128(*args)
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+
+
+def test_without_blas_thread_controls_the_halves_run_in_turn(
+    monkeypatch, toy_tokenizer, split_model_config, long_segments
+):
+    monkeypatch.setattr(training_module, "_blas_thread_controls", lambda: None)
+    threads = _record_threads(monkeypatch)
+    history, _, _ = _pretrain_16x128(monkeypatch, split_model_config, long_segments, toy_tokenizer)
+    assert threads == [threading.get_ident()] * 4
+    assert all(np.isfinite(record.train_loss) for record in history)
