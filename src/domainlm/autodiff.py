@@ -12,11 +12,21 @@ backward pass. Every operation computes in the dtype of its operands.
 
 Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
+
+``run_tasks`` spreads independent pieces of work over the calling thread and
+one worker, with numpy's BLAS held at one thread (``one_blas_thread``) so that
+the bits of each piece do not depend on the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -24,6 +34,7 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "no_grad", "GraphError", "log_softmax", "dropout_mask",
     "linear", "layer_norm", "attention", "softmax_cross_entropy",
+    "one_blas_thread", "run_tasks",
 ]
 
 # Python floats, not numpy float64 scalars: under NumPy 2 promotion a Python
@@ -51,6 +62,91 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+# -- the second core -------------------------------------------------------------
+#
+# OpenBLAS sums some products in another order at one and at two threads, and
+# after a two-thread product its idle worker spins for about 0.1 s on the
+# other core. So the package holds BLAS at one thread for a whole training run
+# or inference pass, and uses the second core itself, through `run_tasks`.
+
+
+def _worker_count(cpus) -> int:
+    """Threads `run_tasks` runs on, given the CPUs the process may use: at most two."""
+    return min(2, len(cpus))
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None if it exports neither."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread inside the block, and restore its count after.
+
+    An entry while BLAS already runs on one thread, as a nested one does,
+    changes nothing. Without control of the thread count it does nothing.
+    """
+    controls = _blas_thread_controls()
+    before = controls[0]() if controls is not None else 1
+    if before == 1:
+        yield
+        return
+    controls[1](1)
+    try:
+        yield
+    finally:
+        controls[1](before)
+
+
+def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
+    """Each task's result, in task order.
+
+    Two or more tasks run with BLAS held at one thread: where two CPUs are
+    usable, the calling thread runs tasks 0, 2, 4, ... and one worker thread
+    runs 1, 3, ...; else all run in turn on the calling thread. Without
+    control of the BLAS thread count they run in turn at the process's count.
+    If tasks fail, the exception of the lowest-numbered failing one is
+    raised, as a loop over the tasks would raise it. The tasks share module
+    state such as `no_grad`, which the caller sets around the call.
+    """
+    if len(tasks) < 2 or _blas_thread_controls() is None:
+        return [task() for task in tasks]
+    with one_blas_thread():
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        if _worker_count(cpus) < 2:
+            return [task() for task in tasks]
+        n = len(tasks)
+        results: list = [None] * n
+        failed = [n, n]  # each thread's first failing task; a thread writes only its own entry
+
+        def run_share(k: int) -> None:
+            for i in range(k, n, 2):
+                if min(failed) < i:
+                    return  # a loop over the tasks would have stopped at that failure
+                try:
+                    results[i] = tasks[i]()
+                except BaseException as exc:  # re-raised below, once both threads are done
+                    results[i], failed[k] = exc, i
+                    return
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-task") as pool:
+            odd = pool.submit(run_share, 1)
+            run_share(0)
+            odd.result()
+        if min(failed) < n:
+            raise results[min(failed)]
+        return results
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -8,6 +8,7 @@ confusion counts and converted to float at the end, so algebraic identities
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad
+from .autodiff import Tensor, log_softmax, no_grad, one_blas_thread, run_tasks
 from .corpus import Document
 from .data import (
     MaskingPolicy,
@@ -266,17 +267,22 @@ def cls_vectors(
     Every batch is padded to the longest sequence overall, so batch
     composition cannot change the numbers, given a BLAS that sums each row
     the same way whatever the row count (the README names the one known
-    exception). The last encoder layer runs at position 0 only.
+    exception). The last encoder layer runs at position 0 only. The batches
+    are spread over two threads by `run_tasks`, which leaves each batch as it
+    is, so the thread count cannot change the numbers either.
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
+    if len(sequences) == 0:
+        raise EvaluationError("no sequences to encode")
     pad_to = max(len(s) for s in sequences)
-    rows = []
-    with no_grad():
-        for start in range(0, len(sequences), batch_size):
-            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
-            hidden = encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids)))
-            rows.append(hidden.data[:, 0])
+
+    def batch(start: int) -> np.ndarray:
+        ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
+        return encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids))).data[:, 0]
+
+    with one_blas_thread(), no_grad():
+        rows = run_tasks([functools.partial(batch, start) for start in range(0, len(sequences), batch_size)])
     return np.concatenate(rows, axis=0)
 
 
@@ -288,8 +294,8 @@ def batched_cls_logits(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Class logits for each sequence; padding cannot affect the results."""
-    vectors = cls_vectors(params, config, sequences, pad_id, batch_size)
-    with no_grad():
+    with one_blas_thread(), no_grad():
+        vectors = cls_vectors(params, config, sequences, pad_id, batch_size)
         return cls_logits_from_hidden(Tensor(vectors), params, config).data
 
 
@@ -363,19 +369,23 @@ def evaluate_mlm(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
 
+    def batch(start: int) -> tuple[float, int]:
+        chunk = masked[start : start + batch_size]
+        ids, pad_mask, positions, take, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
+        if targets.size == 0:
+            return 0.0, 0
+        hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
+        rows = hidden.reshape(-1, config.hidden_dim)[take]
+        log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
+        return float(np.sum(-log_probs[np.arange(targets.size), targets])), targets.size
+
+    with one_blas_thread(), no_grad():
+        sums = run_tasks([functools.partial(batch, start) for start in range(0, len(masked), batch_size)])
     total = 0.0
     count = 0
-    with no_grad():
-        for start in range(0, len(masked), batch_size):
-            chunk = masked[start : start + batch_size]
-            ids, pad_mask, positions, take, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
-            if targets.size == 0:
-                continue
-            hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
-            rows = hidden.reshape(-1, config.hidden_dim)[take]
-            log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
-            total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
-            count += targets.size
+    for batch_total, batch_count in sums:
+        total += batch_total
+        count += batch_count
     if count == 0:
         warnings.warn("no maskable tokens in any segment; defining loss = 0")
         return 0.0

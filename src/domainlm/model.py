@@ -26,6 +26,7 @@ from .autodiff import (
     linear,
     log_softmax,
     no_grad,
+    one_blas_thread,
     softmax_cross_entropy,
 )
 from .configio import atomic_open
@@ -262,9 +263,8 @@ def encoder_forward(
         """Residual dropout: the (B, L, H) mask is full size, cut down to `rows`."""
         return t * rows(next(masks)) if dropping else t
 
-    x = drop(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], every_row)
-
-    for i in range(config.num_layers):
+    def layer(i: int, x: Tensor) -> Tensor:
+        """Layer i. Without a tape, each intermediate is freed once the layer no longer reads it."""
         p = f"layer{i}"
         selecting = positions is not None and i == config.num_layers - 1
         rows = selected_rows if selecting else every_row
@@ -276,13 +276,18 @@ def encoder_forward(
         context, probs = attention(q, k, v, heads, attn_bias, keep, positions if selecting else None)
         if attention_sink is not None:
             attention_sink.append(probs.copy())
-        out = linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"])
-        x = rows(x) + drop(out, rows)
+        del normed, q, k, v, probs
+        x = rows(x) + drop(linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]), rows)
+        del context
 
-        normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        inner = linear(normed2, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]).gelu()
-        x = x + drop(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rows)
+        normed = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        inner = linear(normed, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]).gelu()
+        del normed
+        return x + drop(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rows)
 
+    x = drop(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], every_row)
+    for i in range(config.num_layers):
+        x = layer(i, x)
     return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
 
@@ -359,7 +364,7 @@ def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, flo
     ids = tok.encode(prefix) + [tok.mask_id] + tok.encode(suffix) + [tok.sep_id]
     mask_position = len(tok.encode(prefix))
 
-    with no_grad():
+    with one_blas_thread(), no_grad():
         hidden = encoder_forward(
             bundle.params, bundle.config, np.array([ids]), positions=np.array([[mask_position]])
         )

@@ -3,24 +3,22 @@ checkpoint), classifier fine-tuning with best-checkpoint selection, the
 learning-rate/batch-size grid search, and the training-set-size scaling study.
 
 Every random draw comes from a generator seeded by (config.seed, stream, step),
-so runs are bitwise reproducible from (config, data, init).
+and each run holds numpy's BLAS at one thread (`autodiff.one_blas_thread`), so
+runs are bitwise reproducible from (config, data, init) on any CPU count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, one_blas_thread, run_tasks
 from .configio import atomic_write_text, write_csv, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
@@ -307,54 +305,6 @@ def _split(batch: int, length: int) -> list[slice]:
     return [slice(0, batch // 2), slice(batch // 2, batch)]
 
 
-def _worker_count(cpus) -> int:
-    """Threads a split step runs on, given the CPUs the process may use: at most two."""
-    return min(2, len(cpus))
-
-
-@functools.cache
-def _blas_thread_controls():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None if it exports neither."""
-    try:
-        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-def _run_halves(run: Callable[[int], None]) -> None:
-    """run(0) and run(1): on two threads where two CPUs are usable, else one after the other.
-
-    BLAS runs on one thread meanwhile, so the bits of each half do not depend
-    on the CPU count. Without control of the BLAS thread count the halves run
-    one after the other. An exception of the first half wins over one of the
-    second, as it does when they run one after the other.
-    """
-    controls = _blas_thread_controls()
-    if controls is None:
-        run(0)
-        run(1)
-        return
-    get_threads, set_threads = controls
-    before = get_threads()
-    set_threads(1)
-    try:
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-        if _worker_count(cpus) < 2:
-            run(0)
-            run(1)
-            return
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-half-batch") as pool:
-            second = pool.submit(run, 1)
-            run(0)  # if this raises, leaving the block waits for the second half and drops its outcome
-            second.result()
-    finally:
-        set_threads(before)
-
-
 def _train_step(
     optimizer: AdamW,
     config: TrainingConfig,
@@ -381,9 +331,8 @@ def _train_step(
     masks = draw_dropout_masks(model_config, *ids.shape, _dropout_rng(config, model_config, step))
     part_masks = [[m[rows] for m in masks] for rows in parts]
     del masks
-    results: list = [None] * len(parts)
 
-    def run(i: int) -> None:
+    def run(i: int) -> tuple[float, dict[str, np.ndarray]]:
         rows = parts[i]
         leaves = {name: Tensor(p.data, requires_grad=True) for name, p in optimizer.params.items()}
         dropout_masks, part_masks[i] = part_masks[i], None
@@ -397,12 +346,9 @@ def _train_step(
             raise TrainingDivergedError(f"non-finite {objective} loss at step {step + 1}")
         if len(parts) > 1:
             loss = loss * (count / n_targets)
-        results[i] = (float(loss.data), model_backward(loss, leaves))
+        return float(loss.data), model_backward(loss, leaves)
 
-    if len(parts) == 1:
-        run(0)
-    else:
-        _run_halves(run)
+    results = run_tasks([functools.partial(run, i) for i in range(len(parts))])
     grads = results[0][1]
     for _, more in results[1:]:
         for name, g in grads.items():
@@ -422,6 +368,7 @@ class PretrainResult:
     checkpoint_path: Path | None = None
 
 
+@one_blas_thread()
 def pretrain_mlm(
     config: TrainingConfig,
     segments: Sequence[np.ndarray],
@@ -537,6 +484,7 @@ def select_best_checkpoint(checkpoints: Sequence[CheckpointMeta]) -> CheckpointM
     return min(checkpoints, key=lambda meta: (meta.validation_loss, meta.step))
 
 
+@one_blas_thread()
 def finetune_classifier(
     config: TrainingConfig,
     init: Checkpoint,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from domainlm.autodiff import _blas_thread_controls
 from domainlm.model import ModelConfig, init_parameters
 from domainlm.synthetic import binary_corpus
 from domainlm.tokenizer import Tokenizer
@@ -9,6 +10,18 @@ from domainlm.training import TrainingConfig, pack_segments, pretrain_mlm
 # A sentence of pool/glue words that all tokenize to single tokens; used by
 # memorization-style tests.
 MEMO_SENTENCE = "the moderator loop near reactor vessel with neutron flux"
+
+
+@pytest.fixture(autouse=True)
+def blas_thread_count_left_as_found():
+    """Fail a test that leaves numpy's BLAS at another thread count, so a leaked pin shows where it happens."""
+    controls = _blas_thread_controls()
+    if controls is None:  # nothing can change the count
+        yield
+        return
+    before = controls[0]()
+    yield
+    assert controls[0]() == before, f"BLAS thread count {before} became {controls[0]()}"
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import domainlm.autodiff as autodiff_module
 from domainlm.autodiff import (
     GraphError,
     Tensor,
@@ -10,6 +13,8 @@ from domainlm.autodiff import (
     linear,
     log_softmax,
     no_grad,
+    one_blas_thread,
+    run_tasks,
     softmax_cross_entropy,
 )
 
@@ -267,3 +272,96 @@ def test_dropout_scales_kept_entries(rng):
     kept = out[out > 0]
     np.testing.assert_allclose(kept, 1.0 / 0.75)
     assert 0.6 < kept.size / 1000 < 0.9
+
+
+# -- run_tasks -------------------------------------------------------------------
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _blas_controls():
+    controls = autodiff_module._blas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's BLAS does not export its thread-count functions")
+    return controls
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_run_tasks_returns_results_in_task_order(monkeypatch, cpus, n):
+    _usable_cpus(monkeypatch, cpus)
+    assert run_tasks([lambda i=i: i * i for i in range(n)]) == [i * i for i in range(n)]
+
+
+def test_run_tasks_spreads_over_the_calling_thread_and_one_worker(monkeypatch):
+    _blas_controls()
+    here = threading.get_ident()
+    _usable_cpus(monkeypatch, {0, 1})
+    threads = run_tasks([threading.get_ident for _ in range(6)])
+    assert threads[0::2] == [here] * 3
+    assert len(set(threads[1::2])) == 1 and threads[1] != here
+
+    _usable_cpus(monkeypatch, {0})
+    assert run_tasks([threading.get_ident for _ in range(6)]) == [here] * 6
+
+
+@pytest.mark.parametrize("low, high, runs", [(1, 2, [0, 1, 2]), (0, 3, [0, 1, 3])])
+def test_run_tasks_raises_the_lowest_numbered_failure(monkeypatch, low, high, runs):
+    """One failing task on each thread; the lower one waits until the higher one has started."""
+    _blas_controls()
+    _usable_cpus(monkeypatch, {0, 1})
+    higher_started = threading.Event()
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == high:
+            higher_started.set()
+            raise KeyError(i)
+        if i == low:
+            assert higher_started.wait(timeout=30)
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as raised:
+        run_tasks([lambda i=i: task(i) for i in range(8)])
+    assert raised.value.args == (low,)
+    # Each thread stops at its own failure and starts no later task.
+    assert sorted(ran) == runs
+
+
+def test_run_tasks_holds_blas_at_one_thread_and_restores_it_after_a_worker_failure(monkeypatch):
+    get_threads, set_threads = _blas_controls()
+    _usable_cpus(monkeypatch, {0, 1})
+    original = get_threads()
+    try:
+        set_threads(2)
+        assert run_tasks([get_threads] * 4) == [1] * 4
+        assert get_threads() == 2
+
+        def fail_on_the_worker():
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker")
+
+        with pytest.raises(RuntimeError, match="worker"):
+            run_tasks([fail_on_the_worker] * 2)
+        assert get_threads() == 2
+
+        with one_blas_thread():
+            assert get_threads() == 1
+            with one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 1  # the nested exit left the outer hold in place
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+
+
+def test_without_blas_thread_controls_tasks_run_in_turn(monkeypatch):
+    monkeypatch.setattr(autodiff_module, "_blas_thread_controls", lambda: None)
+    _usable_cpus(monkeypatch, {0, 1})
+    with one_blas_thread():
+        threads = run_tasks([threading.get_ident for _ in range(4)])
+    assert threads == [threading.get_ident()] * 4

@@ -1,14 +1,30 @@
+import threading
+
 import numpy as np
 import pytest
 
+import domainlm.autodiff as autodiff_module
+import domainlm.evaluation as evaluation_module
+from domainlm.autodiff import log_softmax, no_grad, one_blas_thread
+from domainlm.data import (
+    MaskingPolicy,
+    apply_dynamic_masking,
+    assemble_mlm_batch,
+    cls_positions,
+    encode_for_classification,
+    pad_batch,
+)
 from domainlm.evaluation import (
     ConfusionMatrix,
     EvaluationError,
+    batched_cls_logits,
     classification_metrics,
+    cls_vectors,
     evaluate_checkpoint,
     evaluate_mlm,
     mlm_cross_entropy,
 )
+from domainlm.model import encoder_forward, mlm_logits_from_hidden
 from domainlm.corpus import nested_subsets
 from domainlm.model import ModelError
 from domainlm.training import (
@@ -239,6 +255,100 @@ def test_evaluate_mlm_batch_invariance(toy_docs, toy_tokenizer, toy_base_checkpo
     a = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=1, batch_size=4)
     b = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=1, batch_size=32)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("function", [cls_vectors, batched_cls_logits])
+def test_no_sequences_is_an_evaluation_error(function, toy_tokenizer, toy_base_checkpoint):
+    ckpt = toy_base_checkpoint
+    with pytest.raises(EvaluationError, match="no sequences"):
+        function(ckpt.params, ckpt.config, [], toy_tokenizer.pad_id)
+
+
+# -- batches on two threads -------------------------------------------------------------
+
+
+def _serial_cls_vectors(params, config, sequences, pad_id, batch_size):
+    """The one-thread loop that the two-thread pass replaced: the oracle."""
+    pad_to = max(len(s) for s in sequences)
+    rows = []
+    with no_grad():
+        for start in range(0, len(sequences), batch_size):
+            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
+            hidden = encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids)))
+            rows.append(hidden.data[:, 0])
+    return np.concatenate(rows, axis=0)
+
+
+def _serial_evaluate_mlm(params, config, segments, tokenizer, seed, batch_size):
+    """The one-thread loop that the two-thread pass replaced: the oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
+    masked = [apply_dynamic_masking(seg, MaskingPolicy(), rng, tokenizer) for seg in segments]
+    total, count = 0.0, 0
+    with no_grad():
+        for start in range(0, len(masked), batch_size):
+            ids, pad_mask, positions, take, targets = assemble_mlm_batch(
+                masked[start : start + batch_size], tokenizer.pad_id
+            )
+            if targets.size == 0:
+                continue
+            hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
+            rows = hidden.reshape(-1, config.hidden_dim)[take]
+            log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
+            total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
+            count += targets.size
+    return total / count
+
+
+def _record_forwards(monkeypatch):
+    """(thread id, output requires_grad) of each encoder call of an evaluation pass."""
+    calls = []
+    real = evaluation_module.encoder_forward
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((threading.get_ident(), out.requires_grad))
+        return out
+
+    monkeypatch.setattr(evaluation_module, "encoder_forward", spy)
+    return calls
+
+
+def test_two_thread_passes_give_the_bits_of_the_serial_loop(monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint):
+    if autodiff_module._blas_thread_controls() is None:
+        pytest.skip("numpy's BLAS does not export its thread-count functions")
+    ckpt = toy_base_checkpoint
+    sequences = [encode_for_classification(d, toy_tokenizer, ckpt.config.max_positions) for d in toy_docs[:70]]
+    segments = pack_segments((toy_tokenizer.encode(d.text) for d in toy_docs[200:245]), toy_tokenizer.sep_id, 32)
+    assert len(sequences) % 16 and len(sequences) > 3 * 16  # five batches, the last one short
+    assert len(segments) % 8 and len(segments) > 3 * 8  # four batches, the last one short
+
+    def passes():
+        vectors = cls_vectors(ckpt.params, ckpt.config, sequences, toy_tokenizer.pad_id, batch_size=16)
+        loss = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=4, batch_size=8)
+        return vectors, loss
+
+    with one_blas_thread():
+        serial = (
+            _serial_cls_vectors(ckpt.params, ckpt.config, sequences, toy_tokenizer.pad_id, 16),
+            _serial_evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, 4, 8),
+        )
+    here = threading.get_ident()
+    calls = _record_forwards(monkeypatch)
+
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two_threads = passes()
+    threads = [thread for thread, _ in calls]
+    assert threads.count(here) == 3 + 2 and len(threads) == 5 + 4  # batches 0, 2 and 4 of each pass here
+    assert not any(requires_grad for _, requires_grad in calls)  # no tape on either thread
+
+    calls.clear()
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_turn = passes()
+    assert {thread for thread, _ in calls} == {here}
+
+    for got in (two_threads, in_turn):
+        np.testing.assert_array_equal(got[0], serial[0])
+        assert got[1] == serial[1]
 
 
 # -- scaling study ---------------------------------------------------------------------

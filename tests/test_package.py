@@ -228,5 +228,5 @@ def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environme
                 isinstance(node, ast.ImportFrom) and node.module == "os" and {a.name for a in node.names} & environment
             ):
                 environment_reads.append(where)
-    assert blas_uses == {"training:_blas_thread_controls"}
+    assert blas_uses == {"autodiff:_blas_thread_controls"}
     assert environment_reads == []

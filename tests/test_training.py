@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from domainlm.autodiff import Tensor
+from domainlm.data import encode_for_classification
+from domainlm.evaluation import cls_vectors, evaluate_mlm
 from domainlm.model import ModelConfig, ModelError
 from domainlm.training import (
     AdamW,
@@ -22,6 +24,7 @@ from domainlm.training import (
     select_best_checkpoint,
     CheckpointMeta,
 )
+import domainlm.autodiff as autodiff_module
 import domainlm.training as training_module
 
 _check_gradients = training_module._check_gradients
@@ -705,9 +708,9 @@ def _record_threads(monkeypatch):
 
 
 def _needs_blas_thread_controls():
-    if training_module._blas_thread_controls() is None:
+    if autodiff_module._blas_thread_controls() is None:
         pytest.skip("numpy's BLAS does not export its thread-count functions")
-    return training_module._blas_thread_controls()
+    return autodiff_module._blas_thread_controls()
 
 
 def test_split_rule_on_the_bench_shapes():
@@ -721,7 +724,7 @@ def test_split_rule_on_the_bench_shapes():
 
 @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (64, 2)])
 def test_worker_count_is_the_usable_cpus_up_to_two(cpus, workers):
-    assert training_module._worker_count(set(range(cpus))) == workers
+    assert autodiff_module._worker_count(set(range(cpus))) == workers
 
 
 def test_split_step_matches_whole_batch_step_and_reruns_bitwise(
@@ -752,13 +755,13 @@ def test_concurrent_halves_give_the_bits_of_halves_run_in_turn(
     threads = _record_threads(monkeypatch)
     here = threading.get_ident()
 
-    monkeypatch.setattr(training_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     concurrent = _pretrain_16x128(*args)
     assert len(threads) == 4  # two steps of two halves, each with one half on a worker thread
     assert threads.count(here) == 2
 
     threads.clear()
-    monkeypatch.setattr(training_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     in_turn = _pretrain_16x128(*args)
     assert threads == [here] * 4
     _assert_bitwise(in_turn, concurrent)
@@ -809,8 +812,39 @@ def test_split_step_pins_blas_to_one_thread_and_restores_it(
 def test_without_blas_thread_controls_the_halves_run_in_turn(
     monkeypatch, toy_tokenizer, split_model_config, long_segments
 ):
-    monkeypatch.setattr(training_module, "_blas_thread_controls", lambda: None)
+    monkeypatch.setattr(autodiff_module, "_blas_thread_controls", lambda: None)
     threads = _record_threads(monkeypatch)
     history, _, _ = _pretrain_16x128(monkeypatch, split_model_config, long_segments, toy_tokenizer)
     assert threads == [threading.get_ident()] * 4
     assert all(np.isfinite(record.train_loss) for record in history)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(toy_docs, toy_tokenizer, toy_base_checkpoint):
+    """Whole-batch steps, validation passes and inference give the same bits at one and two BLAS threads."""
+    get_threads, set_threads = _needs_blas_thread_controls()
+    ckpt = toy_base_checkpoint
+    sequences = [encode_for_classification(d, toy_tokenizer, ckpt.config.max_positions) for d in toy_docs[:40]]
+    segments = pack_segments((toy_tokenizer.encode(d.text) for d in toy_docs[:40]), toy_tokenizer.sep_id, 32)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=4, eval_checkpoints=2, seed=9)
+    longest = max(len(encode_for_classification(d, toy_tokenizer, ckpt.config.max_positions)) for d in toy_docs[40:104])
+    assert training_module._split(16, longest) == [slice(0, 16)]  # whole-batch steps
+
+    def run(threads):
+        set_threads(threads)
+        result = finetune_classifier(config, ckpt, "binary", toy_docs[40:104], toy_docs[104:140], toy_tokenizer)
+        vectors = cls_vectors(ckpt.params, ckpt.config, sequences, toy_tokenizer.pad_id, batch_size=16)
+        loss = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, batch_size=8)
+        assert get_threads() == threads
+        history = [(r.step, r.train_loss, r.validation_loss) for r in result.history]
+        return history, {n: p.data for n, p in result.params.items()}, vectors, loss
+
+    original = get_threads()
+    try:
+        one, two = run(1), run(2)
+    finally:
+        set_threads(original)
+    assert one[0] == two[0]
+    for name, want in one[1].items():
+        np.testing.assert_array_equal(two[1][name], want, err_msg=name)
+    np.testing.assert_array_equal(two[2], one[2])
+    assert one[3] == two[3]
