@@ -11,7 +11,9 @@ error, 2 runtime or numerical error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -20,6 +22,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import analysis, corpus, evaluation, training
 from .configio import (
@@ -48,6 +55,48 @@ class _Parser(argparse.ArgumentParser):
         raise CliValidationError(message)
 
 
+# -- process memory policy -------------------------------------------------------
+#
+# A training step or inference pass frees its arrays and allocates them again
+# in the next one. By default glibc serves each block over 128 KiB (a limit it
+# raises as such blocks are freed) from a fresh mmap and trims the heap top
+# past twice that, so the next step faults the same memory back in,
+# zero-filled: a `finetune` stage took about 200k minor faults and 0.6 s of
+# system CPU. Both limits must move: the trim threshold alone left 163k
+# faults, the mmap threshold alone 174k-190k. 4 MiB covers the mid-size
+# arrays of `finetune` (9.4k faults) and `topics` (65k -> 6.2k; 74k at
+# 1 MiB). 32 MiB, glibc's largest, would also keep `pretrain`'s 8 MiB
+# float64 arrays, but raised its peak RSS by 2% (up to 4%) in 6 runs.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 4 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+@functools.cache
+def _libc_mallopt():
+    """The C library's `mallopt`, or None where it has none (glibc has it)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep blocks up to 4 MiB on the heap, and the heap untrimmed, for the rest of the process.
+
+    The setting is process-wide and cannot be read back, so only the command,
+    which owns its process, makes it; library calls leave the allocator as
+    they find it. Without `mallopt`, or where a call fails, nothing changes.
+    """
+    mallopt = _libc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 # -- run manifest --------------------------------------------------------------
 
 
@@ -57,6 +106,18 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _resource_totals() -> dict:
+    """This process's peak RSS, minor page faults and CPU time so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    maxrss_unit = 1 if sys.platform == "darwin" else 1024  # bytes on macOS, KiB elsewhere
+    return {
+        "peak_rss_mb": round(usage.ru_maxrss * maxrss_unit / 2**20, 1),
+        "minor_page_faults": usage.ru_minflt,
+        "user_cpu_s": round(usage.ru_utime, 3),
+        "system_cpu_s": round(usage.ru_stime, 3),
+    }
 
 
 def _write_manifest(
@@ -79,6 +140,8 @@ def _write_manifest(
         "wall_clock_seconds": round(time.time() - started, 3),
         "seed": seed,
     }
+    if resource is not None:
+        manifest["resources"] = _resource_totals()
     out_dir.mkdir(parents=True, exist_ok=True)
     return atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -536,6 +599,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

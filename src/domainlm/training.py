@@ -94,10 +94,13 @@ _STREAM_DROPOUT = 0xD7
 # A step whose padded batch holds at least this many token rows (batch x
 # length), over at least two sequences, runs as two half-batches, each on its
 # own thread. Per-step medians on 2 cores at 4 layers, hidden 128, ff 512,
-# whole batch against two halves: float32 16 x 20, 48-57 against 47-54 ms;
-# float64 16 x 32, 137-179 against 139-163 ms; 16 x 64, float32 163-185
-# against 99-117 ms and float64 320-338 against 243-272 ms; 16 x 128, float32
-# 383-418 against 275-298 ms and float64 715-782 against 479-553 ms.
+# BLAS on one thread, whole batch against two halves, in a quiet stretch:
+# float32 16 x 20, 34-35 against 27-28 ms; 16 x 32, float32 53-54 against
+# 36 ms and float64 96-98 against 60 ms; 16 x 64, float32 106-107 against
+# 63 ms and float64 199-202 against 109-110 ms; 16 x 128, float32 239-243
+# against 133-134 ms and float64 438-450 against 246-272 ms. Under
+# contention the halves lost or drew below 1024 rows in float32. A lower
+# threshold would change the bits of short-document fine-tuning (README).
 _SPLIT_ROWS = 1024
 
 

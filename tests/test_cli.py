@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from domainlm import cli
+from domainlm import cli, evaluation, training
 from domainlm.corpus import save_corpus, split_corpus, SplitSpec, write_split_manifests
 from domainlm.model import Checkpoint, load_checkpoint, save_checkpoint, with_fresh_classifier
 from domainlm.training import TrainingDivergedError
@@ -92,6 +96,17 @@ def test_pretrain_fresh_run_and_replay(tmp_path, workspace):
     assert manifest["command"] == "pretrain"
     assert manifest["input_hashes"]["corpus"]
     assert manifest["seed"] == 4
+    resources = manifest["resources"]
+    assert set(resources) == {"peak_rss_mb", "minor_page_faults", "user_cpu_s", "system_cpu_s"}
+    assert all(value >= 0 for value in resources.values())
+    assert resources["peak_rss_mb"] > 0
+
+
+def test_manifest_leaves_out_resources_without_the_resource_module(monkeypatch, workspace, tmp_path):
+    monkeypatch.setattr(cli, "resource", None)
+    assert cli.main(["split", str(workspace["corpus"]), "--out", str(tmp_path / "s")]) == 0
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["command"] == "split" and "resources" not in manifest
 
 
 def test_pretrain_continued_from_checkpoint(tmp_path, workspace):
@@ -439,3 +454,136 @@ def test_segment_length_beyond_max_positions_reported_with_other_problems(
     assert f"segment_length 100 exceeds {whose}max_positions 64" in err
     assert steps == []
     assert not (tmp_path / "x").exists()
+
+
+# -- the process memory policy ----------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def policy_unset():
+    """Clear the once-guard before and after, so a `main` in the test sets the policy again.
+
+    A later `main` then sets the real policy once more, which changes nothing.
+    """
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch, policy_unset):
+    """Calls that reach the C library's `mallopt`, through a spy in place of the cached lookup."""
+    calls = []
+
+    def mallopt(option, value):
+        calls.append((option, value))
+        return 1
+
+    monkeypatch.setattr(cli, "_libc_mallopt", lambda: mallopt)
+    return calls
+
+
+def test_command_sets_the_malloc_policy_once_per_process(mallopt_calls, workspace, tmp_path):
+    for run in ("a", "b"):
+        assert cli.main(["split", str(workspace["corpus"]), "--out", str(tmp_path / run)]) == 0
+    # M_MMAP_THRESHOLD (-3) to 4 MiB, then M_TRIM_THRESHOLD (-1) to 1 GiB.
+    assert mallopt_calls == [(-3, 4 * 2**20), (-1, 2**30)]
+
+
+@pytest.mark.parametrize("lookup", [lambda: None, lambda: lambda option, value: 0], ids=["missing", "fails"])
+def test_command_runs_without_mallopt(monkeypatch, policy_unset, workspace, tmp_path, capsys, lookup):
+    monkeypatch.setattr(cli, "_libc_mallopt", lookup)
+    assert cli.main(["split", str(workspace["corpus"]), "--out", str(tmp_path / "s")]) == 0
+    assert "pretrain=" in capsys.readouterr().out
+
+
+def test_library_calls_leave_the_allocator_alone(
+    monkeypatch, policy_unset, toy_docs, toy_tokenizer, toy_base_checkpoint
+):
+    looked_up = []
+    monkeypatch.setattr(cli, "_libc_mallopt", lambda: looked_up.append(1))
+    config = training.TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=2, eval_checkpoints=1, seed=1)
+    result = training.finetune_classifier(
+        config, toy_base_checkpoint, "binary", toy_docs[:16], toy_docs[16:24], toy_tokenizer
+    )
+    sequences = [toy_tokenizer.encode(d.text)[:20] for d in toy_docs[:10]]
+    evaluation.cls_vectors(result.params, result.model_config, sequences, toy_tokenizer.pad_id, batch_size=4)
+    assert looked_up == []
+
+
+def _run_child(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+needs_mallopt = pytest.mark.skipif(cli._libc_mallopt() is None, reason="the C library has no mallopt")
+
+# Six two-batch inference passes at hidden 64, ff 256, 8 x 64 tokens in
+# float64: the feed-forward activations are 1 MiB, the attention
+# probabilities 512 KiB, both above glibc's default 128 KiB mmap threshold.
+_PASSES_CHILD = """
+import resource, sys
+import numpy as np
+from domainlm import cli, evaluation
+from domainlm.model import ModelConfig, init_parameters
+
+if sys.argv[1] == "hold":
+    cli._keep_freed_memory()
+config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=64, ff_dim=256, vocab_size=300, max_positions=64)
+params = init_parameters(config, 0)
+rng = np.random.default_rng(0)
+sequences = [rng.integers(5, 300, 64) for _ in range(16)]
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluation.cls_vectors(params, config, sequences, 0, batch_size=8)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[1:]))
+"""
+
+
+@needs_mallopt
+def test_held_memory_is_not_faulted_in_again_pass_after_pass():
+    held = int(_run_child(_PASSES_CHILD, "hold"))
+    default = int(_run_child(_PASSES_CHILD, "default"))
+    assert held * 4 <= default, (held, default)
+
+
+_FINETUNE_CHILD = """
+import sys
+from domainlm import cli
+
+if sys.argv[1] == "default":
+    cli._libc_mallopt = lambda: None
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@needs_mallopt
+def test_malloc_policy_does_not_change_the_numbers(workspace, tmp_path):
+    outs = {}
+    for policy in ("hold", "default"):
+        outs[policy] = tmp_path / policy
+        _run_child(
+            _FINETUNE_CHILD, policy,
+            "finetune",
+            "--config", str(workspace["config"]),
+            "--corpus", str(workspace["corpus"]),
+            "--splits", str(workspace["splits"]),
+            "--task", "binary",
+            "--init", str(workspace["checkpoint"]),
+            "--tokenizer", str(workspace["tokenizer"]),
+            "--out", str(outs[policy]),
+        )
+    compared = sorted(
+        path.relative_to(outs["hold"]).as_posix()
+        for path in outs["hold"].rglob("*")
+        if path.suffix == ".npz" or path.name in ("metrics.json", "loss_history.csv")
+    )
+    assert "checkpoints/best.npz" in compared and len(compared) >= 4
+    for name in compared:
+        assert (outs["hold"] / name).read_bytes() == (outs["default"] / name).read_bytes(), name
