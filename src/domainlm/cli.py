@@ -120,35 +120,41 @@ def _resource_totals() -> dict:
     }
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config_snapshot: dict,
-    inputs: dict[str, Path | None],
-    outputs: list[str],
-    seed: int | None,
-    started: float,
-) -> Path:
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """What one command read and wrote; `main` records it in `out_dir/manifest.json`.
+
+    `inputs` maps a name to a file the command read (recorded by its SHA-256),
+    to the loaded `Tokenizer` (recorded by its fingerprint, the hash its
+    checkpoints store) or to None for an optional input it was not given.
+    `outputs` are the paths it wrote, relative to `out_dir`.
+    """
+
+    out_dir: Path
+    config: dict
+    inputs: dict[str, Path | str | Tokenizer | None]
+    outputs: list[str]
+    seed: int | None = None
+
+
+def _input_hash(source: Path | str | Tokenizer | None) -> str | None:
+    if isinstance(source, Tokenizer):
+        return source.fingerprint()
+    return None if source is None else _sha256_file(source)
+
+
+def _write_manifest(command: str, run: _Run, started: float) -> Path:
     manifest = {
         "command": command,
-        "config": config_snapshot,
-        "input_hashes": {
-            name: (_sha256_file(path) if path is not None and Path(path).is_file() else None)
-            for name, path in inputs.items()
-        },
-        "outputs": sorted(outputs),
+        "config": run.config,
+        "input_hashes": {name: _input_hash(source) for name, source in run.inputs.items()},
+        "outputs": sorted(run.outputs),
         "wall_clock_seconds": round(time.time() - started, 3),
-        "seed": seed,
+        "seed": run.seed,
     }
     if resource is not None:
         manifest["resources"] = _resource_totals()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def _tokenizer_input_hash(tokenizer_dir: Path) -> Path | None:
-    vocab = Path(tokenizer_dir) / "vocab.txt"
-    return vocab if vocab.exists() else None
+    return atomic_write_text(run.out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 # -- config plumbing -------------------------------------------------------------
@@ -251,29 +257,21 @@ def _load_split_docs(corpus_path, manifest_path) -> list[corpus.Document]:
 
 
 # -- subcommands -----------------------------------------------------------------
+#
+# A command that writes a run directory returns a `_Run`; `main` writes its
+# manifest. `mask-predict`, and `eval` without `--out`, write nothing.
 
 
-def _cmd_tokenizer_train(args) -> int:
-    started = time.time()
+def _cmd_tokenizer_train(args) -> _Run:
     docs = corpus.load_corpus(args.corpus)
     tokenizer = Tokenizer.train((d.text for d in docs), args.vocab_size)
     out_dir = Path(args.out)
-    vocab_path, merges_path = tokenizer.save(out_dir)
-    _write_manifest(
-        out_dir,
-        "tokenizer-train",
-        {"vocab_size": args.vocab_size},
-        {"corpus": Path(args.corpus)},
-        [vocab_path.name, merges_path.name],
-        seed=None,
-        started=started,
-    )
+    paths = tokenizer.save(out_dir)
     print(f"trained tokenizer with {tokenizer.vocab_size} tokens -> {out_dir}")
-    return 0
+    return _Run(out_dir, {"vocab_size": args.vocab_size}, {"corpus": args.corpus}, [p.name for p in paths])
 
 
-def _cmd_split(args) -> int:
-    started = time.time()
+def _cmd_split(args) -> _Run:
     spec = corpus.SplitSpec(
         pretrain_fraction=args.pretrain_fraction,
         finetune_fraction=args.finetune_fraction,
@@ -286,21 +284,12 @@ def _cmd_split(args) -> int:
     splits = corpus.split_corpus(docs, spec)
     out_dir = Path(args.out)
     paths = corpus.write_split_manifests(splits, out_dir)
-    _write_manifest(
-        out_dir,
-        "split",
-        dataclasses.asdict(spec),
-        {"corpus": Path(args.corpus)},
-        [p.name for p in paths.values()],
-        seed=args.seed,
-        started=started,
-    )
     print(" ".join(f"{name}={len(docs)}" for name, docs in splits.as_dict().items()))
-    return 0
+    outputs = [p.name for p in paths.values()]
+    return _Run(out_dir, dataclasses.asdict(spec), {"corpus": args.corpus}, outputs, args.seed)
 
 
-def _cmd_pretrain(args) -> int:
-    started = time.time()
+def _cmd_pretrain(args) -> _Run:
     tokenizer = _load_tokenizer(args.tokenizer)
     init: ModelConfig | Checkpoint
     if args.init:
@@ -322,88 +311,64 @@ def _cmd_pretrain(args) -> int:
     result = training.pretrain_mlm(
         config, segments, init, tokenizer, val_segments=val_segments, out_dir=out_dir
     )
-    _write_manifest(
-        out_dir,
-        "pretrain",
-        snapshot,
-        {
-            "corpus": Path(args.corpus),
-            "tokenizer": _tokenizer_input_hash(args.tokenizer),
-            "init_checkpoint": Path(args.init) if args.init else None,
-        },
-        ["config.txt", "loss_history.csv", "checkpoints/final.npz"],
-        seed=config.seed,
-        started=started,
-    )
     final = result.history[-1] if result.history else None
     if final is not None:
         print(f"pretrained {len(segments)} segments; final train loss {final.train_loss:.4f}")
     print(f"checkpoint: {result.checkpoint_path}")
-    return 0
+    inputs = {
+        "config": args.config,
+        "corpus": args.corpus,
+        "val_corpus": args.val_corpus,
+        "tokenizer": tokenizer,
+        "init_checkpoint": args.init,
+    }
+    return _Run(out_dir, snapshot, inputs, ["config.txt", "loss_history.csv", "checkpoints/final.npz"], config.seed)
 
 
-def _cmd_finetune(args) -> int:
-    started = time.time()
+def _cmd_finetune(args) -> _Run:
     tokenizer = _load_tokenizer(args.tokenizer)
     init = load_checkpoint(args.init)
     config, _, snapshot = _load_configs(args, [init.config])
-    splits_dir = Path(args.splits)
-    train_docs = _load_split_docs(args.corpus, splits_dir / "finetune_train.txt")
-    val_docs = _load_split_docs(args.corpus, splits_dir / "finetune_validation.txt")
+    splits = [Path(args.splits) / f"{name}.txt" for name in ("finetune_train", "finetune_validation")]
+    train_docs, val_docs = (_load_split_docs(args.corpus, path) for path in splits)
     out_dir = Path(args.out)
     result = training.finetune_classifier(
         config, init, args.task, train_docs, val_docs, tokenizer, out_dir=out_dir
-    )
-    _write_manifest(
-        out_dir,
-        "finetune",
-        snapshot,
-        {
-            "corpus": Path(args.corpus),
-            "tokenizer": _tokenizer_input_hash(args.tokenizer),
-            "init_checkpoint": Path(args.init),
-        },
-        ["config.txt", "loss_history.csv", "checkpoints.csv", "metrics.json", "checkpoints/best.npz"],
-        seed=config.seed,
-        started=started,
     )
     print(
         f"best checkpoint at step {result.best.step} "
         f"(validation loss {result.best.validation_loss:.4f}, accuracy {result.metrics.accuracy:.4f})"
     )
-    return 0
+    inputs = {
+        "config": args.config,
+        "corpus": args.corpus,
+        "tokenizer": tokenizer,
+        "init_checkpoint": args.init,
+        **{f"split:{path.stem}": path for path in splits},
+    }
+    outputs = ["config.txt", "loss_history.csv", "checkpoints.csv", "metrics.json", "checkpoints/best.npz"]
+    outputs += [f"checkpoints/{meta.path.name}" for meta in result.checkpoints]
+    return _Run(out_dir, snapshot, inputs, outputs, config.seed)
 
 
-def _cmd_eval(args) -> int:
-    started = time.time()
+def _cmd_eval(args) -> _Run | None:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
     docs = _load_split_docs(args.corpus, args.split)
     report = evaluation.evaluate_checkpoint(checkpoint, docs, args.task, tokenizer, batch_size=args.batch_size)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out_dir / "metrics.json", report.to_json())
-        atomic_write_text(out_dir / "metrics.txt", report.format_table() + "\n")
-        _write_manifest(
-            out_dir,
-            "eval",
-            {"task": args.task, "batch_size": args.batch_size},
-            {
-                "corpus": Path(args.corpus),
-                "tokenizer": _tokenizer_input_hash(args.tokenizer),
-                "checkpoint": Path(args.checkpoint),
-                "split": Path(args.split),
-            },
-            ["metrics.json", "metrics.txt"],
-            seed=None,
-            started=started,
-        )
     print(report.format_table())
-    return 0
+    if not args.out:
+        return None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(out_dir / "metrics.json", report.to_json())
+    atomic_write_text(out_dir / "metrics.txt", report.format_table() + "\n")
+    inputs = {"corpus": args.corpus, "tokenizer": tokenizer, "checkpoint": args.checkpoint, "split": args.split}
+    config = {"task": args.task, "batch_size": args.batch_size}
+    return _Run(out_dir, config, inputs, ["metrics.json", "metrics.txt"])
 
 
-def _cmd_mask_predict(args) -> int:
+def _cmd_mask_predict(args) -> None:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
     checkpoint.check_tokenizer(tokenizer)
@@ -413,31 +378,27 @@ def _cmd_mask_predict(args) -> int:
     for token, score in rows:
         display = token.strip() or repr(token)
         print(f"{display:<20} {score:.4f}")
-    return 0
 
 
-def _cmd_scale_study(args) -> int:
-    started = time.time()
+def _cmd_scale_study(args) -> _Run:
     tokenizer = _load_tokenizer(args.tokenizer)
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f]
     except ValueError:
         raise CliValidationError(f"cannot parse --fractions {args.fractions!r}")
     inits: dict[str, Checkpoint] = {}
-    init_paths: dict[str, Path] = {}
+    init_paths: dict[str, str] = {}
     for item in args.init or []:
         name, _, path = item.partition("=")
         if not name or not path:
             raise CliValidationError(f"--init expects name=path, got {item!r}")
-        init_paths[name] = Path(path)
+        init_paths[name] = path
         inits[name] = load_checkpoint(path)
     if not inits:
         raise CliValidationError("at least one --init name=path is required")
     config, _, snapshot = _load_configs(args, [ckpt.config for ckpt in inits.values()])
-    splits_dir = Path(args.splits)
-    train_pool = _load_split_docs(args.corpus, splits_dir / "finetune_train.txt")
-    validation = _load_split_docs(args.corpus, splits_dir / "finetune_validation.txt")
-    holdout = _load_split_docs(args.corpus, splits_dir / "test.txt")
+    splits = [Path(args.splits) / f"{name}.txt" for name in ("finetune_train", "finetune_validation", "test")]
+    train_pool, validation, holdout = (_load_split_docs(args.corpus, path) for path in splits)
     out_dir = Path(args.out)
     results = training.scaling_study(
         fractions,
@@ -450,27 +411,20 @@ def _cmd_scale_study(args) -> int:
         subset_seed=args.subset_seed,
         out_dir=out_dir,
     )
-    _write_manifest(
-        out_dir,
-        "scale-study",
-        {**snapshot, "fractions": fractions},
-        {
-            "corpus": Path(args.corpus),
-            "tokenizer": _tokenizer_input_hash(args.tokenizer),
-            **{f"init:{name}": path for name, path in init_paths.items()},
-        },
-        ["scaling_study.csv"],
-        seed=config.seed,
-        started=started,
-    )
     for result in results:
         for fraction, size, loss, _ in result.rows():
             print(f"{result.init_name:<12} fraction={fraction:<6} n={size:<6} log_loss={loss:.4f}")
-    return 0
+    inputs = {
+        "config": args.config,
+        "corpus": args.corpus,
+        "tokenizer": tokenizer,
+        **{f"init:{name}": path for name, path in init_paths.items()},
+        **{f"split:{path.stem}": path for path in splits},
+    }
+    return _Run(out_dir, {**snapshot, "fractions": fractions}, inputs, ["scaling_study.csv"], config.seed)
 
 
-def _cmd_topics(args) -> int:
-    started = time.time()
+def _cmd_topics(args) -> _Run:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
     docs = _load_split_docs(args.corpus, args.split)
@@ -486,27 +440,17 @@ def _cmd_topics(args) -> int:
     analysis.save_embeddings(matrix, out_dir / "embeddings")
     analysis.write_projection_csv(matrix, coords, assignment, sampled_docs, out_dir / "projection.csv")
     analysis.write_topic_csv(summary, out_dir / "topics.csv")
-    _write_manifest(
-        out_dir,
-        "topics",
-        {
-            "sample": sample_size,
-            "top_k": args.top_k,
-            "min_cluster_size": args.min_cluster_size,
-            "radius": args.radius,
-        },
-        {
-            "corpus": Path(args.corpus),
-            "tokenizer": _tokenizer_input_hash(args.tokenizer),
-            "checkpoint": Path(args.checkpoint),
-        },
-        ["embeddings.npy", "embeddings.ids.txt", "projection.csv", "topics.csv"],
-        seed=args.seed,
-        started=started,
-    )
     print(f"{assignment.n_clusters} clusters, {len(assignment.outliers())} outliers")
     print(analysis.topic_report(summary))
-    return 0
+    config = {
+        "sample": sample_size,
+        "top_k": args.top_k,
+        "min_cluster_size": args.min_cluster_size,
+        "radius": args.radius,
+    }
+    inputs = {"corpus": args.corpus, "tokenizer": tokenizer, "checkpoint": args.checkpoint, "split": args.split}
+    outputs = ["embeddings.npy", "embeddings.ids.txt", "projection.csv", "topics.csv"]
+    return _Run(out_dir, config, inputs, outputs, args.seed)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -603,7 +547,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args) or 0
+        started = time.time()
+        run = args.func(args)
+        if run is not None:
+            _write_manifest(args.command, run, started)
+        return 0
     except CliValidationError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

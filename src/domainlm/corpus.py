@@ -172,10 +172,8 @@ def make_document(
     return Document(id=str(doc_id), text=text, categories=categories, nfc_label=nfc)
 
 
-def load_corpus(path, format: str = "jsonl", scheme: LabelScheme = DEFAULT_LABEL_SCHEME) -> list[Document]:
-    """Read documents in file order; records without categories stay unlabeled."""
-    if format != "jsonl":
-        raise CorpusFormatError(f"unsupported corpus format {format!r}")
+def load_corpus(path, scheme: LabelScheme = DEFAULT_LABEL_SCHEME) -> list[Document]:
+    """Read JSON-lines documents in file order; records without categories stay unlabeled."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")

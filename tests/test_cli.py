@@ -109,6 +109,97 @@ def test_manifest_leaves_out_resources_without_the_resource_module(monkeypatch, 
     assert manifest["command"] == "split" and "resources" not in manifest
 
 
+def _manifest(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_manifest_records_the_tokenizer_fingerprint(tmp_path, workspace):
+    """The tokenizer's hash covers `merges.txt` too and is the one its checkpoint stores."""
+    short = tmp_path / "tokenizer-short"
+    short.mkdir()
+    (short / "vocab.txt").write_bytes((workspace["tokenizer"] / "vocab.txt").read_bytes())
+    merges = (workspace["tokenizer"] / "merges.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    (short / "merges.txt").write_text("".join(merges[:-1]), encoding="utf-8")  # last merge dropped
+    hashes = []
+    for tokenizer_dir in (workspace["tokenizer"], short):
+        out = tmp_path / f"run-{tokenizer_dir.name}"
+        assert cli.main([
+            "pretrain",
+            "--config", str(workspace["config"]),
+            "--corpus", str(workspace["corpus"]),
+            "--tokenizer", str(tokenizer_dir),
+            "--total_steps", "1",
+            "--out", str(out),
+        ]) == 0
+        hashes.append(_manifest(out)["input_hashes"]["tokenizer"])
+        assert hashes[-1] == load_checkpoint(out / "checkpoints" / "final.npz").tokenizer_hash
+    assert hashes[0] != hashes[1]
+
+
+def _recorded_run(command: str, w: dict) -> tuple[list[str], set[str]]:
+    """The argv, without `--out`, of one run of `command`, and the inputs its manifest must hash."""
+    train = [
+        "--config", str(w["config"]),
+        "--corpus", str(w["corpus"]),
+        "--tokenizer", str(w["tokenizer"]),
+        "--total_steps", "2",
+    ]
+    split_inputs = {"split:finetune_train", "split:finetune_validation"}
+    runs = {
+        "tokenizer-train": (["tokenizer-train", str(w["corpus"]), "--vocab-size", "300"], {"corpus"}),
+        "split": (["split", str(w["corpus"])], {"corpus"}),
+        "pretrain": (
+            ["pretrain", *train, "--val-corpus", str(w["corpus"]), "--init", str(w["checkpoint"])],
+            {"config", "corpus", "val_corpus", "tokenizer", "init_checkpoint"},
+        ),
+        "finetune": (
+            ["finetune", *train, "--splits", str(w["splits"]), "--task", "binary", "--init", str(w["checkpoint"])],
+            {"config", "corpus", "tokenizer", "init_checkpoint", *split_inputs},
+        ),
+        "eval": (
+            [
+                "eval",
+                "--checkpoint", str(w["classifier"]),
+                "--corpus", str(w["corpus"]),
+                "--split", str(w["splits"] / "test.txt"),
+                "--task", "binary",
+                "--tokenizer", str(w["tokenizer"]),
+            ],
+            {"corpus", "tokenizer", "checkpoint", "split"},
+        ),
+        "scale-study": (
+            ["scale-study", *train, "--splits", str(w["splits"]), "--init", f"base={w['checkpoint']}", "--fractions", "0.5,1.0"],
+            {"config", "corpus", "tokenizer", "init:base", *split_inputs, "split:test"},
+        ),
+        "topics": (
+            [
+                "topics",
+                "--checkpoint", str(w["checkpoint"]),
+                "--tokenizer", str(w["tokenizer"]),
+                "--corpus", str(w["corpus"]),
+                "--split", str(w["splits"] / "pretrain.txt"),
+                "--sample", "60",
+                "--radius", "2.0",
+            ],
+            {"corpus", "tokenizer", "checkpoint", "split"},
+        ),
+    }
+    return runs[command]
+
+
+@pytest.mark.parametrize("command", ["tokenizer-train", "split", "pretrain", "finetune", "eval", "scale-study", "topics"])
+def test_manifest_names_every_file_read_and_written(tmp_path, workspace, classifier_checkpoint, command):
+    argv, read = _recorded_run(command, {**workspace, "classifier": classifier_checkpoint})
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [path for path in written if path != "manifest.json"]
+    assert set(manifest["input_hashes"]) == read
+    assert [name for name, digest in manifest["input_hashes"].items() if digest is None] == []
+
+
 def test_pretrain_continued_from_checkpoint(tmp_path, workspace):
     out = tmp_path / "dapt"
     code = cli.main([

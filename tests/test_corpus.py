@@ -144,13 +144,6 @@ def test_load_missing_file(tmp_path):
         load_corpus(tmp_path / "nope.jsonl")
 
 
-def test_load_unsupported_format(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    _write_jsonl(path, [{"id": "a", "text": "one", "categories": []}])
-    with pytest.raises(CorpusFormatError, match="format"):
-        load_corpus(path, format="xml")
-
-
 def test_save_load_roundtrip(tmp_path):
     docs = _docs(20)
     path = save_corpus(docs, tmp_path / "c.jsonl")

@@ -181,8 +181,12 @@ def _enclosing(tree: ast.AST) -> dict[int, str]:
 
 
 def test_each_shared_job_has_one_implementation():
-    """One CSV writer, one checkpoint-tokenizer check and one dropout-stream seed."""
-    csv_writers, tokenizer_checks, dropout_reads = [], [], []
+    """One CSV writer, one checkpoint-tokenizer check, one dropout-stream seed and one manifest write.
+
+    The commands report what they read and wrote; `cli.main` times them and
+    writes the manifest.
+    """
+    csv_writers, tokenizer_checks, dropout_reads, manifest_writes, clock_reads = [], [], [], [], []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scope = _enclosing(tree)
@@ -202,9 +206,16 @@ def test_each_shared_job_has_one_implementation():
                     tokenizer_checks.append(where)
             if isinstance(node, ast.Name) and node.id == "_STREAM_DROPOUT" and isinstance(node.ctx, ast.Load):
                 dropout_reads.append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_manifest":
+                manifest_writes.append(where)
+            if isinstance(node, ast.Attribute) and node.attr == "time" and getattr(node.value, "id", None) == "time":
+                clock_reads.append(where)
     assert csv_writers == ["configio:write_csv"]
     assert tokenizer_checks == ["model:Checkpoint.check_tokenizer"]
     assert len(dropout_reads) == 1
+    assert manifest_writes == ["cli:main"]
+    assert "cli:main" in clock_reads
+    assert [where for where in clock_reads if where.startswith("cli:_cmd_")] == []
 
 
 def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environment():
