@@ -7,7 +7,8 @@ Run:  python3 demos/02_corpus_and_splits.py
 """
 
 from domainlm.corpus import (
-    DEFAULT_LABEL_SCHEME,
+    CATEGORY_DESCRIPTIONS,
+    NFC_CATEGORIES,
     SplitSpec,
     map_binary_label,
     nested_subsets,
@@ -15,12 +16,12 @@ from domainlm.corpus import (
 )
 from domainlm.synthetic import binary_corpus
 
-scheme = DEFAULT_LABEL_SCHEME
-positives = sorted(c for c in scheme.all_categories if map_binary_label(c))
-print(f"category catalog: {len(scheme.all_categories)} codes, "
+positives = sorted(c for c in CATEGORY_DESCRIPTIONS if map_binary_label(c))
+assert set(positives) == NFC_CATEGORIES
+print(f"category catalog: {len(CATEGORY_DESCRIPTIONS)} codes, "
       f"{len(positives)} mark the nuclear fuel cycle: {positives}")
 for code in (5, 73, 1, 14):
-    desc = scheme.all_categories[code] or "(no description)"
+    desc = CATEGORY_DESCRIPTIONS[code] or "(no description)"
     print(f"  {code:>3} {desc:<50} -> {'NFC' if map_binary_label(code) else 'other'}")
 
 docs = binary_corpus(1000, seed=3)

@@ -10,7 +10,7 @@ Run:  python3 demos/04_domain_adaptation_and_mask_prediction.py
 """
 
 from domainlm.evaluation import evaluate_mlm
-from domainlm.model import ModelBundle, ModelConfig, predict_top_k
+from domainlm.model import ModelConfig, predict_top_k
 from domainlm.synthetic import domain_corpus, general_corpus
 from domainlm.tokenizer import Tokenizer
 from domainlm.training import TrainingConfig, pack_segments, pretrain_mlm
@@ -50,13 +50,12 @@ domain_words = {w for code in NFC_TOY_CODES for w in CODE_POOLS[code]}
 probe = "the neutron [MASK] near the reactor"
 print(f"\nfills for {probe!r} (domain words marked *):")
 for label, checkpoint in (("general-only", base.checkpoint), ("domain-adapted", adapted.checkpoint)):
-    bundle = ModelBundle(checkpoint.params, model_config, tokenizer)
-    rows = predict_top_k(probe, 5, bundle)
+    rows = predict_top_k(probe, 5, checkpoint, tokenizer)
     rendered = ", ".join(
         f"{'*' if token.strip() in domain_words else ''}{token.strip()} ({score:.3f})"
         for token, score in rows
     )
-    full = predict_top_k(probe, tokenizer.vocab_size, bundle)
+    full = predict_top_k(probe, tokenizer.vocab_size, checkpoint, tokenizer)
     domain_mass = sum(score for token, score in full if token.strip() in domain_words)
     print(f"  {label:<15} {rendered}")
     print(f"  {'':<15} probability mass on domain words: {domain_mass:.2f}")

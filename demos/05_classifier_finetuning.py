@@ -38,7 +38,7 @@ config = TrainingConfig(learning_rate=1e-3, batch_size=16, epochs=3, eval_checkp
 
 for task in ("binary", "multiclass"):
     result = finetune_classifier(config, base, task, train_docs, val_docs, tokenizer)
-    print(f"\n{task} task: {len(result.class_labels)} classes, "
+    print(f"\n{task} task: {len(result.best_checkpoint.extra['class_labels'])} classes, "
           f"best checkpoint at step {result.best.step} "
           f"(validation loss {result.best.validation_loss:.4f})")
     print(result.metrics.format_table())

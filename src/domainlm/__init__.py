@@ -8,10 +8,10 @@ numpy with gradients checked against finite differences.
 """
 
 from .corpus import (
-    DEFAULT_LABEL_SCHEME,
+    CATEGORY_DESCRIPTIONS,
+    NFC_CATEGORIES,
     DatasetSplits,
     Document,
-    LabelScheme,
     SplitSpec,
     load_corpus,
     map_binary_label,
@@ -22,7 +22,6 @@ from .corpus import (
 from .tokenizer import MergeTable, SpecialTokens, Tokenizer, Vocabulary, train_bpe
 from .model import (
     Checkpoint,
-    ModelBundle,
     ModelConfig,
     backward,
     init_parameters,

@@ -35,7 +35,7 @@ __all__ = [
     "EmbeddingMatrix",
     "ClusterAssignment",
     "TopicSummary",
-    "DEFAULT_STOP_WORDS",
+    "STOP_WORDS",
     "export_cls_embeddings",
     "pca_project",
     "project_2d",
@@ -51,7 +51,7 @@ __all__ = [
 # Cluster numbers are contiguous from 1; 0 marks density outliers.
 OUTLIER = 0
 
-DEFAULT_STOP_WORDS = frozenset(
+STOP_WORDS = frozenset(
     "the a an of in on at is are was be and or for with to by from as it its this that near".split()
 )
 
@@ -83,7 +83,6 @@ def export_cls_embeddings(
     sample_size: int,
     seed: int,
     tokenizer: Tokenizer,
-    batch_size: int = 32,
 ) -> EmbeddingMatrix:
     """Final-layer position-0 vectors for a seeded document sample."""
     checkpoint.check_tokenizer(tokenizer)
@@ -101,7 +100,7 @@ def export_cls_embeddings(
     sequences = [encode_for_classification(d, tokenizer, config.max_positions) for d in sample]
     return EmbeddingMatrix(
         ids=[d.id for d in sample],
-        matrix=cls_vectors(checkpoint.params, config, sequences, tokenizer.pad_id, batch_size),
+        matrix=cls_vectors(checkpoint.params, config, sequences, tokenizer.pad_id),
         checkpoint_hash=checkpoint.fingerprint(),
     )
 
@@ -163,9 +162,8 @@ def cluster_embeddings(
     matrix: EmbeddingMatrix,
     min_cluster_size: int,
     radius: float,
-    intermediate_dim: int = 16,
 ) -> ClusterAssignment:
-    """Radius-based density clustering after PCA to an intermediate dimension.
+    """Radius-based density clustering after PCA to at most 16 dimensions.
 
     Points whose distance is at most `radius` are density-connected; connected
     groups of at least `min_cluster_size` points become clusters (numbered by
@@ -189,7 +187,7 @@ def cluster_embeddings(
     if n < min_cluster_size:
         raise AnalysisError(f"{n} rows cannot contain a cluster of size {min_cluster_size}")
 
-    reduced = pca_project(x, min(intermediate_dim, x.shape[1], n))
+    reduced = pca_project(x, min(16, x.shape[1], n))
     pairs = cKDTree(reduced).query_pairs(radius, output_type="ndarray")
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     _, component = connected_components(graph, directed=False)
@@ -216,11 +214,11 @@ class TopicSummary:
     n_classes: int
 
 
-def extract_words(text: str, stop_words=DEFAULT_STOP_WORDS, min_length: int = 2) -> list[str]:
+def extract_words(text: str) -> list[str]:
     return [
         w
         for w in _WORD_RE.findall(text.lower())
-        if len(w) >= min_length and w not in stop_words
+        if len(w) >= 2 and w not in STOP_WORDS
     ]
 
 
@@ -228,7 +226,6 @@ def cbtfidf_topics(
     assignment: ClusterAssignment,
     documents: Sequence[Document],
     top_k: int,
-    stop_words=DEFAULT_STOP_WORDS,
 ) -> TopicSummary:
     """Score words per cluster; outlier documents carry no class statistics.
 
@@ -248,7 +245,7 @@ def cbtfidf_topics(
     for doc_id, cluster in assignment.assignments.items():
         if cluster == OUTLIER:
             continue
-        term_counts[cluster].update(extract_words(by_id[doc_id].text, stop_words))
+        term_counts[cluster].update(extract_words(by_id[doc_id].text))
 
     totals = {c: sum(counts.values()) for c, counts in term_counts.items()}
     for cluster, total in totals.items():

@@ -434,10 +434,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale and shift."""
+def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance (eps 1e-5), then scale and shift."""
     centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+    inv_std = (np.mean(centered * centered, axis=-1, keepdims=True) + 1e-5) ** -0.5
     x_hat = centered * inv_std
     lead = tuple(range(x_hat.ndim - 1))
 

@@ -37,7 +37,7 @@ from .configio import (
     read_flat_config,
     split_known_keys,
 )
-from .model import Checkpoint, ModelBundle, ModelConfig, load_checkpoint, predict_top_k
+from .model import Checkpoint, ModelConfig, load_checkpoint, predict_top_k
 from .tokenizer import Tokenizer
 from .training import TrainingConfig, TrainingDivergedError
 
@@ -250,10 +250,10 @@ def _load_tokenizer(path) -> Tokenizer:
     return Tokenizer.load(path)
 
 
-def _load_split_docs(corpus_path, manifest_path) -> list[corpus.Document]:
+def _load_split_docs(corpus_path, manifest_paths: Sequence[Path]) -> list[list[corpus.Document]]:
+    """The corpus, read once, cut into the documents of each split manifest in turn."""
     docs = corpus.load_corpus(corpus_path)
-    ids = corpus.read_split_manifest(manifest_path)
-    return corpus.select_documents(docs, ids)
+    return [corpus.select_documents(docs, corpus.read_split_manifest(path)) for path in manifest_paths]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -330,7 +330,7 @@ def _cmd_finetune(args) -> _Run:
     init = load_checkpoint(args.init)
     config, _, snapshot = _load_configs(args, [init.config])
     splits = [Path(args.splits) / f"{name}.txt" for name in ("finetune_train", "finetune_validation")]
-    train_docs, val_docs = (_load_split_docs(args.corpus, path) for path in splits)
+    train_docs, val_docs = _load_split_docs(args.corpus, splits)
     out_dir = Path(args.out)
     result = training.finetune_classifier(
         config, init, args.task, train_docs, val_docs, tokenizer, out_dir=out_dir
@@ -354,7 +354,7 @@ def _cmd_finetune(args) -> _Run:
 def _cmd_eval(args) -> _Run | None:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
-    docs = _load_split_docs(args.corpus, args.split)
+    [docs] = _load_split_docs(args.corpus, [args.split])
     report = evaluation.evaluate_checkpoint(checkpoint, docs, args.task, tokenizer, batch_size=args.batch_size)
     print(report.format_table())
     if not args.out:
@@ -370,10 +370,7 @@ def _cmd_eval(args) -> _Run | None:
 
 def _cmd_mask_predict(args) -> None:
     tokenizer = _load_tokenizer(args.tokenizer)
-    checkpoint = load_checkpoint(args.checkpoint)
-    checkpoint.check_tokenizer(tokenizer)
-    bundle = ModelBundle(checkpoint.params, checkpoint.config, tokenizer)
-    rows = predict_top_k(args.text, args.k, bundle)
+    rows = predict_top_k(args.text, args.k, load_checkpoint(args.checkpoint), tokenizer)
     print(f"{'token':<20} score")
     for token, score in rows:
         display = token.strip() or repr(token)
@@ -398,7 +395,7 @@ def _cmd_scale_study(args) -> _Run:
         raise CliValidationError("at least one --init name=path is required")
     config, _, snapshot = _load_configs(args, [ckpt.config for ckpt in inits.values()])
     splits = [Path(args.splits) / f"{name}.txt" for name in ("finetune_train", "finetune_validation", "test")]
-    train_pool, validation, holdout = (_load_split_docs(args.corpus, path) for path in splits)
+    train_pool, validation, holdout = _load_split_docs(args.corpus, splits)
     out_dir = Path(args.out)
     results = training.scaling_study(
         fractions,
@@ -427,7 +424,7 @@ def _cmd_scale_study(args) -> _Run:
 def _cmd_topics(args) -> _Run:
     tokenizer = _load_tokenizer(args.tokenizer)
     checkpoint = load_checkpoint(args.checkpoint)
-    docs = _load_split_docs(args.corpus, args.split)
+    [docs] = _load_split_docs(args.corpus, [args.split])
     sample_size = min(args.sample, len(docs))
     matrix = analysis.export_cls_embeddings(checkpoint, docs, sample_size, args.seed, tokenizer)
     coords = analysis.project_2d(matrix)

@@ -19,12 +19,12 @@ from .configio import atomic_open, atomic_write_text
 
 __all__ = [
     "Document",
-    "LabelScheme",
     "SplitSpec",
     "DatasetSplits",
     "CorpusError",
     "CorpusFormatError",
-    "DEFAULT_LABEL_SCHEME",
+    "CATEGORY_DESCRIPTIONS",
+    "NFC_CATEGORIES",
     "map_binary_label",
     "load_corpus",
     "save_corpus",
@@ -47,7 +47,7 @@ class CorpusFormatError(CorpusError):
 # Subject-category codes. Descriptions are empty where the source catalog
 # provides none; the nine NFC codes are the categories tied to
 # nuclear-fuel-cycle acquisition pathways.
-_CATEGORY_DESCRIPTIONS: dict[int, str] = {
+CATEGORY_DESCRIPTIONS: dict[int, str] = {
     1: "Coal, Lignite, and Peat",
     2: "Petroleum",
     3: "Natural Gas",
@@ -110,34 +110,14 @@ _CATEGORY_DESCRIPTIONS: dict[int, str] = {
     99: "General and Miscellaneous",
 }
 
-_NFC_CODES = frozenset({5, 7, 11, 12, 21, 22, 38, 46, 73})
+NFC_CATEGORIES = frozenset({5, 7, 11, 12, 21, 22, 38, 46, 73})
 
 
-@dataclass(frozen=True)
-class LabelScheme:
-    """Category catalog plus the subset considered nuclear-fuel-cycle related."""
-
-    nfc_categories: frozenset[int]
-    all_categories: dict[int, str]
-
-    def __post_init__(self):
-        unknown = self.nfc_categories - set(self.all_categories)
-        if unknown:
-            raise CorpusError(f"NFC categories not in catalog: {sorted(unknown)}")
-
-    @classmethod
-    def default(cls) -> "LabelScheme":
-        return cls(nfc_categories=_NFC_CODES, all_categories=dict(_CATEGORY_DESCRIPTIONS))
-
-
-DEFAULT_LABEL_SCHEME = LabelScheme.default()
-
-
-def map_binary_label(category: int, scheme: LabelScheme = DEFAULT_LABEL_SCHEME) -> bool:
+def map_binary_label(category: int) -> bool:
     """True iff the category code is in the nuclear-fuel-cycle set."""
-    if category not in scheme.all_categories:
+    if category not in CATEGORY_DESCRIPTIONS:
         raise CorpusError(f"unknown subject category code {category}")
-    return category in scheme.nfc_categories
+    return category in NFC_CATEGORIES
 
 
 @dataclass(frozen=True)
@@ -162,17 +142,16 @@ def make_document(
     doc_id: str,
     text: str,
     categories: Sequence[int] = (),
-    scheme: LabelScheme = DEFAULT_LABEL_SCHEME,
 ) -> Document:
     """Build a Document, deriving the binary label from the primary category."""
     if not text.strip():
         raise CorpusError(f"document {doc_id!r} has empty text")
     categories = tuple(int(c) for c in categories)
-    nfc = map_binary_label(categories[0], scheme) if categories else None
+    nfc = map_binary_label(categories[0]) if categories else None
     return Document(id=str(doc_id), text=text, categories=categories, nfc_label=nfc)
 
 
-def load_corpus(path, scheme: LabelScheme = DEFAULT_LABEL_SCHEME) -> list[Document]:
+def load_corpus(path) -> list[Document]:
     """Read JSON-lines documents in file order; records without categories stay unlabeled."""
     path = Path(path)
     if not path.exists():
@@ -201,7 +180,7 @@ def load_corpus(path, scheme: LabelScheme = DEFAULT_LABEL_SCHEME) -> list[Docume
                 raise CorpusFormatError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)
             try:
-                docs.append(make_document(doc_id, text, categories, scheme))
+                docs.append(make_document(doc_id, text, categories))
             except CorpusError as exc:
                 raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
     return docs

@@ -354,7 +354,6 @@ def evaluate_mlm(
     config: ModelConfig,
     segments: Sequence[np.ndarray],
     tokenizer: Tokenizer,
-    policy=None,
     seed: int = 0,
     batch_size: int = 16,
 ) -> float:
@@ -365,7 +364,7 @@ def evaluate_mlm(
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
-    policy = policy or MaskingPolicy()
+    policy = MaskingPolicy()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
 
@@ -398,16 +397,13 @@ def evaluate_checkpoint(
     task: str,
     tokenizer: Tokenizer,
     batch_size: int = 32,
-    mask_seed: int = 0,
 ) -> MetricsReport:
     """Evaluate a checkpoint on a document split; deterministic and batch-invariant."""
     checkpoint.check_tokenizer(tokenizer)
     if task == "mlm":
         token_stream = (tokenizer.encode(d.text) for d in documents)
         segments = pack_segments(token_stream, tokenizer.sep_id, checkpoint.config.max_positions)
-        loss = evaluate_mlm(
-            checkpoint.params, checkpoint.config, segments, tokenizer, seed=mask_seed, batch_size=batch_size
-        )
+        loss = evaluate_mlm(checkpoint.params, checkpoint.config, segments, tokenizer, batch_size=batch_size)
         return MetricsReport(
             accuracy=0.0, precision=0.0, recall=0.0, f1=0.0, mode="mlm", loss=loss
         )

@@ -35,7 +35,6 @@ from .tokenizer import Tokenizer
 __all__ = [
     "ModelConfig",
     "ModelError",
-    "ModelBundle",
     "Checkpoint",
     "init_parameters",
     "draw_dropout_masks",
@@ -211,7 +210,6 @@ def encoder_forward(
     config: ModelConfig,
     ids: np.ndarray,
     pad_mask: np.ndarray | None = None,
-    dropout_rng: np.random.Generator | None = None,
     attention_sink: list | None = None,
     positions: np.ndarray | None = None,
     dropout_masks: list[np.ndarray] | None = None,
@@ -221,7 +219,7 @@ def encoder_forward(
     `pad_mask` marks real tokens with True; padded positions receive a large
     negative attention bias so they contribute exactly zero attention weight.
     Dropout is active when `dropout_masks`, the multipliers of
-    `draw_dropout_masks`, are given, or `dropout_rng` to draw them from.
+    `draw_dropout_masks`, are given.
 
     `positions` (B, Q) names the rows a head reads; the result is then
     (B, Q, H), row [b, j] being row [b, positions[b, j]] of the full result.
@@ -238,14 +236,10 @@ def encoder_forward(
     dtype = config.np_dtype
     hidden, heads = config.hidden_dim, config.num_heads
 
-    if dropout_masks is None:
-        dropout_masks = draw_dropout_masks(config, batch, length, dropout_rng)
-    elif dropout_rng is not None:
-        raise ModelError("give dropout masks or a generator to draw them from, not both")
-    elif dropout_masks and [m.shape for m in dropout_masks] != _dropout_shapes(config, batch, length):
-        raise ModelError(f"dropout masks do not match a {batch} x {length} batch of this model")
     dropping = bool(dropout_masks)
-    masks = iter(dropout_masks)
+    if dropping and [m.shape for m in dropout_masks] != _dropout_shapes(config, batch, length):
+        raise ModelError(f"dropout masks do not match a {batch} x {length} batch of this model")
+    masks = iter(dropout_masks or ())
 
     if pad_mask is None:
         attn_bias = None
@@ -334,25 +328,19 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # -- prediction ------------------------------------------------------------------
 
 
-@dataclass
-class ModelBundle:
-    params: dict[str, Tensor]
-    config: ModelConfig
-    tokenizer: Tokenizer
-
-
-def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, float]]:
+def predict_top_k(text: str, k: int, checkpoint: Checkpoint, tokenizer: Tokenizer) -> list[tuple[str, float]]:
     """Top-k fill-in predictions for the single mask sentinel in `text`.
 
     The sentinel is the tokenizer's literal mask token string. A space
     immediately before the sentinel is folded into the predicted token (the
     vocabulary marks word starts with a leading-space symbol). Returned scores
-    are softmax probabilities, sorted descending.
+    are softmax probabilities, sorted descending. The checkpoint must have
+    been trained with `tokenizer`.
     """
+    checkpoint.check_tokenizer(tokenizer)
     if k < 1:
         raise ModelError("k must be at least 1")
-    tok = bundle.tokenizer
-    sentinel = tok.specials.mask
+    sentinel = tokenizer.specials.mask
     count = text.count(sentinel)
     if count != 1:
         raise ModelError(f"text must contain exactly one {sentinel} sentinel, found {count}")
@@ -361,17 +349,18 @@ def predict_top_k(text: str, k: int, bundle: ModelBundle) -> list[tuple[str, flo
         prefix = prefix[:-1]
     # Match the pretraining distribution: packed segments carry separator
     # tokens at document ends but no leading classification token.
-    ids = tok.encode(prefix) + [tok.mask_id] + tok.encode(suffix) + [tok.sep_id]
-    mask_position = len(tok.encode(prefix))
+    prefix_ids = tokenizer.encode(prefix)
+    ids = prefix_ids + [tokenizer.mask_id] + tokenizer.encode(suffix) + [tokenizer.sep_id]
+    mask_position = len(prefix_ids)
 
     with one_blas_thread(), no_grad():
         hidden = encoder_forward(
-            bundle.params, bundle.config, np.array([ids]), positions=np.array([[mask_position]])
+            checkpoint.params, checkpoint.config, np.array([ids]), positions=np.array([[mask_position]])
         )
-        logits = mlm_logits_from_hidden(hidden[0], bundle.params, bundle.config)
+        logits = mlm_logits_from_hidden(hidden[0], checkpoint.params, checkpoint.config)
     log_probs = log_softmax(logits.data)[0]
     top = np.argsort(-log_probs, kind="stable")[:k]
-    return [(tok.token_text(i), float(np.exp(log_probs[i]))) for i in top]
+    return [(tokenizer.token_text(i), float(np.exp(log_probs[i]))) for i in top]
 
 
 # -- checkpoints -------------------------------------------------------------------

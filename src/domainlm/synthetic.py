@@ -59,14 +59,13 @@ def make_corpus(
     codes: tuple[int, ...],
     seed: int = 0,
     prefix: str = "doc",
-    words_per_doc: tuple[int, int] = (9, 15),
 ) -> list[Document]:
-    """Balanced documents cycling through `codes`, one category each."""
+    """Balanced documents of 9 to 15 words cycling through `codes`, one category each."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E)))
     docs = []
     for i in range(n_docs):
         code = codes[i % len(codes)]
-        n_words = int(rng.integers(words_per_doc[0], words_per_doc[1] + 1))
+        n_words = int(rng.integers(9, 16))
         text = _sentence(rng, CODE_POOLS[code], n_words)
         docs.append(make_document(f"{prefix}-{i:05d}", text, [code]))
     return docs

@@ -25,7 +25,6 @@ __all__ = [
     "Tokenizer",
     "TokenizerError",
     "train_bpe",
-    "decode",
 ]
 
 VOCAB_FILE_HEADER = "domainlm-vocab v1"
@@ -151,7 +150,6 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) ->
 def train_bpe(
     corpus,
     target_vocab_size: int,
-    specials: SpecialTokens | None = None,
 ) -> tuple[Vocabulary, MergeTable]:
     """Learn merge rules until the vocabulary reaches `target_vocab_size`.
 
@@ -161,7 +159,7 @@ def train_bpe(
     pair occurs more than once. Pair counts are kept across rounds, and a
     merge updates only the words that contain its pair.
     """
-    specials = specials or SpecialTokens()
+    specials = SpecialTokens()
     floor = 256 + len(specials.as_tuple())
     if target_vocab_size < floor:
         raise TokenizerError(
@@ -274,36 +272,6 @@ def _apply_merges(symbols: list[str], ranks: dict[tuple[str, str], int]) -> list
     return symbols
 
 
-def decode(ids, vocab: Vocabulary, allow_special: bool = False) -> str:
-    """Invert encode(); rejects special-token ids unless `allow_special`."""
-    special_ids = vocab.special_ids
-    pieces: list[str] = []
-    buffered_bytes = bytearray()
-    for idx in ids:
-        idx = int(idx)
-        token = vocab.id_to_token.get(idx)
-        if token is None:
-            raise TokenizerError(f"unknown token id {idx}")
-        if idx in special_ids:
-            if not allow_special:
-                raise TokenizerError(f"special token id {idx} ({token}) not allowed in decode")
-            pieces.append(buffered_bytes.decode("utf-8"))
-            buffered_bytes = bytearray()
-            pieces.append(token)
-            continue
-        buffered_bytes.extend(_CHAR_TO_BYTE[c] for c in token)
-    pieces.append(buffered_bytes.decode("utf-8"))
-    return "".join(pieces)
-
-
-def token_display(token: str, vocab: Vocabulary) -> str:
-    """Human-readable form of a single token (for prediction tables)."""
-    if token in vocab.specials.as_tuple():
-        return token
-    raw = bytes(_CHAR_TO_BYTE[c] for c in token)
-    return raw.decode("utf-8", errors="replace")
-
-
 @dataclass
 class Tokenizer:
     """Immutable trained tokenizer; shareable across threads."""
@@ -360,14 +328,28 @@ class Tokenizer:
             ids.extend(cached)
         return ids
 
-    def decode(self, ids, allow_special: bool = False) -> str:
-        return decode(ids, self.vocab, allow_special=allow_special)
+    def decode(self, ids) -> str:
+        """Invert encode(); special-token ids are rejected."""
+        special_ids = self.special_ids
+        buffered_bytes = bytearray()
+        for idx in ids:
+            idx = int(idx)
+            token = self.vocab.id_to_token.get(idx)
+            if token is None:
+                raise TokenizerError(f"unknown token id {idx}")
+            if idx in special_ids:
+                raise TokenizerError(f"special token id {idx} ({token}) not allowed in decode")
+            buffered_bytes.extend(_CHAR_TO_BYTE[c] for c in token)
+        return buffered_bytes.decode("utf-8")
 
     def token_text(self, token_id: int) -> str:
+        """Human-readable form of a single token (for prediction tables)."""
         token = self.vocab.id_to_token.get(int(token_id))
         if token is None:
             raise TokenizerError(f"unknown token id {token_id}")
-        return token_display(token, self.vocab)
+        if token in self.specials.as_tuple():
+            return token
+        return bytes(_CHAR_TO_BYTE[c] for c in token).decode("utf-8", errors="replace")
 
     # -- serialization ---------------------------------------------------------
 

@@ -196,16 +196,11 @@ class AdamW:
     def __init__(
         self,
         params: dict[str, Tensor],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.98,
-        eps: float = 1e-6,
-        weight_decay: float = 0.01,
+        config: TrainingConfig,
     ):
         self.params = params
-        self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+        self.weight_decay = config.weight_decay
         self._names = sorted(params)
         self.m = {n: np.zeros_like(params[n].data) for n in self._names}
         self.v = {n: np.zeros_like(params[n].data) for n in self._names}
@@ -215,19 +210,8 @@ class AdamW:
             dtype: (np.empty(size, dtype), np.empty(size, dtype)) for dtype in {p.data.dtype for p in params.values()}
         }
 
-    @classmethod
-    def from_config(cls, params: dict[str, Tensor], config: TrainingConfig) -> "AdamW":
-        return cls(
-            params,
-            learning_rate=config.learning_rate,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-            weight_decay=config.weight_decay,
-        )
-
-    def step(self, grads: dict[str, np.ndarray], learning_rate: float | None = None) -> None:
-        lr = self.learning_rate if learning_rate is None else learning_rate
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        """One update at learning rate `lr`, the schedule's value for this step."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -378,7 +362,6 @@ def pretrain_mlm(
     init: ModelConfig | Checkpoint,
     tokenizer: Tokenizer,
     val_segments: Sequence[np.ndarray] | None = None,
-    policy: MaskingPolicy | None = None,
     out_dir=None,
 ) -> PretrainResult:
     """Masked-token pretraining, either from scratch or continued from a checkpoint.
@@ -390,8 +373,7 @@ def pretrain_mlm(
     `val_segments` is given.
     """
     config.validate()
-    policy = policy or MaskingPolicy()
-    policy.validate()
+    policy = MaskingPolicy()
     if not segments:
         raise TrainingError("no training segments")
 
@@ -409,14 +391,14 @@ def pretrain_mlm(
         params = init_parameters(model_config, config.seed, include_classifier=False)
 
     total_steps = _resolve_total_steps(config, len(segments))
-    optimizer = AdamW.from_config(params, config)
+    optimizer = AdamW(params, config)
     batches = _batch_index_stream(len(segments), config.batch_size, config.seed)
     history: list[LossRecord] = []
 
     def validation_loss() -> float | None:
         if val_segments is None:
             return None
-        return evaluate_mlm(params, model_config, val_segments, tokenizer, policy=policy, seed=config.seed)
+        return evaluate_mlm(params, model_config, val_segments, tokenizer, seed=config.seed)
 
     for step in range(total_steps):
         batch_idx = next(batches)
@@ -465,10 +447,7 @@ class FinetuneResult:
     checkpoints: list[CheckpointMeta]
     history: list[LossRecord]
     metrics: MetricsReport
-    params: dict[str, Tensor]
-    model_config: ModelConfig
-    class_labels: list
-    best_checkpoint: Checkpoint | None = None
+    best_checkpoint: Checkpoint
 
 
 def checkpoint_steps(total_steps: int, eval_checkpoints: int) -> list[int]:
@@ -536,7 +515,7 @@ def finetune_classifier(
 
     total_steps = _resolve_total_steps(config, len(train_seqs))
     eval_steps = set(checkpoint_steps(total_steps, config.eval_checkpoints))
-    optimizer = AdamW.from_config(params, config)
+    optimizer = AdamW(params, config)
     batches = _batch_index_stream(len(train_seqs), config.batch_size, config.seed)
 
     serializable_labels = [bool(c) if task == "binary" else int(c) for c in class_labels]
@@ -596,7 +575,9 @@ def finetune_classifier(
     if out_dir is not None:
         _write_run_dir(out_dir, config, history)
         save_checkpoint(best_checkpoint, out_dir / "checkpoints" / "best.npz")
-        _write_checkpoint_index(out_dir / "checkpoints.csv", checkpoints)
+        # Paths relative to the run directory: the index reads the same from any --out and after a move.
+        index = [replace(meta, path=meta.path.relative_to(out_dir)) for meta in checkpoints]
+        _write_checkpoint_index(out_dir / "checkpoints.csv", index)
         atomic_write_text(out_dir / "metrics.json", metrics.to_json())
 
     return FinetuneResult(
@@ -604,9 +585,6 @@ def finetune_classifier(
         checkpoints=checkpoints,
         history=history,
         metrics=metrics,
-        params=best_params,
-        model_config=model_config,
-        class_labels=list(class_labels),
         best_checkpoint=best_checkpoint,
     )
 
@@ -733,8 +711,9 @@ def scaling_study(
                 validation_docs=validation,
                 tokenizer=tokenizer,
             )
+            best = run.best_checkpoint
             holdout_report = evaluate_classifier(
-                run.params, run.model_config, holdout, run.class_labels, "binary", tokenizer
+                best.params, best.config, holdout, best.extra["class_labels"], "binary", tokenizer
             )
             sizes.append(len(subset))
             losses.append(holdout_report.loss)

@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from domainlm.analysis import ClusterAssignment, cbtfidf_topics
-from domainlm.corpus import DEFAULT_LABEL_SCHEME, CorpusError, map_binary_label, nested_subsets
+from domainlm.corpus import CATEGORY_DESCRIPTIONS, CorpusError, map_binary_label, nested_subsets
 from domainlm.evaluation import classification_metrics, evaluate_mlm
 from domainlm.corpus import make_document
 from domainlm.model import (
     Checkpoint,
-    ModelBundle,
     ModelConfig,
     backward,
     cls_logits_from_hidden,
@@ -302,7 +301,7 @@ def test_criterion_08_tokenizer_roundtrip():
 
 def test_criterion_09_label_map():
     with criterion(9, "binary label map totality over the category catalog", 1):
-        catalog = DEFAULT_LABEL_SCHEME.all_categories
+        catalog = CATEGORY_DESCRIPTIONS
         positives = {code for code in catalog if map_binary_label(code)}
         assert positives == {5, 7, 11, 12, 21, 22, 38, 46, 73}
         assert len(positives) == 9
@@ -350,7 +349,7 @@ def test_criterion_11_mask_prediction_demo(tmp_path, toy_tokenizer, toy_model_co
         masked_text = MEMO_SENTENCE.replace(" vessel ", " [MASK] ")
         assert masked_text != MEMO_SENTENCE
 
-        rows = predict_top_k(masked_text, 5, ModelBundle(run.checkpoint.params, toy_model_config, tok))
+        rows = predict_top_k(masked_text, 5, run.checkpoint, tok)
         assert len(rows) == 5
         scores = [s for _, s in rows]
         assert scores == sorted(scores, reverse=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domainlm import cli, evaluation, training
+from domainlm import cli, corpus, evaluation, training
 from domainlm.corpus import save_corpus, split_corpus, SplitSpec, write_split_manifests
 from domainlm.model import Checkpoint, load_checkpoint, save_checkpoint, with_fresh_classifier
 from domainlm.training import TrainingDivergedError
@@ -198,6 +198,33 @@ def test_manifest_names_every_file_read_and_written(tmp_path, workspace, classif
     assert manifest["outputs"] == [path for path in written if path != "manifest.json"]
     assert set(manifest["input_hashes"]) == read
     assert [name for name, digest in manifest["input_hashes"].items() if digest is None] == []
+
+
+def test_checkpoint_index_names_files_relative_to_the_run_directory(tmp_path, workspace, classifier_checkpoint):
+    """The same run in two out dirs writes the same index, and each path resolves in its own run dir."""
+    argv, _ = _recorded_run("finetune", {**workspace, "classifier": classifier_checkpoint})
+    outs = [tmp_path / "a", tmp_path / "b" / "c"]
+    for out in outs:
+        assert cli.main([*argv, "--out", str(out)]) == 0
+    first, second = ((out / "checkpoints.csv").read_bytes() for out in outs)
+    assert first == second
+    for out in outs:
+        with (out / "checkpoints.csv").open(newline="") as handle:
+            paths = [row["path"] for row in csv.DictReader(handle)]
+        assert paths
+        for path in paths:
+            assert (out / path).is_file() and (out / path).resolve().is_relative_to(out.resolve()), path
+
+
+@pytest.mark.parametrize("command", ["finetune", "scale-study"])
+def test_command_reads_the_corpus_once(monkeypatch, tmp_path, workspace, classifier_checkpoint, command):
+    """A command that reads several split manifests parses the corpus once and picks each split from it."""
+    loads = []
+    load_corpus = corpus.load_corpus
+    monkeypatch.setattr(corpus, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+    argv, _ = _recorded_run(command, {**workspace, "classifier": classifier_checkpoint})
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert loads == [str(workspace["corpus"])]
 
 
 def test_pretrain_continued_from_checkpoint(tmp_path, workspace):
@@ -600,7 +627,8 @@ def test_library_calls_leave_the_allocator_alone(
         config, toy_base_checkpoint, "binary", toy_docs[:16], toy_docs[16:24], toy_tokenizer
     )
     sequences = [toy_tokenizer.encode(d.text)[:20] for d in toy_docs[:10]]
-    evaluation.cls_vectors(result.params, result.model_config, sequences, toy_tokenizer.pad_id, batch_size=4)
+    best = result.best_checkpoint
+    evaluation.cls_vectors(best.params, best.config, sequences, toy_tokenizer.pad_id, batch_size=4)
     assert looked_up == []
 
 

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domainlm.corpus import (
-    DEFAULT_LABEL_SCHEME,
+    CATEGORY_DESCRIPTIONS,
     CorpusError,
     CorpusFormatError,
-    LabelScheme,
     SplitSpec,
     load_corpus,
     make_document,
@@ -35,12 +34,12 @@ def _docs(n, labeled=True):
 
 
 def test_exactly_nine_codes_are_positive():
-    positives = {c for c in DEFAULT_LABEL_SCHEME.all_categories if map_binary_label(c)}
+    positives = {c for c in CATEGORY_DESCRIPTIONS if map_binary_label(c)}
     assert positives == NFC_CODES
 
 
 def test_label_map_total_over_catalog():
-    for code in DEFAULT_LABEL_SCHEME.all_categories:
+    for code in CATEGORY_DESCRIPTIONS:
         assert map_binary_label(code) in (True, False)
 
 
@@ -53,11 +52,6 @@ def test_known_code_examples():
 def test_unknown_code_is_an_error():
     with pytest.raises(CorpusError, match="6"):
         map_binary_label(6)
-
-
-def test_scheme_rejects_positive_codes_outside_catalog():
-    with pytest.raises(CorpusError):
-        LabelScheme(nfc_categories=frozenset({5, 1234}), all_categories={5: "x"})
 
 
 # -- documents and loading ------------------------------------------------------------

@@ -375,9 +375,10 @@ def test_full_fraction_study_matches_single_finetune(
     from domainlm.data import encode_for_classification
     from domainlm.evaluation import batched_cls_logits
 
-    seqs = [encode_for_classification(d, toy_tokenizer, run.model_config.max_positions) for d in holdout]
-    logits = batched_cls_logits(run.params, run.model_config, seqs, toy_tokenizer.pad_id)
-    index = {lab: i for i, lab in enumerate(run.class_labels)}
+    best = run.best_checkpoint
+    seqs = [encode_for_classification(d, toy_tokenizer, best.config.max_positions) for d in holdout]
+    logits = batched_cls_logits(best.params, best.config, seqs, toy_tokenizer.pad_id)
+    index = {lab: i for i, lab in enumerate(best.extra["class_labels"])}
     expected = mlm_cross_entropy(logits, np.array([index[bool(d.nfc_label)] for d in holdout]))
     assert result.holdout_log_losses[0] == pytest.approx(expected, abs=1e-12)
     assert result.train_sizes == [80]

@@ -12,12 +12,12 @@ from domainlm.data import MaskedSegment, assemble_mlm_batch
 from domainlm.model import (
     CHECKPOINT_FORMAT,
     Checkpoint,
-    ModelBundle,
     ModelConfig,
     ModelError,
     backward,
     cls_logits_from_hidden,
     cross_entropy,
+    draw_dropout_masks,
     encoder_forward,
     init_parameters,
     load_checkpoint,
@@ -28,7 +28,7 @@ from domainlm.model import (
     with_fresh_classifier,
 )
 from domainlm.tokenizer import Tokenizer
-from domainlm.training import AdamW
+from domainlm.training import AdamW, TrainingConfig
 
 from conftest import finite_difference_gradients, max_relative_error
 
@@ -263,9 +263,18 @@ def _mlm_batch(config, batch, length, seed):
     return ids, pad_mask, rows, cols, targets
 
 
+def _encode(impl, params, config, ids, pad_mask, dropout_rng):
+    """The encoder's output with dropout from `dropout_rng`: the fused encoder reads
+    the masks `draw_dropout_masks` draws, the unfused one draws as it goes."""
+    if impl is fused:
+        masks = draw_dropout_masks(config, *ids.shape, dropout_rng)
+        return encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
+    return impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+
+
 def _mlm_loss(impl, params, config, batch, dropout_rng):
     ids, pad_mask, rows, cols, targets = batch
-    hidden = impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+    hidden = _encode(impl, params, config, ids, pad_mask, dropout_rng)
     return impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
 
 
@@ -279,12 +288,12 @@ def test_fused_training_matches_unfused_encoder_over_20_steps():
     runs = {}
     for impl in (fused, unfused_encoder):
         params = init_parameters(config, seed=1, include_classifier=False)
-        optimizer = AdamW(params, learning_rate=1e-3)
+        optimizer = AdamW(params, TrainingConfig(learning_rate=1e-3))
         losses = []
         for step in range(20):
             dropout_rng = np.random.default_rng(np.random.SeedSequence((7, step)))
             loss = _mlm_loss(impl, params, config, batch, dropout_rng)
-            optimizer.step(backward(loss, params))
+            optimizer.step(backward(loss, params), 1e-3)
             losses.append(float(loss.data))
         runs[impl] = np.array(losses), {name: p.data for name, p in params.items()}
     (fused_losses, fused_params), (losses, params) = runs[fused], runs[unfused_encoder]
@@ -308,8 +317,7 @@ def test_fused_gradients_match_unfused_encoder(pooler_tanh):
     grads = []
     for impl in (fused, unfused_encoder):
         params = init_parameters(config, seed=2)
-        dropout_rng = np.random.default_rng(9)
-        hidden = impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+        hidden = _encode(impl, params, config, ids, pad_mask, np.random.default_rng(9))
         mlm = impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
         cls = impl.cross_entropy(impl.cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 2, 1]))
         grads.append(backward(mlm + cls, params))
@@ -328,7 +336,8 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
     if objective == "mlm":
         loss = _mlm_loss(fused, params, config, batch, np.random.default_rng(0))
     else:
-        hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=np.random.default_rng(0))
+        masks = draw_dropout_masks(config, *ids.shape, np.random.default_rng(0))
+        hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
         loss = cross_entropy(cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 1, 1]))
 
     nodes, stack, seen = [], [loss], set()
@@ -391,14 +400,15 @@ def test_assemble_mlm_batch_takes_targets_in_segment_order():
 
 def _selection_losses(params, config, objective, dropout_seed):
     """(full-layer loss, row-selected loss, selected hidden, full hidden at the same rows)."""
-    def generator():
-        return np.random.default_rng(dropout_seed) if config.dropout_rate > 0 else None
-
     ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(config, 1)
+
+    def masks():
+        return draw_dropout_masks(config, *ids.shape, np.random.default_rng(dropout_seed))
+
     if objective == "cls":
         positions = np.zeros((len(ids), 1), dtype=np.int64)
-    full = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=generator())
-    selected = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=generator(), positions=positions)
+    full = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks())
+    selected = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks(), positions=positions)
     if objective == "cls":
         labels = np.array([0, 2, 1])
         full_loss = cross_entropy(cls_logits_from_hidden(full[:, 0], params, config), labels)
@@ -458,7 +468,8 @@ def test_last_layer_runs_feed_forward_only_at_selected_rows(monkeypatch):
         return real_gelu(self)
 
     monkeypatch.setattr(Tensor, "gelu", spy)
-    encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=np.random.default_rng(0), positions=positions)
+    masks = draw_dropout_masks(config, *ids.shape, np.random.default_rng(0))
+    encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks, positions=positions)
     assert gelu_rows == [ids.size] * (config.num_layers - 1) + [positions.size]
 
 
@@ -493,38 +504,39 @@ def test_bad_positions_rejected(tiny_config, tiny_params, positions, message):
 
 
 @pytest.fixture(scope="module")
-def bundle(tiny_config):
+def predictor(tiny_config):
+    """A checkpoint and the tokenizer it was made with."""
     tok = Tokenizer.train(["alpha beta gamma delta epsilon zeta"] * 3, 280)
     config = ModelConfig(
         num_layers=1, num_heads=2, hidden_dim=16, ff_dim=32,
         vocab_size=tok.vocab_size, max_positions=32, dropout_rate=0.0,
     )
-    return ModelBundle(init_parameters(config, seed=9), config, tok)
+    return Checkpoint(config, init_parameters(config, seed=9), tok.fingerprint()), tok
 
 
-def test_predict_top_k_contract(bundle):
-    rows = predict_top_k("alpha [MASK] gamma", 5, bundle)
+def test_predict_top_k_contract(predictor):
+    rows = predict_top_k("alpha [MASK] gamma", 5, *predictor)
     assert len(rows) == 5
     scores = [s for _, s in rows]
     assert all(0.0 < s < 1.0 for s in scores)
     assert scores == sorted(scores, reverse=True)
 
 
-def test_predict_top_one(bundle):
-    rows = predict_top_k("alpha [MASK]", 1, bundle)
+def test_predict_top_one(predictor):
+    rows = predict_top_k("alpha [MASK]", 1, *predictor)
     assert len(rows) == 1
 
 
-def test_predict_requires_exactly_one_sentinel(bundle):
+def test_predict_requires_exactly_one_sentinel(predictor):
     with pytest.raises(ModelError, match="exactly one"):
-        predict_top_k("no sentinel here", 3, bundle)
+        predict_top_k("no sentinel here", 3, *predictor)
     with pytest.raises(ModelError, match="exactly one"):
-        predict_top_k("[MASK] two [MASK]", 3, bundle)
+        predict_top_k("[MASK] two [MASK]", 3, *predictor)
 
 
-def test_predict_rejects_bad_k(bundle):
+def test_predict_rejects_bad_k(predictor):
     with pytest.raises(ModelError, match="k"):
-        predict_top_k("alpha [MASK]", 0, bundle)
+        predict_top_k("alpha [MASK]", 0, *predictor)
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -619,7 +631,10 @@ FOREIGN_TOKENIZER = "^tokenizer fingerprint mismatch: checkpoint was trained wit
 
 @pytest.mark.parametrize(
     "entry",
-    ["pretrain_mlm", "finetune_classifier", "evaluate_checkpoint", "export_cls_embeddings", "cli mask-predict"],
+    [
+        "pretrain_mlm", "finetune_classifier", "evaluate_checkpoint", "export_cls_embeddings", "predict_top_k",
+        "cli mask-predict",
+    ],
 )
 def test_every_entry_point_rejects_a_foreign_tokenizer(entry, tmp_path, capsys, toy_docs, toy_base_checkpoint):
     from domainlm import cli
@@ -647,6 +662,7 @@ def test_every_entry_point_rejects_a_foreign_tokenizer(entry, tmp_path, capsys, 
         ),
         "evaluate_checkpoint": lambda: evaluate_checkpoint(toy_base_checkpoint, toy_docs[:8], "mlm", other),
         "export_cls_embeddings": lambda: export_cls_embeddings(toy_base_checkpoint, toy_docs[:10], 5, 0, other),
+        "predict_top_k": lambda: predict_top_k("the fuel [MASK] assembly", 3, toy_base_checkpoint, other),
     }
     with pytest.raises(ModelError, match=FOREIGN_TOKENIZER):
         calls[entry]()

@@ -149,6 +149,98 @@ def test_every_tape_op_has_a_caller():
     assert unused == []
 
 
+# Defaulted parameters no call in the program sets, each with the reason it stays.
+_UNSET_OPTIONS = {
+    "model.encoder_forward(attention_sink)": "the tests' only view of the attention weights inside the encoder",
+    "training.hyperparameter_grid(out_dir)": "the grid has no command; this is its only way to write grid_results.csv",
+}
+
+
+def _package_functions():
+    """(where, called name, node, bound) for each function at module or class level in src/domainlm.
+
+    A class's `__init__` is called by the class name; `bound` says that the
+    first parameter (`self` or `cls`) is not passed in the call.
+    """
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]:
+            cls = owner.name if isinstance(owner, ast.ClassDef) else None
+            for node in owner.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if node.name == "__init__" and cls:
+                    yield f"{path.stem}.{cls}", cls, node, True
+                else:
+                    where = f"{path.stem}.{cls}.{node.name}" if cls else f"{path.stem}.{node.name}"
+                    yield where, node.name, node, cls is not None and not static
+
+
+def _defaults(node: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
+    """Defaulted parameter -> its position in a call, or None for keyword-only ones."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    out = {arg.arg: index - bound for index, arg in enumerate(positional[first:], first)}
+    out.update(
+        {arg.arg: None for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None}
+    )
+    return out
+
+
+def _passed(call: ast.Call, name: str, index: int | None):
+    """The expression a call passes for a parameter, True when `*` or `**` may pass it, else None."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+        if keyword.arg is None:
+            return True
+    if index is not None and any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return call.args[index] if index is not None and index < len(call.args) else None
+
+
+def _named_calls(tree: ast.AST, enclosing: str | None) -> list[tuple[str | None, ast.Call, str | None]]:
+    """(called name, call, `enclosing`) for every call in `tree`."""
+    return [
+        (getattr(node.func, "id", getattr(node.func, "attr", None)), node, enclosing)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter that no call in the program, the benchmark or the demos sets is deleted.
+
+    Calls are matched by name, as in `test_every_tape_op_has_a_caller`, so a
+    method counts the calls of every method of that name. A call that only
+    forwards its own function's defaulted parameter sets the option only if
+    that parameter is set in turn.
+    """
+    options: dict[tuple[str, str], tuple[str, int | None]] = {}  # (where, parameter) -> (called name, position)
+    calls = []
+    for where, called, node, bound in _package_functions():
+        options.update({(where, name): (called, index) for name, index in _defaults(node, bound).items()})
+        calls += _named_calls(node, where)
+    for directory in (ROOT / "perfbench", ROOT / "demos"):
+        for path in sorted(directory.glob("*.py")):
+            calls += _named_calls(ast.parse(path.read_text(encoding="utf-8")), None)
+
+    def sets(key, call_name, call, enclosing) -> bool:
+        called, index = options[key]
+        value = _passed(call, key[1], index) if call_name == called else None
+        if isinstance(value, ast.Name) and (enclosing, value.id) in options:
+            return (enclosing, value.id) in set_options  # forwarded from the caller's own option
+        return value is not None
+
+    set_options: set[tuple[str, str]] = set()
+    while found := {key for key in options.keys() - set_options if any(sets(key, *call) for call in calls)}:
+        set_options |= found
+    public = [key for key in options if not key[0].rsplit(".", 1)[1].startswith("_")]
+    unset = sorted(f"{where}({name})" for where, name in public if (where, name) not in set_options)
+    assert unset == sorted(_UNSET_OPTIONS)
+
+
 def test_every_encoder_call_names_the_rows_it_reads():
     """A head reads a few rows of the last layer; a call without `positions=` runs all of them."""
     calls = {

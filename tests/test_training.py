@@ -154,21 +154,21 @@ def test_tiny_segment_still_masks_one_position(toy_tokenizer):
 
 def test_adam_zero_gradient_changes_params_only_by_weight_decay():
     params = {"w": Tensor(np.full((3,), 2.0), requires_grad=True)}
-    opt = AdamW(params, learning_rate=0.1, weight_decay=0.01)
-    opt.step({"w": np.zeros(3)})
+    opt = AdamW(params, TrainingConfig(learning_rate=0.1, weight_decay=0.01))
+    opt.step({"w": np.zeros(3)}, 0.1)
     np.testing.assert_allclose(params["w"].data, 2.0 * (1 - 0.1 * 0.01), atol=1e-15)
 
     params2 = {"w": Tensor(np.full((3,), 2.0), requires_grad=True)}
-    opt2 = AdamW(params2, learning_rate=0.1, weight_decay=0.0)
-    opt2.step({"w": np.zeros(3)})
+    opt2 = AdamW(params2, TrainingConfig(learning_rate=0.1, weight_decay=0.0))
+    opt2.step({"w": np.zeros(3)}, 0.1)
     np.testing.assert_array_equal(params2["w"].data, np.full((3,), 2.0))
 
 
 def test_adam_first_step_matches_closed_form():
     lr, eps, g = 0.1, 1e-6, 0.5
     params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    opt = AdamW(params, learning_rate=lr, eps=eps, weight_decay=0.0)
-    opt.step({"w": np.array([g])})
+    opt = AdamW(params, TrainingConfig(learning_rate=lr, adam_eps=eps, weight_decay=0.0))
+    opt.step({"w": np.array([g])}, lr)
     # After bias correction the first update is g / (|g| + eps).
     expected = 1.0 - lr * g / (abs(g) + eps)
     np.testing.assert_allclose(params["w"].data, [expected], atol=1e-12)
@@ -185,8 +185,8 @@ def test_adam_update_order_is_fixed():
     rng = np.random.default_rng(0)
     p2 = make()
     g = {"a": np.ones(4), "b": np.ones(4)}
-    AdamW(p1, 0.01).step(g)
-    AdamW(p2, 0.01).step(g)
+    AdamW(p1, TrainingConfig(learning_rate=0.01)).step(g, 0.01)
+    AdamW(p2, TrainingConfig(learning_rate=0.01)).step(g, 0.01)
     for k in p1:
         np.testing.assert_array_equal(p1[k].data, p2[k].data)
 
@@ -432,8 +432,8 @@ def test_finetune_multiclass_infers_classes(toy_docs, toy_tokenizer, toy_base_ch
         ft_config, toy_base_checkpoint, "multiclass", toy_docs[:120], toy_docs[120:150], toy_tokenizer
     )
     codes = {d.primary_category for d in toy_docs[:150]}
-    assert set(result.class_labels) == codes
-    assert result.model_config.num_classes == len(codes)
+    assert set(result.best_checkpoint.extra["class_labels"]) == codes
+    assert result.best_checkpoint.config.num_classes == len(codes)
 
 
 def test_finetune_warns_on_validation_only_class(toy_tokenizer, toy_base_checkpoint):
@@ -548,7 +548,8 @@ def test_adam_in_place_update_matches_the_formula_bitwise(dtype):
     shapes = {"w": (6, 5), "b": (5,), "emb": (11, 6)}
     start = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
     params = {name: Tensor(value.copy(), requires_grad=True) for name, value in start.items()}
-    opt = AdamW(params, learning_rate=0.01, beta1=0.9, beta2=0.98, eps=1e-6, weight_decay=0.01)
+    config = TrainingConfig(learning_rate=0.01, adam_beta1=0.9, adam_beta2=0.98, adam_eps=1e-6, weight_decay=0.01)
+    opt = AdamW(params, config)
     expected = {name: value.copy() for name, value in start.items()}
     m = {name: np.zeros_like(value) for name, value in start.items()}
     v = {name: np.zeros_like(value) for name, value in start.items()}
@@ -576,8 +577,8 @@ def test_adam_in_place_update_matches_the_formula_bitwise(dtype):
 def test_adam_keeps_float32_parameters_and_state():
     f32 = np.dtype(np.float32)
     params = {"w": Tensor(np.full((3,), 2.0, dtype=f32), requires_grad=True)}
-    opt = AdamW(params, learning_rate=0.1)
-    opt.step({"w": np.array([0.5, -1.0, 0.0], dtype=f32)}, learning_rate=0.05)
+    opt = AdamW(params, TrainingConfig(learning_rate=0.1))
+    opt.step({"w": np.array([0.5, -1.0, 0.0], dtype=f32)}, 0.05)
     assert params["w"].data.dtype == opt.m["w"].dtype == opt.v["w"].dtype == f32
 
 
@@ -836,7 +837,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(toy_docs, toy_tokenizer,
         loss = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, batch_size=8)
         assert get_threads() == threads
         history = [(r.step, r.train_loss, r.validation_loss) for r in result.history]
-        return history, {n: p.data for n, p in result.params.items()}, vectors, loss
+        return history, {n: p.data for n, p in result.best_checkpoint.params.items()}, vectors, loss
 
     original = get_threads()
     try:
