@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "Tensor", "no_grad", "GraphError", "log_softmax", "dropout_mask",
+    "Tensor", "no_grad", "GraphError", "log_softmax",
     "linear", "layer_norm", "attention", "softmax_cross_entropy",
     "one_blas_thread", "run_tasks",
 ]
@@ -381,17 +381,6 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax of an array along `axis` (no tape)."""
     shifted = x - x.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout multipliers: 0 where dropped, 1 / (1 - rate) where kept.
-
-    The uniform draw is float64 whatever `dtype` is, so a given generator
-    state drops the same positions in float32 and float64.
-    """
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    keep *= 1.0 / (1.0 - rate)
-    return keep
 
 
 # -- fused nodes -----------------------------------------------------------------

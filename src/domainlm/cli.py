@@ -65,10 +65,13 @@ class _Parser(argparse.ArgumentParser):
 # system CPU. Both limits must move: the trim threshold alone left 163k
 # faults, the mmap threshold alone 174k-190k. 4 MiB covers the mid-size
 # arrays of `finetune` (9.4k faults) and `topics` (65k -> 6.2k; 74k at
-# 1 MiB). 32 MiB, glibc's largest, would also keep `pretrain`'s 8 MiB
-# float64 arrays, but raised its peak RSS by 2% (up to 4%) in 6 runs.
+# 1 MiB). The extra 64 KiB keeps the exactly-4 MiB arrays of a `pretrain`
+# half-batch step (8 x 128 x 512 float64), which malloc's header puts just
+# over 4 MiB, on the heap: a 4-step pretrain fell from 146k-162k to 95k-96k
+# faults and from 0.53 to 0.34 s of system CPU, at the same peak RSS.
+# 32 MiB, glibc's largest, left 88k-90k faults but raised its peak RSS by 2%.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_BYTES = 4 << 20
+_MMAP_THRESHOLD_BYTES = (4 << 20) + (64 << 10)
 _TRIM_THRESHOLD_BYTES = 1 << 30
 
 
@@ -85,7 +88,7 @@ def _libc_mallopt():
 
 @functools.cache
 def _keep_freed_memory() -> None:
-    """Keep blocks up to 4 MiB on the heap, and the heap untrimmed, for the rest of the process.
+    """Keep blocks up to 4 MiB + 64 KiB on the heap, and the heap untrimmed, for the rest of the process.
 
     The setting is process-wide and cannot be read back, so only the command,
     which owns its process, makes it; library calls leave the allocator as

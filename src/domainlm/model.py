@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
     attention,
-    dropout_mask,
     layer_norm,
     linear,
     log_softmax,
@@ -187,22 +188,39 @@ def _dropout_shapes(config: ModelConfig, batch: int, length: int) -> list[tuple[
 
 
 def draw_dropout_masks(
-    config: ModelConfig, batch: int, length: int, rng: np.random.Generator | None
+    config: ModelConfig, length: int, key: tuple[int, ...], rows: Sequence[int]
 ) -> list[np.ndarray]:
-    """Every keep multiplier of one (batch, length) encoder forward, in the order it reads them.
+    """Every keep mask of one encoder forward over batch rows `rows`, in the order it reads them.
 
-    The embedding mask comes first, then per layer the attention, attention
-    output and feed-forward masks, each in the model dtype. A mask's rows
-    belong to the sequences of the same rows, so the masks of a row slice of
-    the batch are the same row slice of each mask. Empty without `rng` or
-    without dropout.
+    True keeps a position. The embedding mask comes first, then per layer the
+    attention, attention output and feed-forward masks, each with one row per
+    entry of `rows`. Batch row r draws all its masks from one counter-based
+    stream, PCG64 seeded by `key + (r,)`, read as 16-bit lanes: a lane at or
+    above round(rate * 2**16) keeps its position. A row's masks thus depend on
+    neither the other rows nor the dtype. Empty without dropout.
     """
-    if rng is None or config.dropout_rate == 0.0:
+    if config.dropout_rate == 0.0:
         return []
+    shapes = [shape[1:] for shape in _dropout_shapes(config, 1, length)]
+    sizes = [math.prod(shape) for shape in shapes]
+    lanes = sum(sizes)
+    threshold = round(config.dropout_rate * 2**16)
+    keep = np.empty((len(rows), lanes), dtype=bool)
+    for i, row in enumerate(rows):
+        raw = np.random.PCG64(np.random.SeedSequence(key + (int(row),))).random_raw(-(-lanes // 4))  # 4 lanes each
+        np.greater_equal(raw.astype("<u8", copy=False).view("<u2")[:lanes], threshold, out=keep[i])
+    starts = np.cumsum([0] + sizes).tolist()
     return [
-        dropout_mask(shape, config.dropout_rate, rng, config.np_dtype)
-        for shape in _dropout_shapes(config, batch, length)
+        keep[:, start : start + size].reshape((len(rows),) + shape)
+        for start, size, shape in zip(starts, sizes, shapes)
     ]
+
+
+def _dropout_multipliers(keep: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Keep bits as model-dtype inverted-dropout multipliers: 0 where dropped, 1 / (1 - rate) where kept."""
+    multipliers = keep.astype(config.np_dtype)
+    multipliers *= 1.0 / (1.0 - config.dropout_rate)
+    return multipliers
 
 
 def encoder_forward(
@@ -218,16 +236,15 @@ def encoder_forward(
 
     `pad_mask` marks real tokens with True; padded positions receive a large
     negative attention bias so they contribute exactly zero attention weight.
-    Dropout is active when `dropout_masks`, the multipliers of
-    `draw_dropout_masks`, are given.
+    Dropout is active when `dropout_masks`, the keep masks of
+    `draw_dropout_masks` for these rows, are given.
 
     `positions` (B, Q) names the rows a head reads; the result is then
     (B, Q, H), row [b, j] being row [b, positions[b, j]] of the full result.
     The last layer computes queries, keys, values and attention scores over
     every row, since every query attends to every key, and the softmax and
-    everything after it only at those rows. Its dropout masks are full size
-    and cut to those rows, so the random stream does not depend on the
-    selection. `attention_sink` receives (B, nh, L, L) probabilities per
+    everything after it only at those rows, with those rows of its dropout
+    masks. `attention_sink` receives (B, nh, L, L) probabilities per
     layer, (B, nh, Q, L) for the last layer under `positions`.
     """
     ids = _check_ids(ids, config)
@@ -254,8 +271,8 @@ def encoder_forward(
         return a[np.arange(batch)[:, None], positions]
 
     def drop(t, rows):
-        """Residual dropout: the (B, L, H) mask is full size, cut down to `rows`."""
-        return t * rows(next(masks)) if dropping else t
+        """Residual dropout with the `rows` of the next (B, L, H) mask."""
+        return t * _dropout_multipliers(rows(next(masks)), config) if dropping else t
 
     def layer(i: int, x: Tensor) -> Tensor:
         """Layer i. Without a tape, each intermediate is freed once the layer no longer reads it."""
@@ -266,7 +283,7 @@ def encoder_forward(
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        keep = next(masks) if dropping else None
+        keep = _dropout_multipliers(next(masks), config) if dropping else None
         context, probs = attention(q, k, v, heads, attn_bias, keep, positions if selecting else None)
         if attention_sink is not None:
             attention_sink.append(probs.copy())

@@ -3,8 +3,9 @@ checkpoint), classifier fine-tuning with best-checkpoint selection, the
 learning-rate/batch-size grid search, and the training-set-size scaling study.
 
 Every random draw comes from a generator seeded by (config.seed, stream, step),
-and each run holds numpy's BLAS at one thread (`autodiff.one_blas_thread`), so
-runs are bitwise reproducible from (config, data, init) on any CPU count.
+and for dropout also by batch row, and each run holds numpy's BLAS at one
+thread (`autodiff.one_blas_thread`), so runs are bitwise reproducible from
+(config, data, init) on any CPU count.
 """
 
 from __future__ import annotations
@@ -278,13 +279,6 @@ def _check_gradients(grads: dict[str, np.ndarray], step: int) -> None:
     raise TrainingDivergedError(f"gradient norm overflows at step {step}")
 
 
-def _dropout_rng(config: TrainingConfig, model_config: ModelConfig, step: int) -> np.random.Generator | None:
-    """The dropout stream of one step, or None when the model has no dropout."""
-    if model_config.dropout_rate == 0:
-        return None
-    return np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_DROPOUT, step)))
-
-
 def _split(batch: int, length: int) -> list[slice]:
     """The row ranges a training step computes apart: two halves from `_SPLIT_ROWS` token rows on."""
     if batch < 2 or batch * length < _SPLIT_ROWS:
@@ -305,9 +299,9 @@ def _train_step(
 ) -> float:
     """Forward, backward, gradient check and one AdamW step over a padded batch; returns the loss.
 
-    `batch` is (ids, pad_mask, positions). Each part of `_split` runs the
-    encoder on its own leaf tensors over the shared parameter arrays, with its
-    rows of the step's dropout masks, then `head_loss(hidden, params, rows)`:
+    `batch` is (ids, pad_mask, positions). Each part of `_split` draws the
+    dropout masks of its own batch rows and runs the encoder on its own leaf
+    tensors over the shared parameter arrays, then `head_loss(hidden, params, rows)`:
     the mean loss over the targets of batch rows `rows`, and their number. Two
     halves weight their losses by their share of the `n_targets` targets and
     add their gradients, the second into the first, so the step follows the
@@ -315,19 +309,15 @@ def _train_step(
     """
     ids, pad_mask, positions = batch
     parts = _split(*ids.shape)
-    masks = draw_dropout_masks(model_config, *ids.shape, _dropout_rng(config, model_config, step))
-    part_masks = [[m[rows] for m in masks] for rows in parts]
-    del masks
+    dropout_key = (config.seed, _STREAM_DROPOUT, step)
 
     def run(i: int) -> tuple[float, dict[str, np.ndarray]]:
         rows = parts[i]
         leaves = {name: Tensor(p.data, requires_grad=True) for name, p in optimizer.params.items()}
-        dropout_masks, part_masks[i] = part_masks[i], None
         hidden = encoder_forward(
             leaves, model_config, ids[rows], pad_mask=pad_mask[rows], positions=positions[rows],
-            dropout_masks=dropout_masks,
+            dropout_masks=draw_dropout_masks(model_config, ids.shape[1], dropout_key, range(len(ids))[rows]),
         )
-        del dropout_masks  # the tape holds the masks now, and the backward walk frees them
         loss, count = head_loss(hidden, leaves, rows)
         if not np.isfinite(float(loss.data)):
             raise TrainingDivergedError(f"non-finite {objective} loss at step {step + 1}")

@@ -8,7 +8,6 @@ from domainlm.autodiff import (
     GraphError,
     Tensor,
     attention,
-    dropout_mask,
     layer_norm,
     linear,
     log_softmax,
@@ -18,9 +17,17 @@ from domainlm.autodiff import (
     softmax_cross_entropy,
 )
 
-from domainlm.model import ModelConfig, draw_dropout_masks
+from domainlm.model import ModelConfig, _dropout_multipliers, draw_dropout_masks
 
 from conftest import max_relative_error
+
+
+def _dropout(batch, length, heads, hidden, rate, dtype="float64"):
+    """The dropout multipliers of a one-layer encoder, as it applies them: residual, attention, residual, residual."""
+    config = ModelConfig(
+        num_layers=1, num_heads=heads, hidden_dim=hidden, ff_dim=4, vocab_size=16, dropout_rate=rate, dtype=dtype,
+    )
+    return [_dropout_multipliers(m, config) for m in draw_dropout_masks(config, length, (5,), range(batch))]
 
 
 def _fd_scalar(fn, x: Tensor, h=1e-6):
@@ -161,7 +168,7 @@ def test_attention_gradients_with_pad_bias_and_dropout(rng):
     real = np.ones((batch, length), dtype=bool)
     real[1, 3:] = False
     bias = np.where(real, 0.0, -1e30)[:, None, None, :]
-    keep = dropout_mask((batch, heads, length, length), 0.3, np.random.default_rng(5), np.float64)
+    keep = _dropout(batch, length, heads, hidden, 0.3)[1]
     assert 0 < np.count_nonzero(keep) < keep.size
     weights = rng.normal(size=(batch, length, hidden))
 
@@ -181,7 +188,7 @@ def test_attention_at_selected_query_rows(rng):
     real[1, 3:] = False
     bias = np.where(real, 0.0, -1e30)[:, None, None, :]
     rows = np.array([[4, 0, 4], [2, 2, 0]])  # repeated rows, like the padded slots of a ragged batch
-    keep = dropout_mask((batch, heads, length, length), 0.3, np.random.default_rng(5), np.float64)
+    keep = _dropout(batch, length, heads, hidden, 0.3)[1]
     weights = rng.normal(size=(batch, 3, hidden))
 
     full, full_probs = attention(q, k, v, heads, bias, keep)
@@ -214,12 +221,12 @@ def test_float32_stays_float32(rng):
     w = Tensor(rng.normal(size=(6, 6)).astype(f32), requires_grad=True)
     g = Tensor(np.ones(6, dtype=f32), requires_grad=True)
     b = Tensor(np.zeros(6, dtype=f32), requires_grad=True)
-    keep = dropout_mask((2, 2, 4, 4), 0.1, rng, f32)
-    assert keep.dtype == f32
+    residual, keep = _dropout(2, 4, 2, 6, 0.1, "float32")[:2]
+    assert keep.dtype == residual.dtype == f32
     normed = layer_norm(x * 0.5 + 1.0 - 2.0 / (x * x + 1.0), g, b)
     bias = np.zeros((2, 1, 1, 4), dtype=f32)
     context, probs = attention(linear(normed, w, b), linear(x, w, b), normed, 2, bias, keep)
-    hidden = linear(context, w, b).gelu().tanh() * dropout_mask((2, 4, 6), 0.1, rng, f32)
+    hidden = linear(context, w, b).gelu().tanh() * residual
     loss = softmax_cross_entropy(hidden[:, 0], np.array([1, 2])) + hidden.mean()
     assert probs.dtype == f32 and loss.data.dtype == f32
     loss.backward()
@@ -260,17 +267,18 @@ def test_constant_path_gives_zero_gradient(rng):
     np.testing.assert_array_equal(a.grad, np.zeros_like(a.data))
 
 
-def test_dropout_zero_rate_is_identity(rng):
+def test_dropout_zero_rate_is_identity():
     # A zero rate keeps every entry at multiplier 1, and the encoder draws no masks at all.
-    np.testing.assert_array_equal(dropout_mask((4, 4), 0.0, rng, np.float64), np.ones((4, 4)))
     config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=4, ff_dim=8, vocab_size=16, dropout_rate=0.0)
-    assert draw_dropout_masks(config, 2, 4, rng) == []
+    np.testing.assert_array_equal(_dropout_multipliers(np.ones((4, 4), dtype=bool), config), np.ones((4, 4)))
+    assert draw_dropout_masks(config, 4, (0,), range(2)) == []
 
 
-def test_dropout_scales_kept_entries(rng):
-    out = dropout_mask((1000,), 0.25, np.random.default_rng(0), np.float64)
+def test_dropout_scales_kept_entries():
+    out = np.concatenate([m.reshape(-1) for m in _dropout(2, 10, 2, 10, 0.25)])
+    assert out.dtype == np.float64 and out.size == 1000
     kept = out[out > 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.75)
+    np.testing.assert_array_equal(kept, 1.0 / 0.75)
     assert 0.6 < kept.size / 1000 < 0.9
 
 

@@ -606,8 +606,8 @@ def mallopt_calls(monkeypatch, policy_unset):
 def test_command_sets_the_malloc_policy_once_per_process(mallopt_calls, workspace, tmp_path):
     for run in ("a", "b"):
         assert cli.main(["split", str(workspace["corpus"]), "--out", str(tmp_path / run)]) == 0
-    # M_MMAP_THRESHOLD (-3) to 4 MiB, then M_TRIM_THRESHOLD (-1) to 1 GiB.
-    assert mallopt_calls == [(-3, 4 * 2**20), (-1, 2**30)]
+    # M_MMAP_THRESHOLD (-3) to 4 MiB + 64 KiB, then M_TRIM_THRESHOLD (-1) to 1 GiB.
+    assert mallopt_calls == [(-3, 4 * 2**20 + 64 * 2**10), (-1, 2**30)]
 
 
 @pytest.mark.parametrize("lookup", [lambda: None, lambda: lambda option, value: 0], ids=["missing", "fails"])

@@ -263,18 +263,16 @@ def _mlm_batch(config, batch, length, seed):
     return ids, pad_mask, rows, cols, targets
 
 
-def _encode(impl, params, config, ids, pad_mask, dropout_rng):
-    """The encoder's output with dropout from `dropout_rng`: the fused encoder reads
-    the masks `draw_dropout_masks` draws, the unfused one draws as it goes."""
-    if impl is fused:
-        masks = draw_dropout_masks(config, *ids.shape, dropout_rng)
-        return encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
-    return impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_rng=dropout_rng)
+def _encode(impl, params, config, ids, pad_mask, dropout_key):
+    """The encoder's output with dropout keyed by `dropout_key`: both encoders read
+    the same masks of `draw_dropout_masks`."""
+    masks = draw_dropout_masks(config, ids.shape[1], dropout_key, range(len(ids)))
+    return impl.encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
 
 
-def _mlm_loss(impl, params, config, batch, dropout_rng):
+def _mlm_loss(impl, params, config, batch, dropout_key):
     ids, pad_mask, rows, cols, targets = batch
-    hidden = _encode(impl, params, config, ids, pad_mask, dropout_rng)
+    hidden = _encode(impl, params, config, ids, pad_mask, dropout_key)
     return impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
 
 
@@ -291,8 +289,7 @@ def test_fused_training_matches_unfused_encoder_over_20_steps():
         optimizer = AdamW(params, TrainingConfig(learning_rate=1e-3))
         losses = []
         for step in range(20):
-            dropout_rng = np.random.default_rng(np.random.SeedSequence((7, step)))
-            loss = _mlm_loss(impl, params, config, batch, dropout_rng)
+            loss = _mlm_loss(impl, params, config, batch, (7, step))
             optimizer.step(backward(loss, params), 1e-3)
             losses.append(float(loss.data))
         runs[impl] = np.array(losses), {name: p.data for name, p in params.items()}
@@ -317,7 +314,7 @@ def test_fused_gradients_match_unfused_encoder(pooler_tanh):
     grads = []
     for impl in (fused, unfused_encoder):
         params = init_parameters(config, seed=2)
-        hidden = _encode(impl, params, config, ids, pad_mask, np.random.default_rng(9))
+        hidden = _encode(impl, params, config, ids, pad_mask, (9,))
         mlm = impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
         cls = impl.cross_entropy(impl.cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 2, 1]))
         grads.append(backward(mlm + cls, params))
@@ -334,9 +331,9 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
     params = init_parameters(config, seed=3)
     ids, pad_mask, rows, cols, targets = batch = _mlm_batch(config, 3, 8, seed=1)
     if objective == "mlm":
-        loss = _mlm_loss(fused, params, config, batch, np.random.default_rng(0))
+        loss = _mlm_loss(fused, params, config, batch, (0,))
     else:
-        masks = draw_dropout_masks(config, *ids.shape, np.random.default_rng(0))
+        masks = draw_dropout_masks(config, ids.shape[1], (0,), range(len(ids)))
         hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
         loss = cross_entropy(cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 1, 1]))
 
@@ -364,6 +361,51 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
     assert contributions
     assert {c.dtype for c in contributions} == {np.dtype(np.float32)}
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+# -- dropout -----------------------------------------------------------------------
+
+
+def _dropout_config(rate=0.1, dtype="float64"):
+    """The benchmark's pretraining shape: 4 layers, 4 heads, hidden 128."""
+    return ModelConfig(
+        num_layers=4, num_heads=4, hidden_dim=128, ff_dim=512, vocab_size=64, max_positions=128,
+        dropout_rate=rate, dtype=dtype,
+    )
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+def test_each_dropout_site_keeps_a_binomial_share(rate):
+    config = _dropout_config(rate)
+    masks = draw_dropout_masks(config, 128, (11, 0xD7, 3), range(16))
+    assert [m.shape for m in masks] == [(16, 128, 128)] + [(16, 4, 128, 128), (16, 128, 128), (16, 128, 128)] * 4
+    keep = 1.0 - round(rate * 2**16) / 2**16
+    for site, m in enumerate(masks):
+        assert m.dtype == bool
+        sigma = np.sqrt(m.size * keep * (1.0 - keep))
+        assert abs(np.count_nonzero(m) - m.size * keep) <= 5 * sigma, site
+
+
+def test_dropout_drops_the_same_positions_in_float32_and_float64():
+    key, rows = (4, 0xD7, 0), range(3)
+    masks = {dtype: draw_dropout_masks(_dropout_config(dtype=dtype), 40, key, rows) for dtype in ("float32", "float64")}
+    for single, double in zip(masks["float32"], masks["float64"]):
+        np.testing.assert_array_equal(single, double)
+        for dtype in ("float32", "float64"):
+            multipliers = fused._dropout_multipliers(single, _dropout_config(dtype=dtype))
+            assert multipliers.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(multipliers == 0, ~single)
+
+
+def test_a_rows_dropout_masks_do_not_depend_on_the_other_rows():
+    config = _dropout_config()
+    key = (4, 0xD7, 2)
+    batch = draw_dropout_masks(config, 128, key, range(16))
+    for rows in ([5], [15, 3], range(8, 16)):
+        for part, whole in zip(draw_dropout_masks(config, 128, key, rows), batch):
+            np.testing.assert_array_equal(part, whole[list(rows)])
+    other_step = draw_dropout_masks(config, 128, (4, 0xD7, 3), [5])
+    assert not np.array_equal(other_step[1], batch[1][[5]])
 
 
 # -- last-layer row selection ----------------------------------------------------------
@@ -403,7 +445,7 @@ def _selection_losses(params, config, objective, dropout_seed):
     ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(config, 1)
 
     def masks():
-        return draw_dropout_masks(config, *ids.shape, np.random.default_rng(dropout_seed))
+        return draw_dropout_masks(config, ids.shape[1], (dropout_seed,), range(len(ids)))
 
     if objective == "cls":
         positions = np.zeros((len(ids), 1), dtype=np.int64)
@@ -468,7 +510,7 @@ def test_last_layer_runs_feed_forward_only_at_selected_rows(monkeypatch):
         return real_gelu(self)
 
     monkeypatch.setattr(Tensor, "gelu", spy)
-    masks = draw_dropout_masks(config, *ids.shape, np.random.default_rng(0))
+    masks = draw_dropout_masks(config, ids.shape[1], (0,), range(len(ids)))
     encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks, positions=positions)
     assert gelu_rows == [ids.size] * (config.num_layers - 1) + [positions.size]
 

@@ -116,7 +116,7 @@ def test_merges_never_form_special_token_strings():
     assert tok.decode(ids) == "[MASK]"
 
 
-def test_decode_rejects_special_ids_unless_allowed(trained):
+def test_decode_rejects_special_ids(trained):
     with pytest.raises(TokenizerError, match="special"):
         trained.decode([trained.mask_id])
 

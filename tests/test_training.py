@@ -732,11 +732,31 @@ def test_split_step_matches_whole_batch_step_and_reruns_bitwise(
     monkeypatch, toy_tokenizer, split_model_config, long_segments
 ):
     args = (monkeypatch, split_model_config, long_segments, toy_tokenizer)
+    drawn = {}  # (seed, stream, step, row) -> that row's masks, once per draw
+    calls = []
+    real_draw = training_module.draw_dropout_masks
+
+    def spy(config, length, key, rows):
+        masks = real_draw(config, length, key, rows)
+        calls.append((key[2], list(rows)))
+        for i, row in enumerate(rows):
+            drawn.setdefault(key + (row,), []).append([m[i] for m in masks])
+        return masks
+
+    monkeypatch.setattr(training_module, "draw_dropout_masks", spy)
     split = _pretrain_16x128(*args)
     _assert_bitwise(_pretrain_16x128(*args), split)
 
     monkeypatch.setattr(training_module, "_SPLIT_ROWS", 10**9)
     whole = _pretrain_16x128(*args)
+    halves, batch = [list(range(8)), list(range(8, 16))], [list(range(16))]
+    assert sorted(calls) == sorted([(step, rows) for step in (0, 1) for rows in halves * 2 + batch])
+    assert len(drawn) == 2 * 16
+    for key, draws in drawn.items():
+        assert len(draws) == 3  # split, its rerun, whole
+        for masks in draws[1:]:
+            for got, want in zip(masks, draws[0]):
+                np.testing.assert_array_equal(got, want, err_msg=str(key))
     first_split, first_whole = split[0][0].train_loss, whole[0][0].train_loss
     assert abs(first_split - first_whole) <= 1e-12 * abs(first_whole)
     split_grads, whole_grads = split[1], whole[1]

@@ -39,10 +39,11 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(t: Tensor, rate: float, keep) -> Tensor:
+    """Inverted dropout with the next keep mask of `keep`, an iterator over the fused encoder's masks."""
     if rate <= 0.0:
         return t
-    return t * ((rng.random(t.data.shape) >= rate) / (1.0 - rate))
+    return t * (next(keep) / (1.0 - rate))
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
@@ -52,7 +53,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
     return centered * power(var + eps, -0.5) * g + b
 
 
-def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_rng=None, attention_sink=None):
+def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_masks=None, attention_sink=None):
     ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape
     nh, dh = config.num_heads, config.head_dim
@@ -64,10 +65,11 @@ def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_rng
         pad_mask = np.asarray(pad_mask, dtype=bool).reshape(batch, length)
         attn_bias = np.where(pad_mask, 0.0, ATTENTION_MASK_BIAS)[:, None, None, :]
 
-    rate = config.dropout_rate if dropout_rng is not None else 0.0
+    rate = config.dropout_rate if dropout_masks else 0.0
+    keep = iter(dropout_masks or ())
 
     x = params["tok_emb"][ids] + params["pos_emb"][np.arange(length)]
-    x = dropout(x, rate, dropout_rng)
+    x = dropout(x, rate, keep)
 
     for i in range(config.num_layers):
         p = f"layer{i}"
@@ -84,14 +86,14 @@ def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_rng
         attn = softmax(scores, axis=-1)
         if attention_sink is not None:
             attention_sink.append(attn.data.copy())
-        attn = dropout(attn, rate, dropout_rng)
+        attn = dropout(attn, rate, keep)
         context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, config.hidden_dim)
-        attn_out = dropout(context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"], rate, dropout_rng)
+        attn_out = dropout(context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"], rate, keep)
         x = x + attn_out
 
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         inner = (normed2 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]).gelu()
-        x = x + dropout(inner @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"], rate, dropout_rng)
+        x = x + dropout(inner @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"], rate, keep)
 
     return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
 
