@@ -158,6 +158,23 @@ class ClusterAssignment:
         return self.members(OUTLIER)
 
 
+def _smallest_connected_row(n: int, pairs: np.ndarray) -> np.ndarray:
+    """For each of `n` rows, the smallest row connected to it through the (i, j) `pairs`.
+
+    Label propagation: each pair gives both ends the smaller label, then pointer
+    jumping, until a round changes nothing and so every pair's ends agree.
+    """
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, pairs[:, 0], label[pairs[:, 1]])
+        np.minimum.at(label, pairs[:, 1], label[pairs[:, 0]])
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
 def cluster_embeddings(
     matrix: EmbeddingMatrix,
     min_cluster_size: int,
@@ -171,11 +188,8 @@ def cluster_embeddings(
     outlier. The radius graph is built from k-d tree pairs, so memory grows
     with the number of close pairs rather than with n^2.
     """
-    # Imported here, not at module level: they add about 14 MB of resident
-    # memory to every command that imports this module, and only this
-    # function needs them.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    # Imported here, not at module level: it adds resident memory to every
+    # command that imports this module, and only this function needs it.
     from scipy.spatial import cKDTree
 
     if min_cluster_size < 2:
@@ -189,9 +203,8 @@ def cluster_embeddings(
 
     reduced = pca_project(x, min(16, x.shape[1], n))
     pairs = cKDTree(reduced).query_pairs(radius, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
-    _, first_row, sizes = np.unique(component, return_index=True, return_counts=True)
+    smallest = _smallest_connected_row(n, pairs)
+    first_row, component, sizes = np.unique(smallest, return_inverse=True, return_counts=True)
 
     order = np.lexsort((first_row, -sizes))
     big = order[sizes[order] >= min_cluster_size]

@@ -6,9 +6,10 @@ the graph in reverse topological order and accumulates gradients into
 ``.grad`` of every leaf tensor created with ``requires_grad=True``; the walk
 consumes the graph, so a second ``backward()`` needs a new forward pass.
 
-The encoder's hot layers are fused nodes (``linear``, ``layer_norm``,
-``attention``, ``softmax_cross_entropy``), each one node with a closed-form
-backward pass. Every operation computes in the dtype of its operands.
+The encoder's hot layers are fused nodes (``embedding``, ``linear``,
+``feed_forward``, ``layer_norm``, ``attention``, ``softmax_cross_entropy``),
+each one node with a closed-form backward pass that keeps only what that pass
+reads. Every operation computes in the dtype of its operands.
 
 Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
@@ -33,7 +34,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor", "no_grad", "GraphError", "log_softmax",
-    "linear", "layer_norm", "attention", "softmax_cross_entropy",
+    "embedding", "linear", "feed_forward", "layer_norm", "attention", "softmax_cross_entropy",
     "one_blas_thread", "run_tasks",
 ]
 
@@ -316,16 +317,6 @@ class Tensor:
         out_data = np.tanh(self.data)
         return self._make(out_data, (self,), (lambda g: g * (1.0 - out_data * out_data),))
 
-    def gelu(self):
-        """Gaussian error linear unit, exact erf form: x * Phi(x)."""
-        x = self.data
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-
-        def vjp(g):
-            return g * (cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x)))
-
-        return self._make(x * cdf, (self,), (vjp,))
-
     # -- backward pass ---------------------------------------------------------
 
     def backward(self):
@@ -387,7 +378,8 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 #
 # Each of these records one tape node with a closed-form backward pass in
 # place of the many elementwise nodes the same math takes when composed from
-# Tensor operations.
+# Tensor operations. A node given dropout keep bits `keep` applies them inside
+# the multiply it already does, so its tape holds the bits, not a float mask.
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -402,22 +394,106 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.concatenate([a, a], axis=-2) @ b)[..., :1, :]
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows."""
+def _apply_keep(a: np.ndarray, keep: np.ndarray, keep_scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverted dropout: `a` times the bool bits `keep`, then times `keep_scale`, into `out` if given.
+
+    Bit for bit `a` times the float mask keep * keep_scale, signs of zero included.
+    """
+    out = np.multiply(a, keep, out=out)
+    out *= keep_scale
+    return out
+
+
+def _once(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn(g), computed once for the gradient g of one backward walk and shared by a node's VJPs."""
+    memo: list = []
+
+    def cached(g):
+        if not memo or memo[0] is not g:
+            memo[:] = [g, fn(g)]
+        return memo[1]
+
+    return cached
+
+
+def _drop_in_place(out: np.ndarray, keep: np.ndarray | None, keep_scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Apply dropout to a node's fresh output `out` in place; return g -> the gradient before it, as 2-D rows."""
+    if keep is None:
+        return lambda g: g.reshape(-1, g.shape[-1])
+    _apply_keep(out, keep, keep_scale, out=out)
+    return _once(lambda g: _apply_keep(g, keep, keep_scale).reshape(-1, g.shape[-1]))
+
+
+def embedding(
+    table: Tensor, positions: Tensor, ids: np.ndarray, keep: np.ndarray | None = None, keep_scale: float = 1.0
+) -> Tensor:
+    """table[ids] + positions[:length] for (batch, length) `ids`, then dropout in place with `keep`, as one node."""
+    length = ids.shape[1]
+    out = table.data[ids] + positions.data[:length]
+    rows = _drop_in_place(out, keep, keep_scale)
+
+    def vjp_table(g):
+        full = np.zeros(table.data.shape, dtype=g.dtype)
+        np.add.at(full, ids.reshape(-1), rows(g))
+        return full
+
+    def vjp_positions(g):
+        full = np.zeros(positions.data.shape, dtype=g.dtype)
+        full[:length] += rows(g).reshape(g.shape).sum(axis=0)
+        return full
+
+    return Tensor._make(out, (table, positions), (vjp_table, vjp_positions))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0) -> Tensor:
+    """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows, then dropout in place with `keep`."""
     shape = x.data.shape
     x2 = x.data.reshape(-1, shape[-1])
     out = _gemm(x2, w.data)
     out += b.data
-
-    def rows(g):
-        return g.reshape(-1, g.shape[-1])
-
+    out = out.reshape(shape[:-1] + out.shape[-1:])
+    rows = _drop_in_place(out, keep, keep_scale)
     return Tensor._make(
-        out.reshape(shape[:-1] + out.shape[-1:]),
+        out,
         (x, w, b),
         (
             lambda g: (rows(g) @ w.data.T).reshape(shape),
             lambda g: x2.T @ rows(g),
+            lambda g: rows(g).sum(axis=0),
+        ),
+    )
+
+
+def feed_forward(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0
+) -> Tensor:
+    """GELU(h) @ w2 + b2 for h = x @ w1 + b1, then dropout in place with `keep`, as one node.
+
+    GELU is the exact erf form h * Phi(h). The node keeps x, h and Phi(h); its
+    backward pass recomputes GELU(h) for the gradient of w2.
+    """
+    shape = x.data.shape
+    x2 = x.data.reshape(-1, shape[-1])
+    h = _gemm(x2, w1.data)
+    h += b1.data
+    cdf = 0.5 * (1.0 + erf(h / _SQRT2))
+    out = _gemm(h * cdf, w2.data)
+    out += b2.data
+    out = out.reshape(shape[:-1] + out.shape[-1:])
+    rows = _drop_in_place(out, keep, keep_scale)
+
+    @_once
+    def d_h(g):
+        return (rows(g) @ w2.data.T) * (cdf + h * (_INV_SQRT_2PI * np.exp(-0.5 * h * h)))
+
+    return Tensor._make(
+        out,
+        (x, w1, b1, w2, b2),
+        (
+            lambda g: (d_h(g) @ w1.data.T).reshape(shape),
+            lambda g: x2.T @ d_h(g),
+            lambda g: d_h(g).sum(axis=0),
+            lambda g: (h * cdf).T @ rows(g),
             lambda g: rows(g).sum(axis=0),
         ),
     )
@@ -452,17 +528,18 @@ def attention(
     num_heads: int,
     bias: np.ndarray | None = None,
     keep: np.ndarray | None = None,
+    keep_scale: float = 1.0,
     rows: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over (batch, length, hidden) inputs.
 
-    scores = q k^T / sqrt(head_dim) + bias, softmax over keys, then the
-    dropout multipliers `keep` (batch, heads, length, length), then the
-    weighted sum of values. Returns the context (batch, Q, hidden) and the
-    attention probabilities (batch, heads, Q, length) before dropout, where Q
-    is `length`, or the width of `rows` (batch, Q) when that names the query
-    rows to compute. The node keeps only the probabilities and `keep` for its
-    backward pass.
+    scores = q k^T / sqrt(head_dim) + bias, softmax over keys, then dropout
+    with the keep bits `keep` (batch, heads, length, length) and
+    `keep_scale`, then the weighted sum of values. Returns the context
+    (batch, Q, hidden) and the attention probabilities (batch, heads, Q,
+    length) before dropout, where Q is `length`, or the width of `rows`
+    (batch, Q) when that names the query rows to compute. The node keeps only
+    the probabilities and `keep` for its backward pass.
 
     With `rows`, the score product still runs over every query row and the
     named rows of it and of `keep` are taken: a few-row product can go to
@@ -479,6 +556,9 @@ def attention(
     def merge(a):  # (B, nh, n, dh) -> (B, n, H)
         return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], hidden)
 
+    def dropped(probs):
+        return probs if keep is None else _apply_keep(probs, keep, keep_scale)
+
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if rows is not None:
@@ -492,22 +572,18 @@ def attention(
     scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    weights = probs if keep is None else probs * keep
-    context = merge(_gemm(weights, vh))
+    context = merge(_gemm(dropped(probs), vh))
 
-    memo: list = []
-
+    @_once
     def d_scores(g):
         """Gradient at the scaled scores, shared by the q and k VJPs of one backward."""
-        if not memo or memo[0] is not g:
-            d_probs = split(g) @ vh.swapaxes(-1, -2)
-            if keep is not None:
-                d_probs *= keep
-            d_probs -= (d_probs * probs).sum(axis=-1, keepdims=True)
-            d_probs *= probs
-            d_probs *= scale
-            memo[:] = [g, d_probs]
-        return memo[1]
+        d_probs = split(g) @ vh.swapaxes(-1, -2)
+        if keep is not None:
+            _apply_keep(d_probs, keep, keep_scale, out=d_probs)
+        d_probs -= (d_probs * probs).sum(axis=-1, keepdims=True)
+        d_probs *= probs
+        d_probs *= scale
+        return d_probs
 
     def vjp_q(g):
         d_q = merge(d_scores(g) @ kh)
@@ -517,14 +593,14 @@ def attention(
         np.add.at(full, (np.arange(rows.shape[0])[:, None], rows), d_q)
         return full
 
-    def vjp_v(g):
-        weights = probs if keep is None else probs * keep
-        return merge(weights.swapaxes(-1, -2) @ split(g))
-
     out = Tensor._make(
         context,
         (q, k, v),
-        (vjp_q, lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh), vjp_v),
+        (
+            vjp_q,
+            lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh),
+            lambda g: merge(dropped(probs).swapaxes(-1, -2) @ split(g)),
+        ),
     )
     return out, probs
 

@@ -23,6 +23,8 @@ import numpy as np
 from .autodiff import (
     Tensor,
     attention,
+    embedding,
+    feed_forward,
     layer_norm,
     linear,
     log_softmax,
@@ -216,13 +218,6 @@ def draw_dropout_masks(
     ]
 
 
-def _dropout_multipliers(keep: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Keep bits as model-dtype inverted-dropout multipliers: 0 where dropped, 1 / (1 - rate) where kept."""
-    multipliers = keep.astype(config.np_dtype)
-    multipliers *= 1.0 / (1.0 - config.dropout_rate)
-    return multipliers
-
-
 def encoder_forward(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -256,7 +251,11 @@ def encoder_forward(
     dropping = bool(dropout_masks)
     if dropping and [m.shape for m in dropout_masks] != _dropout_shapes(config, batch, length):
         raise ModelError(f"dropout masks do not match a {batch} x {length} batch of this model")
+    for index, mask in enumerate(dropout_masks or ()):
+        if mask.dtype != bool:
+            raise ModelError(f"dropout mask {index} has dtype {mask.dtype}; masks are bool keep bits")
     masks = iter(dropout_masks or ())
+    keep_scale = 1.0 / (1.0 - config.dropout_rate)
 
     if pad_mask is None:
         attn_bias = None
@@ -270,9 +269,9 @@ def encoder_forward(
     def selected_rows(a):  # (B, L, ...) -> (B, Q, ...), array or Tensor
         return a[np.arange(batch)[:, None], positions]
 
-    def drop(t, rows):
-        """Residual dropout with the `rows` of the next (B, L, H) mask."""
-        return t * _dropout_multipliers(rows(next(masks)), config) if dropping else t
+    def site(rows=every_row):
+        """The `rows` of the next dropout site's keep bits; None without dropout."""
+        return rows(next(masks)) if dropping else None
 
     def layer(i: int, x: Tensor) -> Tensor:
         """Layer i. Without a tape, each intermediate is freed once the layer no longer reads it."""
@@ -283,20 +282,18 @@ def encoder_forward(
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        keep = _dropout_multipliers(next(masks), config) if dropping else None
-        context, probs = attention(q, k, v, heads, attn_bias, keep, positions if selecting else None)
+        context, probs = attention(q, k, v, heads, attn_bias, site(), keep_scale, positions if selecting else None)
         if attention_sink is not None:
             attention_sink.append(probs.copy())
         del normed, q, k, v, probs
-        x = rows(x) + drop(linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"]), rows)
+        x = rows(x) + linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], site(rows), keep_scale)
         del context
 
         normed = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        inner = linear(normed, params[f"{p}.ff.w1"], params[f"{p}.ff.b1"]).gelu()
-        del normed
-        return x + drop(linear(inner, params[f"{p}.ff.w2"], params[f"{p}.ff.b2"]), rows)
+        ff = [params[f"{p}.ff.{name}"] for name in ("w1", "b1", "w2", "b2")]
+        return x + feed_forward(normed, *ff, site(rows), keep_scale)
 
-    x = drop(params["tok_emb"][ids] + params["pos_emb"][np.arange(length)], every_row)
+    x = embedding(params["tok_emb"], params["pos_emb"], ids, site(), keep_scale)
     for i in range(config.num_layers):
         x = layer(i, x)
     return layer_norm(x, params["final_ln.g"], params["final_ln.b"])

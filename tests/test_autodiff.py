@@ -7,7 +7,10 @@ import domainlm.autodiff as autodiff_module
 from domainlm.autodiff import (
     GraphError,
     Tensor,
+    _apply_keep,
     attention,
+    embedding,
+    feed_forward,
     layer_norm,
     linear,
     log_softmax,
@@ -17,17 +20,16 @@ from domainlm.autodiff import (
     softmax_cross_entropy,
 )
 
-from domainlm.model import ModelConfig, _dropout_multipliers, draw_dropout_masks
+from domainlm.model import ModelConfig, draw_dropout_masks
 
+import unfused_encoder
 from conftest import max_relative_error
 
 
-def _dropout(batch, length, heads, hidden, rate, dtype="float64"):
-    """The dropout multipliers of a one-layer encoder, as it applies them: residual, attention, residual, residual."""
-    config = ModelConfig(
-        num_layers=1, num_heads=heads, hidden_dim=hidden, ff_dim=4, vocab_size=16, dropout_rate=rate, dtype=dtype,
-    )
-    return [_dropout_multipliers(m, config) for m in draw_dropout_masks(config, length, (5,), range(batch))]
+def _dropout(batch, length, heads, hidden, rate):
+    """The keep bits of a one-layer encoder, in the order it reads them: residual, attention, residual, residual."""
+    config = ModelConfig(num_layers=1, num_heads=heads, hidden_dim=hidden, ff_dim=4, vocab_size=16, dropout_rate=rate)
+    return draw_dropout_masks(config, length, (5,), range(batch))
 
 
 def _fd_scalar(fn, x: Tensor, h=1e-6):
@@ -112,7 +114,7 @@ def test_reductions_and_shapes(rng):
 def test_elementwise_nonlinearities(rng):
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     _check_op(lambda: a.tanh().sum(), a)
-    _check_op(lambda: a.gelu().sum(), a)
+    _check_op(lambda: unfused_encoder.gelu(a).sum(), a)
 
 
 def test_softmax_rows_and_gradient(rng):
@@ -149,6 +151,69 @@ def test_linear_is_one_affine_map_with_gradients(rng):
     _check_op(lambda: (linear(rows, w, b) * weights[0]).sum(), rows, w, b)
 
 
+def test_linear_with_keep_bits_gradients(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    keep = rng.random(size=(2, 3, 5)) >= 0.3
+    np.testing.assert_array_equal(linear(x, w, b, keep, 2.0).data, linear(x, w, b).data * keep * 2.0)
+    weights = rng.normal(size=(2, 3, 5))
+    _check_op(lambda: (linear(x, w, b, keep, 1 / 0.7) * weights).sum(), x, w, b)
+
+
+def _feed_forward_operands(rng, dtype="float64"):
+    x = Tensor(rng.normal(size=(2, 3, 4)).astype(dtype), requires_grad=True)
+    w1 = Tensor(rng.normal(size=(4, 6)).astype(dtype), requires_grad=True)
+    b1 = Tensor(rng.normal(size=(6,)).astype(dtype), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True)
+    b2 = Tensor(rng.normal(size=(4,)).astype(dtype), requires_grad=True)
+    return x, w1, b1, w2, b2
+
+
+@pytest.mark.parametrize("dropping", [False, True])
+def test_feed_forward_gradients(rng, dropping):
+    operands = _feed_forward_operands(rng)
+    keep = rng.random(size=(2, 3, 4)) >= 0.3 if dropping else None
+    weights = rng.normal(size=(2, 3, 4))
+    _check_op(lambda: (feed_forward(*operands, keep, 1 / 0.7) * weights).sum(), *operands)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("dropping", [False, True])
+def test_feed_forward_equals_the_composed_block_bit_for_bit(rng, dtype, dropping):
+    """linear, the oracle GELU, linear and a float dropout mask give the fused node's bytes, forward and backward."""
+    operands = _feed_forward_operands(rng, dtype)
+    x, w1, b1, w2, b2 = operands
+    keep = rng.random(size=(2, 3, 4)) >= 0.3 if dropping else None
+    weights = rng.normal(size=(2, 3, 4)).astype(dtype)
+
+    def composed():
+        out = linear(unfused_encoder.gelu(linear(x, w1, b1)), w2, b2)
+        return out * (keep / 0.7) if dropping else out
+
+    results = []
+    for build in (lambda: feed_forward(*operands, keep, 1 / 0.7), composed):
+        for t in operands:
+            t.grad = None
+        out = build()
+        (out * weights).sum().backward()
+        results.append([out.data] + [t.grad for t in operands])
+    for fused, expected in zip(*results):
+        assert fused.dtype == np.dtype(dtype) and fused.tobytes() == expected.tobytes()
+
+
+def test_embedding_gradients(rng):
+    table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    positions = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    ids = np.array([[1, 6, 1], [0, 3, 6]])
+    keep = rng.random(size=(2, 3, 4)) >= 0.3
+    expected = (table.data[ids] + positions.data[:3]) * keep / 0.7
+    np.testing.assert_allclose(embedding(table, positions, ids, keep, 1 / 0.7).data, expected, atol=1e-12)
+    weights = rng.normal(size=(2, 3, 4))
+    _check_op(lambda: (embedding(table, positions, ids, keep, 1 / 0.7) * weights).sum(), table, positions)
+    _check_op(lambda: (embedding(table, positions, ids) * weights).sum(), table, positions)
+
+
 def test_layer_norm_normalizes_rows_with_gradients(rng):
     """Covers the square root and the -0.5 power the unfused layer norm was built from."""
     x = Tensor(rng.normal(size=(2, 3, 6)) * 2 + 1, requires_grad=True)
@@ -173,7 +238,7 @@ def test_attention_gradients_with_pad_bias_and_dropout(rng):
     weights = rng.normal(size=(batch, length, hidden))
 
     def loss():
-        return (attention(q, k, v, heads, bias, keep)[0] * weights).sum()
+        return (attention(q, k, v, heads, bias, keep, 1 / 0.7)[0] * weights).sum()
 
     _check_op(loss, q, k, v)
     _, probs = attention(q, k, v, heads, bias)
@@ -191,14 +256,14 @@ def test_attention_at_selected_query_rows(rng):
     keep = _dropout(batch, length, heads, hidden, 0.3)[1]
     weights = rng.normal(size=(batch, 3, hidden))
 
-    full, full_probs = attention(q, k, v, heads, bias, keep)
-    context, probs = attention(q, k, v, heads, bias, keep, rows)
+    full, full_probs = attention(q, k, v, heads, bias, keep, 1 / 0.7)
+    context, probs = attention(q, k, v, heads, bias, keep, 1 / 0.7, rows)
     pick = (np.arange(batch)[:, None], rows)
     np.testing.assert_array_equal(context.data, full.data[pick])
     np.testing.assert_array_equal(probs, np.take_along_axis(full_probs, rows[:, None, :, None], axis=2))
 
     def loss():
-        return (attention(q, k, v, heads, bias, keep, rows)[0] * weights).sum()
+        return (attention(q, k, v, heads, bias, keep, 1 / 0.7, rows)[0] * weights).sum()
 
     _check_op(loss, q, k, v)
 
@@ -215,22 +280,25 @@ def test_softmax_cross_entropy_gradient_is_softmax_minus_onehot(rng):
 
 
 def test_float32_stays_float32(rng):
-    """Constants, dropout multipliers and every fused node keep a float32 operand float32."""
+    """Constants, dropout keep bits and every fused node keep a float32 operand float32."""
     f32 = np.float32
     x = Tensor(rng.normal(size=(2, 4, 6)).astype(f32), requires_grad=True)
     w = Tensor(rng.normal(size=(6, 6)).astype(f32), requires_grad=True)
     g = Tensor(np.ones(6, dtype=f32), requires_grad=True)
     b = Tensor(np.zeros(6, dtype=f32), requires_grad=True)
-    residual, keep = _dropout(2, 4, 2, 6, 0.1, "float32")[:2]
-    assert keep.dtype == residual.dtype == f32
+    table = Tensor(rng.normal(size=(9, 6)).astype(f32), requires_grad=True)
+    residual, keep = _dropout(2, 4, 2, 6, 0.1)[:2]
+    assert keep.dtype == residual.dtype == bool
+    embedded = embedding(table, table, np.array([[1, 8, 0, 3], [2, 2, 5, 7]]), residual, 1 / 0.9)
     normed = layer_norm(x * 0.5 + 1.0 - 2.0 / (x * x + 1.0), g, b)
     bias = np.zeros((2, 1, 1, 4), dtype=f32)
-    context, probs = attention(linear(normed, w, b), linear(x, w, b), normed, 2, bias, keep)
-    hidden = linear(context, w, b).gelu().tanh() * residual
+    context, probs = attention(linear(normed, w, b), linear(x, w, b), normed, 2, bias, keep, 1 / 0.9)
+    projected = linear(context, w, b, residual, 1 / 0.9)
+    hidden = (feed_forward(projected, w, b, w, b, residual, 1 / 0.9) + embedded).tanh()
     loss = softmax_cross_entropy(hidden[:, 0], np.array([1, 2])) + hidden.mean()
     assert probs.dtype == f32 and loss.data.dtype == f32
     loss.backward()
-    for t in (x, w, g, b):
+    for t in (x, w, g, b, table):
         assert t.grad.dtype == f32
 
 
@@ -267,19 +335,34 @@ def test_constant_path_gives_zero_gradient(rng):
     np.testing.assert_array_equal(a.grad, np.zeros_like(a.data))
 
 
-def test_dropout_zero_rate_is_identity():
-    # A zero rate keeps every entry at multiplier 1, and the encoder draws no masks at all.
+def test_dropout_zero_rate_is_identity(rng):
+    # Keep-all bits at scale 1 leave an array as it is, and a zero rate draws no masks at all.
     config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=4, ff_dim=8, vocab_size=16, dropout_rate=0.0)
-    np.testing.assert_array_equal(_dropout_multipliers(np.ones((4, 4), dtype=bool), config), np.ones((4, 4)))
+    x = rng.normal(size=(4, 4))
+    np.testing.assert_array_equal(_apply_keep(x, np.ones((4, 4), dtype=bool), 1.0), x)
     assert draw_dropout_masks(config, 4, (0,), range(2)) == []
 
 
 def test_dropout_scales_kept_entries():
-    out = np.concatenate([m.reshape(-1) for m in _dropout(2, 10, 2, 10, 0.25)])
+    masks = _dropout(2, 10, 2, 10, 0.25)
+    out = np.concatenate([_apply_keep(np.ones(m.shape), m, 1.0 / 0.75).reshape(-1) for m in masks])
     assert out.dtype == np.float64 and out.size == 1000
     kept = out[out > 0]
     np.testing.assert_array_equal(kept, 1.0 / 0.75)
     assert 0.6 < kept.size / 1000 < 0.9
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_keep_bits_equal_the_float_mask_bit_for_bit(rng, dtype):
+    """Bits then scale give the bytes of one multiply by keep * scale, signs of zero included."""
+    a = rng.normal(size=(3, 50)).astype(dtype)
+    keep = rng.random(size=a.shape) >= 0.3
+    mask = keep.astype(dtype)
+    mask *= 1 / 0.7
+    expected = a * mask
+    assert np.signbit(expected[~keep]).any()
+    for got in (_apply_keep(a, keep, 1 / 0.7), _apply_keep(a, keep, 1 / 0.7, out=a.copy())):
+        assert got.dtype == np.dtype(dtype) and got.tobytes() == expected.tobytes()
 
 
 # -- run_tasks -------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import json
+import tracemalloc
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import domainlm.model as fused
 import unfused_encoder
-from domainlm.autodiff import GraphError, Tensor
+from domainlm.autodiff import GraphError, Tensor, _apply_keep
 from domainlm.data import MaskedSegment, assemble_mlm_batch
 from domainlm.model import (
     CHECKPOINT_FORMAT,
@@ -392,9 +393,9 @@ def test_dropout_drops_the_same_positions_in_float32_and_float64():
     for single, double in zip(masks["float32"], masks["float64"]):
         np.testing.assert_array_equal(single, double)
         for dtype in ("float32", "float64"):
-            multipliers = fused._dropout_multipliers(single, _dropout_config(dtype=dtype))
-            assert multipliers.dtype == np.dtype(dtype)
-            np.testing.assert_array_equal(multipliers == 0, ~single)
+            dropped = _apply_keep(np.ones(single.shape, dtype=dtype), single, 1.0 / 0.9)
+            assert dropped.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(dropped == 0, ~single)
 
 
 def test_a_rows_dropout_masks_do_not_depend_on_the_other_rows():
@@ -406,6 +407,41 @@ def test_a_rows_dropout_masks_do_not_depend_on_the_other_rows():
             np.testing.assert_array_equal(part, whole[list(rows)])
     other_step = draw_dropout_masks(config, 128, (4, 0xD7, 3), [5])
     assert not np.array_equal(other_step[1], batch[1][[5]])
+
+
+def test_float_dropout_masks_are_refused():
+    """A float mask would be multiplied in and then scaled a second time."""
+    config = _dropout_config()
+    params = init_parameters(config, seed=0)
+    ids = np.full((2, 8), 5)
+    masks = draw_dropout_masks(config, 8, (0,), range(2))
+    masks[2] = masks[2] / 0.9
+    with pytest.raises(ModelError, match="dropout mask 2 has dtype float64"):
+        encoder_forward(params, config, ids, dropout_masks=masks)
+
+
+def _tape_bytes(config, masks):
+    """Bytes allocated by a taped forward and still held while its output lives."""
+    params = init_parameters(config, seed=0)
+    ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(4, 64))
+    tracemalloc.start()
+    try:
+        hidden = encoder_forward(params, config, ids, dropout_masks=masks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert hidden.requires_grad
+    return held
+
+
+def test_dropout_costs_the_tape_only_its_bits():
+    """The masks are drawn beforehand, so dropout may add no float array to the tape."""
+    config = ModelConfig(
+        num_layers=2, num_heads=4, hidden_dim=64, ff_dim=256, vocab_size=128, max_positions=64, dropout_rate=0.1,
+    )
+    masks = draw_dropout_masks(config, 64, (3,), range(4))
+    gap = _tape_bytes(config, masks) - _tape_bytes(replace(config, dropout_rate=0.0), None)
+    assert gap <= 16 * 1024
 
 
 # -- last-layer row selection ----------------------------------------------------------
@@ -502,17 +538,17 @@ def test_last_layer_runs_feed_forward_only_at_selected_rows(monkeypatch):
     config = _selection_config(3, "float64", 0.1)
     params = init_parameters(config, seed=2)
     ids, pad_mask, positions, *_ = _ragged_mlm_batch(config, 1)
-    gelu_rows = []
-    real_gelu = Tensor.gelu
+    feed_forward_rows = []
+    real_feed_forward = fused.feed_forward
 
-    def spy(self):
-        gelu_rows.append(int(np.prod(self.data.shape[:-1])))
-        return real_gelu(self)
+    def spy(x, *args):
+        feed_forward_rows.append(int(np.prod(x.data.shape[:-1])))
+        return real_feed_forward(x, *args)
 
-    monkeypatch.setattr(Tensor, "gelu", spy)
+    monkeypatch.setattr(fused, "feed_forward", spy)
     masks = draw_dropout_masks(config, ids.shape[1], (0,), range(len(ids)))
     encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks, positions=positions)
-    assert gelu_rows == [ids.size] * (config.num_layers - 1) + [positions.size]
+    assert feed_forward_rows == [ids.size] * (config.num_layers - 1) + [positions.size]
 
 
 def test_attention_sink_holds_selected_rows_of_the_last_layer(tiny_config, tiny_params):

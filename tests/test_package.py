@@ -333,3 +333,15 @@ def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environme
                 environment_reads.append(where)
     assert blas_uses == {"autodiff:_blas_thread_controls"}
     assert environment_reads == []
+
+
+def test_no_module_imports_scipy_sparse():
+    """The clusterer joins its radius pairs by label propagation, without the sparse-graph package and its import."""
+    imported = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [f"{path.stem}: {alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names]
+    assert [name for name in imported if name.split(": ")[1].startswith("scipy.sparse")] == []

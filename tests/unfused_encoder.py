@@ -3,11 +3,14 @@ were before layer norm, the projections, the attention core and the loss
 became fused nodes. Test-only oracle: the fused path must reproduce its
 losses, gradients and training trajectory in float64.
 
-The elementwise operations the fused nodes replaced (exp, log, power,
+The elementwise operations the fused nodes replaced (exp, log, power, GELU,
 softmax and the taped log-softmax) are rebuilt here on `Tensor._make`.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from domainlm.autodiff import Tensor
 from domainlm.model import ATTENTION_MASK_BIAS, ModelConfig
@@ -26,6 +29,14 @@ def exp(t: Tensor) -> Tensor:
 def log(t: Tensor) -> Tensor:
     data = t.data
     return Tensor._make(np.log(data), (t,), (lambda g: g / data,))
+
+
+def gelu(t: Tensor) -> Tensor:
+    """Gaussian error linear unit, exact erf form: x * Phi(x)."""
+    x = t.data
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    density = 1.0 / math.sqrt(2.0 * math.pi)
+    return Tensor._make(x * cdf, (t,), (lambda g: g * (cdf + x * (density * np.exp(-0.5 * x * x))),))
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -92,7 +103,7 @@ def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_mas
         x = x + attn_out
 
         normed2 = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        inner = (normed2 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"]).gelu()
+        inner = gelu(normed2 @ params[f"{p}.ff.w1"] + params[f"{p}.ff.b1"])
         x = x + dropout(inner @ params[f"{p}.ff.w2"] + params[f"{p}.ff.b2"], rate, keep)
 
     return layer_norm(x, params["final_ln.g"], params["final_ln.b"])
