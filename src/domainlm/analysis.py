@@ -43,7 +43,6 @@ __all__ = [
     "cbtfidf_topics",
     "topic_report",
     "save_embeddings",
-    "load_embeddings",
     "write_projection_csv",
     "write_topic_csv",
 ]
@@ -308,19 +307,6 @@ def save_embeddings(matrix: EmbeddingMatrix, base_path) -> tuple[Path, Path]:
         ids_path, f"# checkpoint {matrix.checkpoint_hash}\n" + "".join(i + "\n" for i in matrix.ids)
     )
     return npy_path, ids_path
-
-
-def load_embeddings(base_path) -> EmbeddingMatrix:
-    base_path = Path(base_path)
-    data = np.load(base_path.with_suffix(".npy"))
-    lines = base_path.with_suffix(".ids.txt").read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# checkpoint "):
-        raise AnalysisError(f"bad id sidecar header for {base_path}")
-    return EmbeddingMatrix(
-        ids=[line for line in lines[1:] if line],
-        matrix=data,
-        checkpoint_hash=lines[0].removeprefix("# checkpoint ").strip(),
-    )
 
 
 def write_projection_csv(

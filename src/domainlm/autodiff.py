@@ -9,7 +9,9 @@ consumes the graph, so a second ``backward()`` needs a new forward pass.
 The encoder's hot layers are fused nodes (``embedding``, ``linear``,
 ``feed_forward``, ``layer_norm``, ``attention``, ``softmax_cross_entropy``),
 each one node with a closed-form backward pass that keeps only what that pass
-reads. Every operation computes in the dtype of its operands.
+reads. ``linear`` and ``feed_forward`` given a ``residual`` add their output
+into its array in place, so a forward pass holds one residual-stream array.
+Every operation computes in the dtype of its operands.
 
 Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
@@ -210,11 +212,12 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other, self.data.dtype)
+        shape, other_shape = self.data.shape, other.data.shape
         return self._make(
             self.data + other.data,
             (self, other),
-            (lambda g: _unbroadcast(g, self.data.shape),
-             lambda g: _unbroadcast(g, other.data.shape)),
+            (lambda g: _unbroadcast(g, shape),
+             lambda g: _unbroadcast(g, other_shape)),
         )
 
     __radd__ = __add__
@@ -224,11 +227,12 @@ class Tensor:
 
     def __sub__(self, other):
         other = self._lift(other, self.data.dtype)
+        shape, other_shape = self.data.shape, other.data.shape
         return self._make(
             self.data - other.data,
             (self, other),
-            (lambda g: _unbroadcast(g, self.data.shape),
-             lambda g: _unbroadcast(-g, other.data.shape)),
+            (lambda g: _unbroadcast(g, shape),
+             lambda g: _unbroadcast(-g, other_shape)),
         )
 
     def __rsub__(self, other):
@@ -424,6 +428,14 @@ def _drop_in_place(out: np.ndarray, keep: np.ndarray | None, keep_scale: float) 
     return _once(lambda g: _apply_keep(g, keep, keep_scale).reshape(-1, g.shape[-1]))
 
 
+def _into_residual(residual: Tensor | None, out: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
+    """The node of `out`, or of residual + out written into `residual`'s array, whose gradient it passes on as is."""
+    if residual is None:
+        return Tensor._make(out, parents, vjps)
+    residual.data += out
+    return Tensor._make(residual.data, parents + (residual,), vjps + (lambda g: g,))
+
+
 def embedding(
     table: Tensor, positions: Tensor, ids: np.ndarray, keep: np.ndarray | None = None, keep_scale: float = 1.0
 ) -> Tensor:
@@ -445,32 +457,37 @@ def embedding(
     return Tensor._make(out, (table, positions), (vjp_table, vjp_positions))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0) -> Tensor:
-    """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows, then dropout in place with `keep`."""
+def linear(
+    x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0,
+    residual: Tensor | None = None,
+) -> Tensor:
+    """x @ w + b over the last axis of x, as one 2-D GEMM over all leading rows, then dropout in place with `keep`.
+
+    With `residual`, returns residual + that, added into `residual`'s array, which is overwritten: pass only a fresh
+    interior output whose values no node reads.
+    """
     shape = x.data.shape
     x2 = x.data.reshape(-1, shape[-1])
     out = _gemm(x2, w.data)
     out += b.data
     out = out.reshape(shape[:-1] + out.shape[-1:])
     rows = _drop_in_place(out, keep, keep_scale)
-    return Tensor._make(
-        out,
-        (x, w, b),
-        (
-            lambda g: (rows(g) @ w.data.T).reshape(shape),
-            lambda g: x2.T @ rows(g),
-            lambda g: rows(g).sum(axis=0),
-        ),
-    )
+    return _into_residual(residual, out, (x, w, b), (
+        lambda g: (rows(g) @ w.data.T).reshape(shape),
+        lambda g: x2.T @ rows(g),
+        lambda g: rows(g).sum(axis=0),
+    ))
 
 
 def feed_forward(
-    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: np.ndarray | None = None, keep_scale: float = 1.0,
+    residual: Tensor | None = None,
 ) -> Tensor:
     """GELU(h) @ w2 + b2 for h = x @ w1 + b1, then dropout in place with `keep`, as one node.
 
     GELU is the exact erf form h * Phi(h). The node keeps x, h and Phi(h); its
-    backward pass recomputes GELU(h) for the gradient of w2.
+    backward pass recomputes GELU(h) for the gradient of w2. With `residual`,
+    the sum is written into its array, as in `linear`.
     """
     shape = x.data.shape
     x2 = x.data.reshape(-1, shape[-1])
@@ -486,17 +503,13 @@ def feed_forward(
     def d_h(g):
         return (rows(g) @ w2.data.T) * (cdf + h * (_INV_SQRT_2PI * np.exp(-0.5 * h * h)))
 
-    return Tensor._make(
-        out,
-        (x, w1, b1, w2, b2),
-        (
-            lambda g: (d_h(g) @ w1.data.T).reshape(shape),
-            lambda g: x2.T @ d_h(g),
-            lambda g: d_h(g).sum(axis=0),
-            lambda g: (h * cdf).T @ rows(g),
-            lambda g: rows(g).sum(axis=0),
-        ),
-    )
+    return _into_residual(residual, out, (x, w1, b1, w2, b2), (
+        lambda g: (d_h(g) @ w1.data.T).reshape(shape),
+        lambda g: x2.T @ d_h(g),
+        lambda g: d_h(g).sum(axis=0),
+        lambda g: (h * cdf).T @ rows(g),
+        lambda g: rows(g).sum(axis=0),
+    ))
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:

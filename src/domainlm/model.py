@@ -286,12 +286,13 @@ def encoder_forward(
         if attention_sink is not None:
             attention_sink.append(probs.copy())
         del normed, q, k, v, probs
-        x = rows(x) + linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], site(rows), keep_scale)
+        # The residual stream is one array: each sum below is written into it.
+        x = linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], site(rows), keep_scale, rows(x))
         del context
 
         normed = layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         ff = [params[f"{p}.ff.{name}"] for name in ("w1", "b1", "w2", "b2")]
-        return x + feed_forward(normed, *ff, site(rows), keep_scale)
+        return feed_forward(normed, *ff, site(rows), keep_scale, x)
 
     x = embedding(params["tok_emb"], params["pos_emb"], ids, site(), keep_scale)
     for i in range(config.num_layers):

@@ -18,7 +18,6 @@ from domainlm.analysis import (
     cluster_embeddings,
     export_cls_embeddings,
     extract_words,
-    load_embeddings,
     pca_project,
     project_2d,
     save_embeddings,
@@ -446,11 +445,10 @@ def test_export_rejects_foreign_tokenizer(toy_docs, toy_base_checkpoint):
 
 def test_embedding_files_roundtrip(tmp_path):
     matrix = EmbeddingMatrix(ids=["a", "b"], matrix=np.ones((2, 4)), checkpoint_hash="deadbeef")
-    save_embeddings(matrix, tmp_path / "emb")
-    loaded = load_embeddings(tmp_path / "emb")
-    assert loaded.ids == ["a", "b"]
-    assert loaded.checkpoint_hash == "deadbeef"
-    np.testing.assert_array_equal(loaded.matrix, matrix.matrix)
+    npy_path, ids_path = save_embeddings(matrix, tmp_path / "emb")
+    assert (npy_path.name, ids_path.name) == ("emb.npy", "emb.ids.txt")
+    assert ids_path.read_text(encoding="utf-8").splitlines() == ["# checkpoint deadbeef", "a", "b"]
+    np.testing.assert_array_equal(np.load(npy_path), matrix.matrix)
 
 
 def test_projection_and_topic_csvs(tmp_path):

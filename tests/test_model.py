@@ -1,3 +1,4 @@
+import inspect
 import json
 import tracemalloc
 import zipfile
@@ -442,6 +443,68 @@ def test_dropout_costs_the_tape_only_its_bits():
     masks = draw_dropout_masks(config, 64, (3,), range(4))
     gap = _tape_bytes(config, masks) - _tape_bytes(replace(config, dropout_rate=0.0), None)
     assert gap <= 16 * 1024
+
+
+@pytest.mark.parametrize("select", [False, True])
+def test_every_layer_adds_into_one_residual_stream_array(monkeypatch, select):
+    """The attention-output projection and the feed-forward block write their sums into the embedding output's
+    array; under `positions`, the last layer writes into its copy of the selected rows."""
+    config = _selection_config(3, "float64", 0.1)
+    params = init_parameters(config, seed=2)
+    ids, pad_mask, positions, *_ = _ragged_mlm_batch(config, 1)
+    masks = draw_dropout_masks(config, ids.shape[1], (0,), range(len(ids)))
+    returned = {name: [] for name in ("embedding", "linear", "feed_forward")}  # the Tensors each node returned
+    for name, seen in returned.items():
+        def spy(*args, _node=getattr(fused, name), _seen=seen, **kwargs):
+            _seen.append(_node(*args, **kwargs))
+            return _seen[-1]
+
+        monkeypatch.setattr(fused, name, spy)
+    encoder_forward(
+        params, config, ids, pad_mask=pad_mask, dropout_masks=masks, positions=positions if select else None
+    )
+    [stream] = [t.data for t in returned["embedding"]]
+    linears = returned["linear"]
+    assert len(linears) == 4 * config.num_layers  # q, k, v, then the attention output of each layer
+    carried = [t.data for pair in zip(linears[3::4], returned["feed_forward"]) for t in pair]
+    if select:
+        *carried, projection, block = carried
+        assert block.shape == (len(ids), positions.shape[1], config.hidden_dim)
+        assert np.shares_memory(projection, block) and not np.shares_memory(block, stream)
+    for a in carried:
+        assert np.shares_memory(a, stream)
+    for i, t in enumerate(linears):
+        if i % 4 != 3:
+            assert not np.shares_memory(t.data, stream)
+
+
+def _undonated(node):
+    """`node` that returns residual + its output as a separate sum node, the residual array left as it was."""
+    signature = inspect.signature(node)
+
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        residual = bound.arguments.pop("residual", None)
+        out = node(*bound.args, **bound.kwargs)
+        return out if residual is None else residual + out
+
+    return call
+
+
+def test_the_residual_stream_costs_the_tape_one_array(monkeypatch):
+    """Each layer's two residual sums and the two outputs added into them are no longer held by the tape."""
+    config = ModelConfig(
+        num_layers=2, num_heads=4, hidden_dim=64, ff_dim=256, vocab_size=128, max_positions=64, dropout_rate=0.1,
+    )
+    masks = draw_dropout_masks(config, 64, (3,), range(4))
+    _tape_bytes(config, masks)  # the first taped forward of a process also holds one-time caches (4 KB)
+    donated = _tape_bytes(config, masks)
+    for name in ("linear", "feed_forward"):
+        monkeypatch.setattr(fused, name, _undonated(getattr(fused, name)))
+    composed = _tape_bytes(config, masks)
+    batch, length = 4, 64  # the shape of `_tape_bytes`' ids
+    stream_array = batch * length * config.hidden_dim * np.dtype(config.np_dtype).itemsize
+    assert composed - donated >= 4 * config.num_layers * stream_array
 
 
 # -- last-layer row selection ----------------------------------------------------------

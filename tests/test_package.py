@@ -3,6 +3,7 @@ imports, and the names the benchmark harness patches."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +97,35 @@ def test_benchmark_hooks_install():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+_WALK_A_TAPE = """
+import json
+import numpy as np
+import tracing
+from domainlm.model import (
+    ModelConfig, cross_entropy, draw_dropout_masks, encoder_forward, init_parameters, mlm_logits_from_hidden,
+)
+config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=8,
+                     dropout_rate=0.1)
+params = init_parameters(config, seed=0)
+ids = np.arange(16).reshape(2, 8) % 60 + 4
+hidden = encoder_forward(params, config, ids, dropout_masks=draw_dropout_masks(config, 8, (0,), range(2)))
+loss = cross_entropy(mlm_logits_from_hidden(hidden.reshape(-1, 16), params, config), ids.reshape(-1))
+print(json.dumps(tracing.walk_tape(loss, np.dtype(config.np_dtype))))
+"""
+
+
+def test_benchmark_tape_walk_reads_a_taped_loss():
+    """The traced benchmark walks the tape by each node's `.data` and `._parents`; a tape refactor must keep both."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WALK_A_TAPE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    nodes, nbytes, off_dtype = json.loads(result.stdout.splitlines()[-1])
+    assert nodes > 0 and nbytes > 0
+    assert off_dtype == 0
 
 
 def _module_aliases(tree: ast.AST) -> set[str]:
