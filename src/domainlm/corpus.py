@@ -171,11 +171,13 @@ def load_corpus(path) -> list[Document]:
             try:
                 doc_id = str(record["id"])
                 text = record["text"]
-                categories = record.get("categories") or []
+                categories = record.get("categories", [])
             except KeyError as exc:
                 raise CorpusFormatError(f"{path}:{line_no}: missing field {exc.args[0]!r}") from exc
             if not isinstance(text, str) or not text.strip():
                 raise CorpusFormatError(f"{path}:{line_no}: document {doc_id!r} has empty text")
+            if not isinstance(categories, list) or any(type(code) is not int for code in categories):
+                raise CorpusFormatError(f"{path}:{line_no}: categories must be a list of integer codes, not {categories!r}")
             if doc_id in seen_ids:
                 raise CorpusFormatError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, asdict, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -436,17 +437,22 @@ def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ModelError(f"unrecognized checkpoint format in {path}")
-        config = ModelConfig(**meta["config"])
-        config.validate()
-        params = {
-            key[len("param:"):]: Tensor(data[key], requires_grad=True)
-            for key in data.files
-            if key.startswith("param:")
-        }
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["__meta__"]))
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ModelError(f"unrecognized checkpoint format in {path}")
+            config = ModelConfig(**meta["config"])
+            config.validate()
+            params = {
+                key[len("param:"):]: Tensor(data[key], requires_grad=True)
+                for key in data.files
+                if key.startswith("param:")
+            }
+    except ModelError:
+        raise
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path} is not a readable checkpoint: {exc}") from exc
     expected = parameter_shapes(config, include_classifier="cls.w" in params)
     for name, shape in expected.items():
         if name not in params:

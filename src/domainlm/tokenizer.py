@@ -20,6 +20,7 @@ from .configio import atomic_open
 
 __all__ = [
     "SpecialTokens",
+    "SPECIALS",
     "Vocabulary",
     "MergeTable",
     "Tokenizer",
@@ -64,21 +65,23 @@ _CHAR_TO_BYTE = {c: b for b, c in _BYTE_TO_CHAR.items()}
 class SpecialTokens:
     """Reserved tokens; their ids always occupy the first vocabulary slots."""
 
-    cls: str = "[CLS]"
-    sep: str = "[SEP]"
-    mask: str = "[MASK]"
-    pad: str = "[PAD]"
-    unk: str = "[UNK]"
+    cls: str
+    sep: str
+    mask: str
+    pad: str
+    unk: str
 
     def as_tuple(self) -> tuple[str, ...]:
         return (self.cls, self.sep, self.mask, self.pad, self.unk)
+
+
+SPECIALS = SpecialTokens("[CLS]", "[SEP]", "[MASK]", "[PAD]", "[UNK]")
 
 
 @dataclass
 class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: dict[int, str]
-    specials: SpecialTokens = field(default_factory=SpecialTokens)
 
     @property
     def size(self) -> int:
@@ -86,7 +89,7 @@ class Vocabulary:
 
     @property
     def special_ids(self) -> frozenset[int]:
-        return frozenset(self.token_to_id[t] for t in self.specials.as_tuple())
+        return frozenset(self.token_to_id[t] for t in SPECIALS.as_tuple())
 
     def id_of(self, token: str) -> int:
         return self.token_to_id[token]
@@ -97,6 +100,10 @@ class Vocabulary:
         for token, idx in self.token_to_id.items():
             if self.id_to_token.get(idx) != token:
                 raise TokenizerError(f"token/id maps disagree at id {idx}")
+        # Masking draws random replacements from the ids after the specials.
+        for idx, token in enumerate(SPECIALS.as_tuple()):
+            if self.token_to_id.get(token) != idx:
+                raise TokenizerError(f"special token {token} must have id {idx}")
         missing = [c for c in _BYTE_TO_CHAR.values() if c not in self.token_to_id]
         if missing:
             raise TokenizerError(f"{len(missing)} single-byte tokens missing from vocabulary")
@@ -115,14 +122,14 @@ class MergeTable:
         return {pair: rank for rank, pair in enumerate(self.pairs)}
 
 
-def _base_vocabulary(specials: SpecialTokens) -> Vocabulary:
+def _base_vocabulary() -> Vocabulary:
     token_to_id: dict[str, int] = {}
-    for token in specials.as_tuple():
+    for token in SPECIALS.as_tuple():
         token_to_id[token] = len(token_to_id)
     for b in range(256):
         token_to_id[_BYTE_TO_CHAR[b]] = len(token_to_id)
     id_to_token = {i: t for t, i in token_to_id.items()}
-    return Vocabulary(token_to_id, id_to_token, specials)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 def _chunk_to_symbols(chunk: str) -> tuple[str, ...]:
@@ -159,12 +166,10 @@ def train_bpe(
     pair occurs more than once. Pair counts are kept across rounds, and a
     merge updates only the words that contain its pair.
     """
-    specials = SpecialTokens()
-    floor = 256 + len(specials.as_tuple())
+    reserved = set(SPECIALS.as_tuple())
+    floor = 256 + len(reserved)
     if target_vocab_size < floor:
-        raise TokenizerError(
-            f"target_vocab_size must be at least {floor} (256 bytes + {len(specials.as_tuple())} specials)"
-        )
+        raise TokenizerError(f"target_vocab_size must be at least {floor} (256 bytes + {len(reserved)} specials)")
 
     chunks: Counter = Counter()
     empty = True
@@ -177,9 +182,8 @@ def train_bpe(
     if not chunks:
         raise TokenizerError("training corpus contains zero bytes of text")
 
-    vocab = _base_vocabulary(specials)
+    vocab = _base_vocabulary()
     merges = MergeTable()
-    reserved = set(specials.as_tuple())
 
     # Incremental state (Sennrich et al. 2016): each distinct chunk once as
     # byte symbols with its frequency, the corpus count of every adjacent
@@ -290,7 +294,7 @@ class Tokenizer:
 
     @property
     def specials(self) -> SpecialTokens:
-        return self.vocab.specials
+        return SPECIALS
 
     @property
     def vocab_size(self) -> int:
@@ -395,7 +399,10 @@ class Tokenizer:
             token_to_id[token] = int(idx)
         id_to_token = {i: t for t, i in token_to_id.items()}
         vocab = Vocabulary(token_to_id, id_to_token)
-        vocab.validate()
+        try:
+            vocab.validate()
+        except TokenizerError as exc:
+            raise TokenizerError(f"{directory / 'vocab.txt'}: {exc}") from exc
         pairs = []
         for number, line in enumerate(merges_lines[1:], start=2):
             if not line:

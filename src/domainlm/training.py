@@ -79,10 +79,6 @@ __all__ = [
     "PretrainResult",
     "FinetuneResult",
     "GridCell",
-    "REFERENCE_PRETRAIN_CONFIG",
-    "REFERENCE_FINETUNE_CONFIG",
-    "REFERENCE_GRID_LEARNING_RATES",
-    "REFERENCE_GRID_BATCH_SIZES",
     "ScalingStudyResult",
     "scaling_study",
     "write_scaling_csv",
@@ -156,16 +152,6 @@ class TrainingConfig:
         if self.segment_length < 1:
             out.append(f"segment_length must be at least 1, got {self.segment_length}")
         return out
-
-
-# Reference settings mirroring the full-scale recipe this pipeline scales down
-# from: 13K pretraining steps at batch 256; five fine-tuning epochs at batch 64
-# with learning rate 1e-5 evaluated at 20 checkpoints. The pretraining peak
-# learning rate is a declared default, not taken from that recipe.
-REFERENCE_PRETRAIN_CONFIG = TrainingConfig(learning_rate=1e-4, batch_size=256, total_steps=13000)
-REFERENCE_FINETUNE_CONFIG = TrainingConfig(learning_rate=1e-5, batch_size=64, epochs=5, eval_checkpoints=20)
-REFERENCE_GRID_LEARNING_RATES = (1e-5, 2e-5, 5e-5)
-REFERENCE_GRID_BATCH_SIZES = (16, 64)
 
 
 @dataclass

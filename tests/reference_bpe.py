@@ -11,8 +11,8 @@ from collections import Counter
 
 from domainlm.tokenizer import (
     _PRETOKEN_RE,
+    SPECIALS,
     MergeTable,
-    SpecialTokens,
     TokenizerError,
     Vocabulary,
     _base_vocabulary,
@@ -45,7 +45,6 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str], merged: str) ->
 def train_bpe(
     corpus,
     target_vocab_size: int,
-    specials: SpecialTokens | None = None,
 ) -> tuple[Vocabulary, MergeTable]:
     """Learn merge rules until the vocabulary reaches `target_vocab_size`.
 
@@ -54,7 +53,7 @@ def train_bpe(
     pair so training is deterministic. Merging stops early when no adjacent
     pair occurs more than once.
     """
-    specials = specials or SpecialTokens()
+    specials = SPECIALS
     floor = 256 + len(specials.as_tuple())
     if target_vocab_size < floor:
         raise TokenizerError(
@@ -75,7 +74,7 @@ def train_bpe(
     if total_bytes == 0:
         raise TokenizerError("training corpus contains zero bytes of text")
 
-    vocab = _base_vocabulary(specials)
+    vocab = _base_vocabulary()
     merges = MergeTable()
     reserved = set(specials.as_tuple())
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -386,6 +387,42 @@ def test_eval_rejects_batch_size_below_one(workspace, classifier_checkpoint, cap
     ])
     assert code == 1
     assert capsys.readouterr().err == f"error: batch_size must be at least 1, got {batch_size}\n"
+
+
+def _truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _empty(data: bytes) -> bytes:
+    return b""
+
+
+def _unknown_config_key(data: bytes) -> bytes:
+    with np.load(io.BytesIO(data)) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["mystery_knob"] = 1
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("damage", [_truncated, _empty, _unknown_config_key], ids=lambda f: f.__name__.strip("_"))
+def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, tmp_path, capsys, damage):
+    damaged = tmp_path / "damaged.npz"
+    damaged.write_bytes(damage(Path(classifier_checkpoint).read_bytes()))
+    code = cli.main([
+        "eval",
+        "--checkpoint", str(damaged),
+        "--corpus", str(workspace["corpus"]),
+        "--split", str(workspace["splits"] / "test.txt"),
+        "--task", "binary",
+        "--tokenizer", str(workspace["tokenizer"]),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {damaged} ")
 
 
 def test_mask_predict_requires_sentinel(workspace, capsys):

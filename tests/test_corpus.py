@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,20 @@ def test_load_rejects_unknown_category_with_line(tmp_path):
     _write_jsonl(path, [{"id": "a", "text": "one", "categories": [999]}])
     with pytest.raises(CorpusFormatError, match="999"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("categories", ["12", 5, None, [5.7], [True], ["5"], {"5": 1}, [[5]]], ids=repr)
+def test_load_rejects_categories_that_are_not_a_list_of_integers(tmp_path, categories):
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"id": "a", "text": "one", "categories": [5]}, {"id": "b", "text": "two", "categories": categories}])
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:2: categories must be a list of integer codes")):
+        load_corpus(path)
+
+
+def test_load_reads_absent_categories_as_unlabeled(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"id": "a", "text": "one"}])
+    assert [doc.is_labeled for doc in load_corpus(path)] == [False]
 
 
 def test_load_missing_file(tmp_path):

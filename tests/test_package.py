@@ -2,6 +2,7 @@
 imports, and the names the benchmark harness patches."""
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -69,14 +70,19 @@ def _imported_names(path: Path):
                 yield node.module, alias.name
 
 
-def test_package_init_names_resolve():
-    import domainlm
-
-    init = PACKAGE_DIR / "__init__.py"
-    names = [alias.name for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert names
-    assert [n for n in names if not hasattr(domainlm, n)] == []
+@pytest.mark.parametrize("module", ["corpus", "tokenizer"])
+def test_importing_a_module_loads_only_its_imports(module):
+    """The package root binds nothing, so a module that needs no numpy loads none."""
+    code = (
+        f"import json, sys, domainlm.{module}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('domainlm', 'numpy', 'scipy'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == ["domainlm", "domainlm.configio", f"domainlm.{module}"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
@@ -138,34 +144,56 @@ def _module_aliases(tree: ast.AST) -> set[str]:
     }
 
 
-def _references(name: str, attribute_only: bool) -> int:
-    """Uses of `name` in src/domainlm outside its definition in autodiff.
+def _assigned(node: ast.AST) -> list[str]:
+    """The names an assignment statement binds; none for any other node."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [target.id for target in targets if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(target, ast.Name)]
+
+
+def _defines(tree: ast.Module, name: str) -> list[ast.AST]:
+    """The definitions of `name` in a module: functions and classes at any level, assignments at module level."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return [node for node in functions if node.name == name] + [node for node in tree.body if name in _assigned(node)]
+
+
+@functools.cache
+def _tree_and_uses(path: Path) -> tuple[ast.Module, list[tuple[ast.AST, str, bool]]]:
+    """A module's tree and its uses, (node, name, whether an attribute access), in walk order.
 
     A use is an attribute access `<expr>.name` whose receiver is not an
-    imported module (so `np.sqrt` is not a use of a `sqrt` method) or, unless
-    `attribute_only`, a bare name. A method that shares its name with an
-    ndarray method is counted by array calls of that name too.
+    imported module (so `np.sqrt` is not a use of a `sqrt` method) or a bare
+    name.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = _module_aliases(tree)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not (isinstance(node.value, ast.Name) and node.value.id in modules):
+            uses.append((node, node.attr, True))
+        elif isinstance(node, ast.Name):
+            uses.append((node, node.id, False))
+    return tree, uses
+
+
+def _references(name: str, attribute_only: bool, home: str = "autodiff", directories=(PACKAGE_DIR,)) -> int:
+    """Uses of `name` in `directories` outside its definition in module `home`.
+
+    Attribute uses count always, bare names unless `attribute_only`. A method
+    that shares its name with an ndarray method is counted by array calls of
+    that name too.
     """
     count = 0
-    for path in PACKAGE_DIR.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules = _module_aliases(tree)
+    for path in [path for directory in directories for path in sorted(directory.glob("*.py"))]:
+        tree, uses = _tree_and_uses(path)
         inside_definition = {
             id(inner)
-            for node in ast.walk(tree)
-            if path.stem == "autodiff"
-            and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name == name
+            for node in (_defines(tree, name) if path.parent == PACKAGE_DIR and path.stem == home else [])
             for inner in ast.walk(node)
         }
-        for node in ast.walk(tree):
-            if id(node) in inside_definition:
-                continue
-            if isinstance(node, ast.Attribute) and node.attr == name:
-                receiver = node.value
-                count += not (isinstance(receiver, ast.Name) and receiver.id in modules)
-            elif isinstance(node, ast.Name) and node.id == name and not attribute_only:
-                count += 1
+        count += sum(
+            used == name and (attribute or not attribute_only) and id(node) not in inside_definition
+            for node, used, attribute in uses
+        )
     return count
 
 
@@ -179,10 +207,39 @@ def test_every_tape_op_has_a_caller():
     assert unused == []
 
 
-# Defaulted parameters no call in the program sets, each with the reason it stays.
+def _public_names():
+    """(module, name) for each function, class and constant defined at module level in src/domainlm."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else _assigned(node)
+            for name in names:
+                if name != "__all__" and (not name.startswith("_") or name.endswith("__")):
+                    yield path.stem, name
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that nothing in the program, the benchmark or the demos reads is deleted.
+
+    Uses are counted as in `test_every_tape_op_has_a_caller`; `__all__` and
+    imports are not uses, so a name only re-exported counts as unused.
+    """
+    directories = (PACKAGE_DIR, ROOT / "perfbench", ROOT / "demos")
+    unused = [
+        f"{module}.{name}"
+        for module, name in _public_names()
+        if _references(name, attribute_only=False, home=module, directories=directories) == 0
+    ]
+    assert unused == []
+
+
+# Defaulted parameters and dataclass fields no call in the program sets, each with the reason it stays.
 _UNSET_OPTIONS = {
     "model.encoder_forward(attention_sink)": "the tests' only view of the attention weights inside the encoder",
     "training.hyperparameter_grid(out_dir)": "the grid has no command; this is its only way to write grid_results.csv",
+    **{
+        f"data.MaskingPolicy({name})": "the recipe's masking split; the masking tests vary it"
+        for name in ("mask_rate", "replace_with_mask", "replace_with_random", "keep_original")
+    },
 }
 
 
@@ -205,6 +262,48 @@ def _package_functions():
                 else:
                     where = f"{path.stem}.{cls}.{node.name}" if cls else f"{path.stem}.{node.name}"
                     yield where, node.name, node, cls is not None and not static
+
+
+def _dataclass_fields():
+    """(where, class name, field, position in a call, default) for each defaulted field of a dataclass in src/domainlm."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            decorators = [getattr(d, "func", d) for d in getattr(node, "decorator_list", [])]
+            if not isinstance(node, ast.ClassDef) or "dataclass" not in [
+                getattr(d, "id", getattr(d, "attr", None)) for d in decorators
+            ]:
+                continue
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            for index, stmt in enumerate(fields):
+                if stmt.value is not None:
+                    yield f"{path.stem}.{node.name}", node.name, stmt.target.id, index, stmt.value
+
+
+def _is_default(value: ast.expr, default: ast.expr, enclosing: str | None, functions: dict, calls: list, seen=()) -> bool:
+    """Whether `value`, passed inside function `enclosing`, is always a field's `default`.
+
+    A name is followed to its one assignment in the function or, for a
+    parameter, to the argument of every call of the function.
+    """
+    factory = {k.arg: k.value for k in default.keywords}.get("default_factory") if isinstance(default, ast.Call) else None
+    if ast.dump(value) == ast.dump(default) or (
+        isinstance(value, ast.Call) and not value.args and not value.keywords
+        and factory is not None and ast.dump(value.func) == ast.dump(factory)
+    ):
+        return True
+    if not isinstance(value, ast.Name) or enclosing not in functions or enclosing in seen:
+        return False
+    called, node, bound = functions[enclosing]
+    parameters = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+    if value.id in parameters:
+        index = parameters.index(value.id) - bound
+        passed = [(_passed(call, value.id, index), where) for name, call, where in calls if name == called]
+        return bool(passed) and all(
+            isinstance(arg, ast.expr) and _is_default(arg, default, where, functions, calls, seen + (enclosing,))
+            for arg, where in passed
+        )
+    assigned = [stmt.value for stmt in ast.walk(node) if isinstance(stmt, ast.Assign) and _assigned(stmt) == [value.id]]
+    return len(assigned) == 1 and _is_default(assigned[0], default, enclosing, functions, calls, seen)
 
 
 def _defaults(node: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
@@ -240,30 +339,59 @@ def _named_calls(tree: ast.AST, enclosing: str | None) -> list[tuple[str | None,
 
 
 def test_every_option_has_a_caller():
-    """A defaulted parameter that no call in the program, the benchmark or the demos sets is deleted.
+    """A defaulted parameter or dataclass field that no call in the program, the benchmark or the demos sets is deleted.
 
     Calls are matched by name, as in `test_every_tape_op_has_a_caller`, so a
     method counts the calls of every method of that name. A call that only
     forwards its own function's defaulted parameter sets the option only if
-    that parameter is set in turn.
+    that parameter is set in turn. A field is set by a value other than its
+    default, by `replace(..., field=...)`, by an assignment `<expr>.field =
+    ...`, and, for the classes that `build_dataclass` builds from flags, by
+    the flag of its name.
     """
     options: dict[tuple[str, str], tuple[str, int | None]] = {}  # (where, parameter) -> (called name, position)
-    calls = []
+    functions, calls = {}, []
     for where, called, node, bound in _package_functions():
         options.update({(where, name): (called, index) for name, index in _defaults(node, bound).items()})
+        functions[where] = called, node, bound
         calls += _named_calls(node, where)
+    fields, defaults = {}, {}
+    for where, called, name, index, default in _dataclass_fields():
+        fields[where, name], defaults[where, name] = (called, index), default
+    options.update(fields)
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    calls += [
+        call
+        for tree in trees
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for call in _named_calls(stmt, None)
+    ]
     for directory in (ROOT / "perfbench", ROOT / "demos"):
         for path in sorted(directory.glob("*.py")):
-            calls += _named_calls(ast.parse(path.read_text(encoding="utf-8")), None)
+            trees.append(ast.parse(path.read_text(encoding="utf-8")))
+            calls += _named_calls(trees[-1], None)
+    assigned = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    from_flags = {getattr(call.args[0], "id", None) for name, call, _ in calls if name == "build_dataclass"}
 
     def sets(key, call_name, call, enclosing) -> bool:
         called, index = options[key]
-        value = _passed(call, key[1], index) if call_name == called else None
+        if call_name == called:
+            value = _passed(call, key[1], index)
+        else:
+            value = _passed(call, key[1], None) if call_name == "replace" and key in fields else None
         if isinstance(value, ast.Name) and (enclosing, value.id) in options:
             return (enclosing, value.id) in set_options  # forwarded from the caller's own option
+        if key in fields and isinstance(value, ast.expr):
+            return not _is_default(value, defaults[key], enclosing, functions, calls)
         return value is not None
 
-    set_options: set[tuple[str, str]] = set()
+    set_options = {key for key, (called, _) in fields.items() if key[1] in assigned or called in from_flags}
     while found := {key for key in options.keys() - set_options if any(sets(key, *call) for call in calls)}:
         set_options |= found
     public = [key for key in options if not key[0].rsplit(".", 1)[1].startswith("_")]

@@ -1,4 +1,5 @@
 import os
+import re
 import time
 
 import numpy as np
@@ -10,13 +11,13 @@ import reference_bpe
 from conftest import MEMO_SENTENCE
 from domainlm import tokenizer as tokenizer_module
 from domainlm.tokenizer import (
-    SpecialTokens,
+    SPECIALS,
     Tokenizer,
     TokenizerError,
     train_bpe,
 )
 
-MIN_VOCAB = 256 + len(SpecialTokens().as_tuple())
+MIN_VOCAB = 256 + len(SPECIALS.as_tuple())
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +221,26 @@ def test_load_rejects_merges_of_another_vocabulary(tmp_path):
         Tokenizer.load(tmp_path / "a")
 
 
+def _swap_cls_with_id_5(lines):
+    cls, fifth = lines.index("[CLS]\t0"), next(i for i, line in enumerate(lines) if line.endswith("\t5"))
+    lines[cls], lines[fifth] = "[CLS]\t5", lines[fifth].replace("\t5", "\t0")
+    return lines, "[CLS]"
+
+
+def _delete_mask(lines):
+    return [line for line in lines if line != "[MASK]\t2"], "[MASK]"
+
+
+@pytest.mark.parametrize("edit", [_swap_cls_with_id_5, _delete_mask], ids=["cls_moved", "mask_deleted"])
+def test_load_rejects_special_tokens_out_of_place(tmp_path, trained, edit):
+    """Masking draws replacements above the specials' ids 0-4, so a vocabulary that moves one is refused at load."""
+    trained.save(tmp_path)
+    lines, token = edit((tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines())
+    (tmp_path / "vocab.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TokenizerError, match=re.escape(f"vocab.txt: special token {token} must have id")):
+        Tokenizer.load(tmp_path)
+
+
 def test_fingerprint_distinguishes_tokenizers(trained):
     other = Tokenizer.train(["completely different corpus text"], 280)
     assert other.fingerprint() != trained.fingerprint()
@@ -283,7 +304,7 @@ def test_matches_reference_trainer_on_zipf_corpus():
 _TINY_ALPHABET = "[]CLSMAKPDUNE "
 _TINY_TEXTS = st.one_of(
     st.text(alphabet=_TINY_ALPHABET, min_size=1, max_size=40),
-    st.lists(st.sampled_from([*SpecialTokens().as_tuple(), *_TINY_ALPHABET]), min_size=1, max_size=30).map("".join),
+    st.lists(st.sampled_from([*SPECIALS.as_tuple(), *_TINY_ALPHABET]), min_size=1, max_size=30).map("".join),
 )
 
 
