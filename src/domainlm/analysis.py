@@ -222,8 +222,6 @@ class TopicSummary:
 
     scores: dict[int, dict[str, float]]
     top_words: dict[int, list[tuple[str, float]]]
-    n_documents: int
-    n_classes: int
 
 
 def extract_words(text: str) -> list[str]:
@@ -280,7 +278,7 @@ def cbtfidf_topics(
         scores[cluster] = cluster_scores
         ranked = sorted(cluster_scores.items(), key=lambda kv: (-kv[1], kv[0]))
         top_words[cluster] = ranked[:top_k]
-    return TopicSummary(scores=scores, top_words=top_words, n_documents=m, n_classes=n_classes)
+    return TopicSummary(scores=scores, top_words=top_words)
 
 
 def topic_report(summary: TopicSummary) -> str:

@@ -412,7 +412,7 @@ def _cmd_scale_study(args) -> _Run:
         out_dir=out_dir,
     )
     for result in results:
-        for fraction, size, loss, _ in result.rows():
+        for fraction, size, loss in result.rows():
             print(f"{result.init_name:<12} fraction={fraction:<6} n={size:<6} log_loss={loss:.4f}")
     inputs = {
         "config": args.config,

@@ -167,17 +167,16 @@ def pad_batch(
 
 
 def assemble_mlm_batch(masked: Sequence[MaskedSegment], pad_id: int):
-    """Pad masked segments to a common length; returns (ids, pad_mask, positions, take, targets).
+    """Pad masked segments to a common length; returns (ids, pad_mask, positions, targets).
 
     positions (B, Qmax) holds each segment's target positions, padded with
-    position 0, the form `encoder_forward(positions=...)` reads. take indexes
-    the B * Qmax rows of a (B, Qmax, H) result at the real targets, segment by
-    segment, in the order of `targets`; the padded slots are left out.
+    position 0, the form `encoder_forward(positions=...)` reads; targets
+    (B, Qmax) holds the target ids at the same slots, padded with -1.
     """
     ids, pad_mask = pad_batch([m.input_ids for m in masked], pad_id)
-    positions, real = pad_batch([m.target_positions for m in masked], 0)
-    targets = np.concatenate([m.target_ids for m in masked])
-    return ids, pad_mask, positions, np.flatnonzero(real), targets
+    positions, _ = pad_batch([m.target_positions for m in masked], 0)
+    targets, _ = pad_batch([m.target_ids for m in masked], -1)
+    return ids, pad_mask, positions, targets
 
 
 def encode_for_classification(doc: Document, tokenizer: Tokenizer, max_positions: int) -> np.ndarray:

@@ -370,13 +370,11 @@ def evaluate_mlm(
 
     def batch(start: int) -> tuple[float, int]:
         chunk = masked[start : start + batch_size]
-        ids, pad_mask, positions, take, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
-        if targets.size == 0:
-            return 0.0, 0
+        ids, pad_mask, positions, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
         hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
-        rows = hidden.reshape(-1, config.hidden_dim)[take]
-        log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
-        return float(np.sum(-log_probs[np.arange(targets.size), targets])), targets.size
+        real = targets >= 0
+        log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
+        return float(np.sum(-log_probs[np.arange(len(log_probs)), targets[real]])), len(log_probs)
 
     with one_blas_thread(), no_grad():
         sums = run_tasks([functools.partial(batch, start) for start in range(0, len(masked), batch_size)])

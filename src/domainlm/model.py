@@ -440,10 +440,13 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["__meta__"]))
+            if not isinstance(meta, dict):
+                raise ValueError("__meta__ is not a JSON object")
             if meta.get("format") != CHECKPOINT_FORMAT:
                 raise ModelError(f"unrecognized checkpoint format in {path}")
             config = ModelConfig(**meta["config"])
             config.validate()
+            tokenizer_hash = meta["tokenizer_hash"]
             params = {
                 key[len("param:"):]: Tensor(data[key], requires_grad=True)
                 for key in data.files
@@ -466,7 +469,7 @@ def load_checkpoint(path) -> Checkpoint:
     unexpected = set(params) - set(expected)
     if unexpected:
         raise ModelError(f"checkpoint has unexpected parameters: {sorted(unexpected)}")
-    return Checkpoint(config=config, params=params, tokenizer_hash=meta["tokenizer_hash"], extra=meta.get("extra", {}))
+    return Checkpoint(config=config, params=params, tokenizer_hash=tokenizer_hash, extra=meta.get("extra", {}))
 
 
 def with_fresh_classifier(checkpoint: Checkpoint, num_classes: int, seed: int) -> tuple[ModelConfig, dict[str, Tensor]]:

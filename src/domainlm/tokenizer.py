@@ -100,10 +100,13 @@ class Vocabulary:
         for token, idx in self.token_to_id.items():
             if self.id_to_token.get(idx) != token:
                 raise TokenizerError(f"token/id maps disagree at id {idx}")
-        # Masking draws random replacements from the ids after the specials.
+        # Masking draws random replacements from the ids after the specials and below the size.
         for idx, token in enumerate(SPECIALS.as_tuple()):
             if self.token_to_id.get(token) != idx:
                 raise TokenizerError(f"special token {token} must have id {idx}")
+        outside = [idx for idx in self.id_to_token if not 0 <= idx < self.size]
+        if outside:
+            raise TokenizerError(f"token id {outside[0]} is outside 0..{self.size - 1}")
         missing = [c for c in _BYTE_TO_CHAR.values() if c not in self.token_to_id]
         if missing:
             raise TokenizerError(f"{len(missing)} single-byte tokens missing from vocabulary")

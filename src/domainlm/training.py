@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -279,23 +279,22 @@ def _train_step(
     step: int,
     total_steps: int,
     objective: str,
-    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n_targets: int,
-    head_loss: Callable[[Tensor, dict[str, Tensor], slice], tuple[Tensor, int]],
+    batch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
     """Forward, backward, gradient check and one AdamW step over a padded batch; returns the loss.
 
-    `batch` is (ids, pad_mask, positions). Each part of `_split` draws the
-    dropout masks of its own batch rows and runs the encoder on its own leaf
-    tensors over the shared parameter arrays, then `head_loss(hidden, params, rows)`:
-    the mean loss over the targets of batch rows `rows`, and their number. Two
-    halves weight their losses by their share of the `n_targets` targets and
-    add their gradients, the second into the first, so the step follows the
-    mean loss of the batch.
+    `batch` is (ids, pad_mask, positions, targets), the (B, Q) targets padded
+    with -1. Each part of `_split` draws the dropout masks of its own batch
+    rows, runs the encoder on its own leaf tensors over the shared parameter
+    arrays and takes the mean cross-entropy of the `objective` head ("MLM" or
+    "classification") over its real targets. Two halves weight their losses
+    by their share of the targets and add their gradients, the second into
+    the first, so the step follows the mean loss of the batch.
     """
-    ids, pad_mask, positions = batch
+    ids, pad_mask, positions, targets = batch
     parts = _split(*ids.shape)
     dropout_key = (config.seed, _STREAM_DROPOUT, step)
+    n_targets = int((targets >= 0).sum())
 
     def run(i: int) -> tuple[float, dict[str, np.ndarray]]:
         rows = parts[i]
@@ -304,11 +303,13 @@ def _train_step(
             leaves, model_config, ids[rows], pad_mask=pad_mask[rows], positions=positions[rows],
             dropout_masks=draw_dropout_masks(model_config, ids.shape[1], dropout_key, range(len(ids))[rows]),
         )
-        loss, count = head_loss(hidden, leaves, rows)
+        real = targets[rows] >= 0
+        head = mlm_logits_from_hidden if objective == "MLM" else cls_logits_from_hidden
+        loss = cross_entropy(head(hidden[real], leaves, model_config), targets[rows][real])
         if not np.isfinite(float(loss.data)):
             raise TrainingDivergedError(f"non-finite {objective} loss at step {step + 1}")
         if len(parts) > 1:
-            loss = loss * (count / n_targets)
+            loss = loss * (int(real.sum()) / n_targets)
         return float(loss.data), model_backward(loss, leaves)
 
     results = run_tasks([functools.partial(run, i) for i in range(len(parts))])
@@ -380,22 +381,8 @@ def pretrain_mlm(
         batch_idx = next(batches)
         mask_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, step)))
         masked = [apply_dynamic_masking(segments[i], policy, mask_rng, tokenizer) for i in batch_idx]
-        ids, pad_mask, positions, take, targets = assemble_mlm_batch(masked, tokenizer.pad_id)
-
-        if targets.size == 0:
-            train_loss = 0.0
-        else:
-            def mlm_loss(hidden, leaves, rows, take=take, targets=targets):
-                width = hidden.shape[1]  # the (B, Q, H) rows of `positions`
-                own = (take >= rows.start * width) & (take < rows.stop * width)
-                picked = hidden.reshape(-1, model_config.hidden_dim)[take[own] - rows.start * width]
-                logits = mlm_logits_from_hidden(picked, leaves, model_config)
-                return cross_entropy(logits, targets[own]), int(own.sum())
-
-            train_loss = _train_step(
-                optimizer, config, model_config, step, total_steps, "MLM", (ids, pad_mask, positions),
-                targets.size, mlm_loss,
-            )
+        batch = assemble_mlm_batch(masked, tokenizer.pad_id)
+        train_loss = _train_step(optimizer, config, model_config, step, total_steps, "MLM", batch)
 
         if (step + 1) % config.log_every == 0 or step + 1 == total_steps:
             history.append(LossRecord(step + 1, train_loss, validation_loss()))
@@ -512,16 +499,8 @@ def finetune_classifier(
     for step in range(total_steps):
         batch_idx = next(batches)
         ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
-        labels = train_idx[batch_idx]
-
-        def cls_loss(hidden, leaves, rows, labels=labels):
-            logits = cls_logits_from_hidden(hidden[:, 0], leaves, model_config)
-            return cross_entropy(logits, labels[rows]), rows.stop - rows.start
-
-        train_loss = _train_step(
-            optimizer, config, model_config, step, total_steps, "classification",
-            (ids, pad_mask, cls_positions(len(ids))), len(ids), cls_loss,
-        )
+        batch = (ids, pad_mask, cls_positions(len(ids)), train_idx[batch_idx][:, None])
+        train_loss = _train_step(optimizer, config, model_config, step, total_steps, "classification", batch)
 
         step_1 = step + 1
         if step_1 in eval_steps:
@@ -631,10 +610,9 @@ class ScalingStudyResult:
     fractions: list[float]
     train_sizes: list[int]
     holdout_log_losses: list[float]
-    checkpoint_refs: list
 
     def rows(self):
-        return list(zip(self.fractions, self.train_sizes, self.holdout_log_losses, self.checkpoint_refs))
+        return list(zip(self.fractions, self.train_sizes, self.holdout_log_losses))
 
 
 def scaling_study(
@@ -660,7 +638,7 @@ def scaling_study(
 
     results = []
     for name, init in inits.items():
-        sizes, losses, refs = [], [], []
+        sizes, losses = [], []
         for fraction, subset in zip(fractions, subsets):
             if len(subset) == 0:
                 raise EvaluationError(f"fraction {fraction} selects zero documents")
@@ -693,14 +671,12 @@ def scaling_study(
             )
             sizes.append(len(subset))
             losses.append(holdout_report.loss)
-            refs.append(run.best)
         results.append(
             ScalingStudyResult(
                 init_name=name,
                 fractions=list(fractions),
                 train_sizes=sizes,
                 holdout_log_losses=losses,
-                checkpoint_refs=refs,
             )
         )
     if out_dir is not None:
@@ -712,7 +688,7 @@ def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
     rows = (
         [result.init_name, fraction, size, f"{loss:.10f}"]
         for result in results
-        for fraction, size, loss, _ in result.rows()
+        for fraction, size, loss in result.rows()
     )
     return write_csv(path, ["init_name", "fraction", "train_size", "log_loss"], rows)
 

@@ -397,18 +397,33 @@ def _empty(data: bytes) -> bytes:
     return b""
 
 
-def _unknown_config_key(data: bytes) -> bytes:
+def _with_meta(data: bytes, edit) -> bytes:
+    """The checkpoint with `edit(meta)` as its `__meta__`."""
     with np.load(io.BytesIO(data)) as archive:
         arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(str(arrays["__meta__"]))
-    meta["config"]["mystery_knob"] = 1
-    arrays["__meta__"] = np.array(json.dumps(meta))
+    arrays["__meta__"] = np.array(json.dumps(edit(json.loads(str(arrays["__meta__"])))))
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("damage", [_truncated, _empty, _unknown_config_key], ids=lambda f: f.__name__.strip("_"))
+def _unknown_config_key(data: bytes) -> bytes:
+    return _with_meta(data, lambda meta: {**meta, "config": {**meta["config"], "mystery_knob": 1}})
+
+
+def _no_tokenizer_hash(data: bytes) -> bytes:
+    return _with_meta(data, lambda meta: {key: value for key, value in meta.items() if key != "tokenizer_hash"})
+
+
+def _meta_not_an_object(data: bytes) -> bytes:
+    return _with_meta(data, lambda meta: [meta])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncated, _empty, _unknown_config_key, _no_tokenizer_hash, _meta_not_an_object],
+    ids=lambda f: f.__name__.strip("_"),
+)
 def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, tmp_path, capsys, damage):
     damaged = tmp_path / "damaged.npz"
     damaged.write_bytes(damage(Path(classifier_checkpoint).read_bytes()))
@@ -422,7 +437,7 @@ def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, t
     ])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {damaged} ")
+    assert len(err) == 1 and err[0].startswith(f"error: {damaged} is not a readable checkpoint: ")
 
 
 def test_mask_predict_requires_sentinel(workspace, capsys):

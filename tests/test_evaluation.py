@@ -286,16 +286,12 @@ def _serial_evaluate_mlm(params, config, segments, tokenizer, seed, batch_size):
     total, count = 0.0, 0
     with no_grad():
         for start in range(0, len(masked), batch_size):
-            ids, pad_mask, positions, take, targets = assemble_mlm_batch(
-                masked[start : start + batch_size], tokenizer.pad_id
-            )
-            if targets.size == 0:
-                continue
+            ids, pad_mask, positions, targets = assemble_mlm_batch(masked[start : start + batch_size], tokenizer.pad_id)
             hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
-            rows = hidden.reshape(-1, config.hidden_dim)[take]
-            log_probs = log_softmax(mlm_logits_from_hidden(rows, params, config).data)
-            total += float(np.sum(-log_probs[np.arange(targets.size), targets]))
-            count += targets.size
+            real = targets >= 0
+            log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
+            total += float(np.sum(-log_probs[np.arange(real.sum()), targets[real]]))
+            count += int(real.sum())
     return total / count
 
 

@@ -518,30 +518,29 @@ def _selection_config(num_layers, dtype, dropout_rate):
 
 
 def _ragged_mlm_batch(config, seed):
-    """Three padded segments with 4, 1 and 2 targets, as `assemble_mlm_batch` packs them."""
+    """Three padded segments with 4, 1 and 2 targets, as `assemble_mlm_batch` packs them, and the segments."""
     rng = np.random.default_rng(seed)
     masked = []
     for length, count in ((12, 4), (9, 1), (5, 2)):
         ids = rng.integers(5, config.vocab_size, size=length)
         where = np.sort(rng.choice(length, size=count, replace=False))
         masked.append(MaskedSegment(ids, where, rng.integers(5, config.vocab_size, size=count)))
-    ids, pad_mask, positions, take, targets = assemble_mlm_batch(masked, pad_id=0)
-    rows = np.repeat(np.arange(len(masked)), [len(m.target_positions) for m in masked])
-    cols = np.concatenate([m.target_positions for m in masked])
-    return ids, pad_mask, positions, take, targets, rows, cols
+    return *assemble_mlm_batch(masked, pad_id=0), masked
 
 
 def test_assemble_mlm_batch_takes_targets_in_segment_order():
-    ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(_selection_config(1, "float64", 0.0), 0)
-    assert positions.shape == (3, 4)
-    np.testing.assert_array_equal(positions.reshape(-1)[take], cols)
-    np.testing.assert_array_equal(take // positions.shape[1], rows)
+    ids, pad_mask, positions, targets, masked = _ragged_mlm_batch(_selection_config(1, "float64", 0.0), 0)
+    assert positions.shape == targets.shape == (3, 4)
+    np.testing.assert_array_equal(targets[targets >= 0], np.concatenate([m.target_ids for m in masked]))
+    real = np.arange(4) < np.array([[4], [1], [2]])
+    np.testing.assert_array_equal(positions[real], np.concatenate([m.target_positions for m in masked]))
+    assert (targets[~real] == -1).all() and (positions[~real] == 0).all()
     assert (positions < pad_mask.sum(axis=1, keepdims=True)).all()
 
 
 def _selection_losses(params, config, objective, dropout_seed):
     """(full-layer loss, row-selected loss, selected hidden, full hidden at the same rows)."""
-    ids, pad_mask, positions, take, targets, rows, cols = _ragged_mlm_batch(config, 1)
+    ids, pad_mask, positions, targets, masked = _ragged_mlm_batch(config, 1)
 
     def masks():
         return draw_dropout_masks(config, ids.shape[1], (dropout_seed,), range(len(ids)))
@@ -555,9 +554,11 @@ def _selection_losses(params, config, objective, dropout_seed):
         full_loss = cross_entropy(cls_logits_from_hidden(full[:, 0], params, config), labels)
         selected_loss = cross_entropy(cls_logits_from_hidden(selected[:, 0], params, config), labels)
     else:
-        full_loss = cross_entropy(mlm_logits_from_hidden(full[rows, cols], params, config), targets)
-        picked = selected.reshape(-1, config.hidden_dim)[take]
-        selected_loss = cross_entropy(mlm_logits_from_hidden(picked, params, config), targets)
+        rows = np.repeat(np.arange(len(masked)), [len(m.target_positions) for m in masked])
+        cols = np.concatenate([m.target_positions for m in masked])
+        flat_targets = targets[targets >= 0]
+        full_loss = cross_entropy(mlm_logits_from_hidden(full[rows, cols], params, config), flat_targets)
+        selected_loss = cross_entropy(mlm_logits_from_hidden(selected[targets >= 0], params, config), flat_targets)
     at_rows = full.data[np.arange(len(ids))[:, None], positions]
     return full_loss, selected_loss, selected.data, at_rows
 

@@ -264,19 +264,23 @@ def _package_functions():
                     yield where, node.name, node, cls is not None and not static
 
 
-def _dataclass_fields():
-    """(where, class name, field, position in a call, default) for each defaulted field of a dataclass in src/domainlm."""
+def _dataclasses():
+    """(where, class name, fields) for each dataclass in src/domainlm, its fields in declaration order."""
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             decorators = [getattr(d, "func", d) for d in getattr(node, "decorator_list", [])]
-            if not isinstance(node, ast.ClassDef) or "dataclass" not in [
+            if isinstance(node, ast.ClassDef) and "dataclass" in [
                 getattr(d, "id", getattr(d, "attr", None)) for d in decorators
             ]:
-                continue
-            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
-            for index, stmt in enumerate(fields):
-                if stmt.value is not None:
-                    yield f"{path.stem}.{node.name}", node.name, stmt.target.id, index, stmt.value
+                yield f"{path.stem}.{node.name}", node.name, [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def _dataclass_fields():
+    """(where, class name, field, position in a call, default) for each defaulted field of a dataclass in src/domainlm."""
+    for where, name, fields in _dataclasses():
+        for index, stmt in enumerate(fields):
+            if stmt.value is not None:
+                yield where, name, stmt.target.id, index, stmt.value
 
 
 def _is_default(value: ast.expr, default: ast.expr, enclosing: str | None, functions: dict, calls: list, seen=()) -> bool:
@@ -397,6 +401,32 @@ def test_every_option_has_a_caller():
     public = [key for key in options if not key[0].rsplit(".", 1)[1].startswith("_")]
     unset = sorted(f"{where}({name})" for where, name in public if (where, name) not in set_options)
     assert unset == sorted(_UNSET_OPTIONS)
+
+
+# Dataclass fields nothing in the program, the benchmark or the demos reads, each with the reason it stays.
+_UNREAD_FIELDS = {
+    "analysis.TopicSummary.scores": "every word's score in every cluster; the acceptance tests' view of c-TF-IDF",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that nothing in the program, the benchmark or the demos reads is deleted.
+
+    A read is an attribute load `<expr>.field` or `getattr(<expr>, "field")`,
+    matched by name as in `test_every_tape_op_has_a_caller`. Building the
+    class, assigning the field or passing the whole object on is not a read.
+    """
+    read = set()
+    for directory in (PACKAGE_DIR, ROOT / "perfbench", ROOT / "demos"):
+        for path in sorted(directory.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" and len(node.args) > 1:
+                    read.add(getattr(node.args[1], "value", None))
+    fields = [(where, stmt.target.id) for where, _, stmts in _dataclasses() for stmt in stmts]
+    unread = sorted(f"{where}.{name}" for where, name in fields if name not in read)
+    assert unread == sorted(_UNREAD_FIELDS)
 
 
 def test_every_encoder_call_names_the_rows_it_reads():

@@ -241,6 +241,17 @@ def test_load_rejects_special_tokens_out_of_place(tmp_path, trained, edit):
         Tokenizer.load(tmp_path)
 
 
+def test_load_rejects_ids_outside_the_vocabulary(tmp_path, trained):
+    """Ids must be 0 to n - 1: masking draws replacements from below vocab_size, and the model embeds no other id."""
+    trained.save(tmp_path)
+    lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    last = lines[-1].rpartition("\t")[0]
+    lines[-1] = f"{last}\t9999"
+    (tmp_path / "vocab.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TokenizerError, match=re.escape(f"vocab.txt: token id 9999 is outside 0..{trained.vocab_size - 1}")):
+        Tokenizer.load(tmp_path)
+
+
 def test_fingerprint_distinguishes_tokenizers(trained):
     other = Tokenizer.train(["completely different corpus text"], 280)
     assert other.fingerprint() != trained.fingerprint()

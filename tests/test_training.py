@@ -608,9 +608,9 @@ def _csv_cases():
     assignment = analysis.ClusterAssignment({"a": 1, "b": analysis.OUTLIER}, n_clusters=1)
     documents = [Document("a", "fuel rod", (1,), nfc_label=True), Document("b", "unlabeled text")]
     summary = analysis.TopicSummary(
-        scores={}, top_words={2: [("fuel", 0.5)], 1: [("rod", 0.25), ("pin", 0.125)]}, n_documents=3, n_classes=2
+        scores={}, top_words={2: [("fuel", 0.5)], 1: [("rod", 0.25), ("pin", 0.125)]}
     )
-    scaling = t.ScalingStudyResult("base", [0.25, 1.0], [2, 8], [0.5, 0.125], [None, None])
+    scaling = t.ScalingStudyResult("base", [0.25, 1.0], [2, 8], [0.5, 0.125])
     index = [CheckpointMeta(2, 0.5, Path("ck") / "step_000002.npz"), CheckpointMeta(4, 0.25, None, is_best=True)]
     return {
         "grid": (
