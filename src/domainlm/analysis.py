@@ -296,7 +296,6 @@ def topic_report(summary: TopicSummary) -> str:
 def save_embeddings(matrix: EmbeddingMatrix, base_path) -> tuple[Path, Path]:
     """Write <base>.npy (row-major float array) and an id sidecar <base>.ids.txt."""
     base_path = Path(base_path)
-    base_path.parent.mkdir(parents=True, exist_ok=True)
     npy_path = base_path.with_suffix(".npy")
     ids_path = base_path.with_suffix(".ids.txt")
     with atomic_open(npy_path, "wb") as handle:

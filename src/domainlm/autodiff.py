@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A small tape: every operation on :class:`Tensor` records the parent tensors
-and a vector-Jacobian closure. Calling ``backward()`` on a scalar loss walks
-the graph in reverse topological order and accumulates gradients into
+and one vector-Jacobian closure (VJP), which returns every parent's gradient.
+Calling ``backward()`` on a scalar loss walks the graph in reverse
+topological order, calls each node's VJP once, and accumulates gradients into
 ``.grad`` of every leaf tensor created with ``requires_grad=True``; the walk
 consumes the graph, so a second ``backward()`` needs a new forward pass.
 
@@ -167,7 +168,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """An ndarray plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -177,7 +178,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
-        self._vjps: tuple = ()
+        self._vjp: Callable[[np.ndarray], tuple] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -187,14 +188,14 @@ class Tensor:
         return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=dtype))
 
     @staticmethod
-    def _make(data, parents, vjps) -> "Tensor":
+    def _make(data, parents: tuple, vjp: Callable[[np.ndarray], tuple]) -> "Tensor":
+        """A Tensor of `data` that records `parents` and `vjp` (g -> one gradient per parent, in order) if any parent
+        requires grad and recording is on."""
         out = Tensor(data)
-        if _grad_enabled:
-            tracked = [(p, v) for p, v in zip(parents, vjps) if p.requires_grad]
-            if tracked:
-                out.requires_grad = True
-                out._parents = tuple(p for p, _ in tracked)
-                out._vjps = tuple(v for _, v in tracked)
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = parents
+            out._vjp = vjp
         return out
 
     @property
@@ -216,14 +217,13 @@ class Tensor:
         return self._make(
             self.data + other.data,
             (self, other),
-            (lambda g: _unbroadcast(g, shape),
-             lambda g: _unbroadcast(g, other_shape)),
+            lambda g: (_unbroadcast(g, shape), _unbroadcast(g, other_shape)),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(-self.data, (self,), (lambda g: -g,))
+        return self._make(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         other = self._lift(other, self.data.dtype)
@@ -231,8 +231,7 @@ class Tensor:
         return self._make(
             self.data - other.data,
             (self, other),
-            (lambda g: _unbroadcast(g, shape),
-             lambda g: _unbroadcast(-g, other_shape)),
+            lambda g: (_unbroadcast(g, shape), _unbroadcast(-g, other_shape)),
         )
 
     def __rsub__(self, other):
@@ -243,8 +242,8 @@ class Tensor:
         return self._make(
             self.data * other.data,
             (self, other),
-            (lambda g: _unbroadcast(g * other.data, self.data.shape),
-             lambda g: _unbroadcast(g * self.data, other.data.shape)),
+            lambda g: (_unbroadcast(g * other.data, self.data.shape),
+                       _unbroadcast(g * self.data, other.data.shape)),
         )
 
     __rmul__ = __mul__
@@ -254,8 +253,8 @@ class Tensor:
         return self._make(
             self.data / other.data,
             (self, other),
-            (lambda g: _unbroadcast(g / other.data, self.data.shape),
-             lambda g: _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)),
+            lambda g: (_unbroadcast(g / other.data, self.data.shape),
+                       _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)),
         )
 
     def __rtruediv__(self, other):
@@ -267,26 +266,22 @@ class Tensor:
         return self._make(
             a @ b,
             (self, other),
-            (lambda g: _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-             lambda g: _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)),
+            lambda g: (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+                       _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)),
         )
 
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
         old = self.data.shape
-        return self._make(self.data.reshape(shape), (self,), (lambda g: g.reshape(old),))
+        return self._make(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
         inverse = np.argsort(axes)
-        return self._make(
-            self.data.transpose(axes),
-            (self,),
-            (lambda g: g.transpose(inverse),),
-        )
+        return self._make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def swapaxes(self, a: int, b: int):
-        return self._make(np.swapaxes(self.data, a, b), (self,), (lambda g: np.swapaxes(g, a, b),))
+        return self._make(np.swapaxes(self.data, a, b), (self,), lambda g: (np.swapaxes(g, a, b),))
 
     def __getitem__(self, index):
         shape = self.data.shape
@@ -294,9 +289,9 @@ class Tensor:
         def vjp(g):
             full = np.zeros(shape, dtype=g.dtype)
             np.add.at(full, index, g)
-            return full
+            return (full,)
 
-        return self._make(self.data[index], (self,), (vjp,))
+        return self._make(self.data[index], (self,), vjp)
 
     # -- reductions ----------------------------------------------------------
 
@@ -304,12 +299,11 @@ class Tensor:
         shape = self.data.shape
 
         def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, shape).copy()
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(g_exp, shape).copy()
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, shape).copy(),)
 
-        return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), (vjp,))
+        return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -319,7 +313,7 @@ class Tensor:
 
     def tanh(self):
         out_data = np.tanh(self.data)
-        return self._make(out_data, (self,), (lambda g: g * (1.0 - out_data * out_data),))
+        return self._make(out_data, (self,), lambda g: (g * (1.0 - out_data * out_data),))
 
     # -- backward pass ---------------------------------------------------------
 
@@ -352,21 +346,20 @@ class Tensor:
 
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            g = node.grad
-            if g is None:
+            if node.grad is None or not node._parents:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                contribution = vjp(g)
+            for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+                if not parent.requires_grad:
+                    continue
                 if parent.grad is None:
                     parent.grad = contribution
                 else:
                     parent.grad = parent.grad + contribution
-            if node._parents:
-                # An interior node is spent once its gradient is passed on:
-                # dropping it and its closures frees the saved activations
-                # while the rest of the walk runs.
-                node.grad = None
-                node._parents = node._vjps = ()
+            # An interior node is spent once its gradient is passed on:
+            # dropping it and its closure frees the saved activations
+            # while the rest of the walk runs.
+            node.grad = None
+            node._parents, node._vjp = (), None
 
 
 # -- array-level helpers -------------------------------------------------------
@@ -408,32 +401,20 @@ def _apply_keep(a: np.ndarray, keep: np.ndarray, keep_scale: float, out: np.ndar
     return out
 
 
-def _once(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """fn(g), computed once for the gradient g of one backward walk and shared by a node's VJPs."""
-    memo: list = []
-
-    def cached(g):
-        if not memo or memo[0] is not g:
-            memo[:] = [g, fn(g)]
-        return memo[1]
-
-    return cached
-
-
 def _drop_in_place(out: np.ndarray, keep: np.ndarray | None, keep_scale: float) -> Callable[[np.ndarray], np.ndarray]:
     """Apply dropout to a node's fresh output `out` in place; return g -> the gradient before it, as 2-D rows."""
     if keep is None:
         return lambda g: g.reshape(-1, g.shape[-1])
     _apply_keep(out, keep, keep_scale, out=out)
-    return _once(lambda g: _apply_keep(g, keep, keep_scale).reshape(-1, g.shape[-1]))
+    return lambda g: _apply_keep(g, keep, keep_scale).reshape(-1, g.shape[-1])
 
 
-def _into_residual(residual: Tensor | None, out: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
+def _into_residual(residual: Tensor | None, out: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
     """The node of `out`, or of residual + out written into `residual`'s array, whose gradient it passes on as is."""
     if residual is None:
-        return Tensor._make(out, parents, vjps)
+        return Tensor._make(out, parents, vjp)
     residual.data += out
-    return Tensor._make(residual.data, parents + (residual,), vjps + (lambda g: g,))
+    return Tensor._make(residual.data, parents + (residual,), lambda g: vjp(g) + (g,))
 
 
 def embedding(
@@ -444,17 +425,15 @@ def embedding(
     out = table.data[ids] + positions.data[:length]
     rows = _drop_in_place(out, keep, keep_scale)
 
-    def vjp_table(g):
-        full = np.zeros(table.data.shape, dtype=g.dtype)
-        np.add.at(full, ids.reshape(-1), rows(g))
-        return full
+    def vjp(g):
+        d_out = rows(g)
+        d_table = np.zeros(table.data.shape, dtype=g.dtype)
+        np.add.at(d_table, ids.reshape(-1), d_out)
+        d_positions = np.zeros(positions.data.shape, dtype=g.dtype)
+        d_positions[:length] += d_out.reshape(g.shape).sum(axis=0)
+        return d_table, d_positions
 
-    def vjp_positions(g):
-        full = np.zeros(positions.data.shape, dtype=g.dtype)
-        full[:length] += rows(g).reshape(g.shape).sum(axis=0)
-        return full
-
-    return Tensor._make(out, (table, positions), (vjp_table, vjp_positions))
+    return Tensor._make(out, (table, positions), vjp)
 
 
 def linear(
@@ -472,11 +451,12 @@ def linear(
     out += b.data
     out = out.reshape(shape[:-1] + out.shape[-1:])
     rows = _drop_in_place(out, keep, keep_scale)
-    return _into_residual(residual, out, (x, w, b), (
-        lambda g: (rows(g) @ w.data.T).reshape(shape),
-        lambda g: x2.T @ rows(g),
-        lambda g: rows(g).sum(axis=0),
-    ))
+
+    def vjp(g):
+        d_out = rows(g)
+        return (d_out @ w.data.T).reshape(shape), x2.T @ d_out, d_out.sum(axis=0)
+
+    return _into_residual(residual, out, (x, w, b), vjp)
 
 
 def feed_forward(
@@ -499,17 +479,15 @@ def feed_forward(
     out = out.reshape(shape[:-1] + out.shape[-1:])
     rows = _drop_in_place(out, keep, keep_scale)
 
-    @_once
-    def d_h(g):
-        return (rows(g) @ w2.data.T) * (cdf + h * (_INV_SQRT_2PI * np.exp(-0.5 * h * h)))
+    def vjp(g):
+        d_out = rows(g)
+        d_h = (d_out @ w2.data.T) * (cdf + h * (_INV_SQRT_2PI * np.exp(-0.5 * h * h)))
+        return (
+            (d_h @ w1.data.T).reshape(shape), x2.T @ d_h, d_h.sum(axis=0),
+            (h * cdf).T @ d_out, d_out.sum(axis=0),
+        )
 
-    return _into_residual(residual, out, (x, w1, b1, w2, b2), (
-        lambda g: (d_h(g) @ w1.data.T).reshape(shape),
-        lambda g: x2.T @ d_h(g),
-        lambda g: d_h(g).sum(axis=0),
-        lambda g: (h * cdf).T @ rows(g),
-        lambda g: rows(g).sum(axis=0),
-    ))
+    return _into_residual(residual, out, (x, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -519,19 +497,16 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     x_hat = centered * inv_std
     lead = tuple(range(x_hat.ndim - 1))
 
-    def vjp_x(grad):
+    def vjp(grad):
         d_hat = grad * g.data
-        return inv_std * (
+        d_x = inv_std * (
             d_hat
             - d_hat.mean(axis=-1, keepdims=True)
             - x_hat * np.mean(d_hat * x_hat, axis=-1, keepdims=True)
         )
+        return d_x, (grad * x_hat).sum(axis=lead), grad.sum(axis=lead)
 
-    return Tensor._make(
-        x_hat * g.data + b.data,
-        (x, g, b),
-        (vjp_x, lambda grad: (grad * x_hat).sum(axis=lead), lambda grad: grad.sum(axis=lead)),
-    )
+    return Tensor._make(x_hat * g.data + b.data, (x, g, b), vjp)
 
 
 def attention(
@@ -587,35 +562,21 @@ def attention(
     probs /= probs.sum(axis=-1, keepdims=True)
     context = merge(_gemm(dropped(probs), vh))
 
-    @_once
-    def d_scores(g):
-        """Gradient at the scaled scores, shared by the q and k VJPs of one backward."""
-        d_probs = split(g) @ vh.swapaxes(-1, -2)
+    def vjp(g):
+        d_scores = split(g) @ vh.swapaxes(-1, -2)  # the gradient at the probabilities, then at the scaled scores
         if keep is not None:
-            _apply_keep(d_probs, keep, keep_scale, out=d_probs)
-        d_probs -= (d_probs * probs).sum(axis=-1, keepdims=True)
-        d_probs *= probs
-        d_probs *= scale
-        return d_probs
+            _apply_keep(d_scores, keep, keep_scale, out=d_scores)
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_scores *= scale
+        d_q = merge(d_scores @ kh)
+        if rows is not None:
+            full = np.zeros_like(q.data)
+            np.add.at(full, (np.arange(rows.shape[0])[:, None], rows), d_q)
+            d_q = full
+        return d_q, merge(d_scores.swapaxes(-1, -2) @ qh), merge(dropped(probs).swapaxes(-1, -2) @ split(g))
 
-    def vjp_q(g):
-        d_q = merge(d_scores(g) @ kh)
-        if rows is None:
-            return d_q
-        full = np.zeros_like(q.data)
-        np.add.at(full, (np.arange(rows.shape[0])[:, None], rows), d_q)
-        return full
-
-    out = Tensor._make(
-        context,
-        (q, k, v),
-        (
-            vjp_q,
-            lambda g: merge(d_scores(g).swapaxes(-1, -2) @ qh),
-            lambda g: merge(dropped(probs).swapaxes(-1, -2) @ split(g)),
-        ),
-    )
-    return out, probs
+    return Tensor._make(context, (q, k, v), vjp), probs
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -628,6 +589,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         grad = np.exp(log_probs)
         grad[rows, targets] -= 1.0
         grad *= g * (1.0 / rows.size)
-        return grad
+        return (grad,)
 
-    return Tensor._make(loss, (logits,), (vjp,))
+    return Tensor._make(loss, (logits,), vjp)

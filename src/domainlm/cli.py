@@ -363,7 +363,6 @@ def _cmd_eval(args) -> _Run | None:
     if not args.out:
         return None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "metrics.json", report.to_json())
     atomic_write_text(out_dir / "metrics.txt", report.format_table() + "\n")
     inputs = {"corpus": args.corpus, "tokenizer": tokenizer, "checkpoint": args.checkpoint, "split": args.split}

@@ -41,10 +41,12 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """Open `<path>.tmp` for writing and rename it over `path` on success.
 
     The target holds either its previous content or the whole new file, never
-    a partial one. On any exception the temporary file is removed and the
-    exception propagates. `mode` and `kwargs` go to `Path.open`.
+    a partial one. Missing parent directories are created. On any exception
+    the temporary file is removed and the exception propagates. `mode` and
+    `kwargs` go to `Path.open`.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open(mode, **kwargs) as handle:
@@ -65,7 +67,6 @@ def atomic_write_text(path, text: str) -> Path:
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write `header` and `rows` of caller-formatted cells through `atomic_open`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -105,8 +106,6 @@ def dataclass_to_mapping(instance) -> dict[str, str]:
 
 
 def write_flat_config(instance, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{key} = {value}" for key, value in dataclass_to_mapping(instance).items()]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -190,7 +190,6 @@ def load_corpus(path) -> list[Document]:
 
 def save_corpus(docs: Iterable[Document], path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, encoding="utf-8") as handle:
         for doc in docs:
             record = {"id": doc.id, "text": doc.text, "categories": list(doc.categories)}
@@ -312,7 +311,6 @@ def nested_subsets(
 
 def write_split_manifests(splits: DatasetSplits, directory) -> dict[str, Path]:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, docs in splits.as_dict().items():
         path = directory / f"{name}.txt"

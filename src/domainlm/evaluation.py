@@ -408,6 +408,12 @@ def evaluate_checkpoint(
     class_labels = checkpoint.extra.get("class_labels")
     if class_labels is None:
         raise EvaluationError("checkpoint has no classifier head metadata; fine-tune first")
+    num_classes = checkpoint.config.num_classes
+    if not (isinstance(class_labels, list) and len(class_labels) == num_classes
+            and all(isinstance(c, int) for c in class_labels)):
+        raise EvaluationError(
+            f"checkpoint class_labels must be {num_classes} integer or boolean labels, got {class_labels!r}"
+        )
     if task == "binary":
         class_labels = [bool(c) for c in class_labels]
     else:

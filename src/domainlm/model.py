@@ -419,7 +419,6 @@ class Checkpoint:
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(checkpoint.config),
@@ -447,6 +446,9 @@ def load_checkpoint(path) -> Checkpoint:
             config = ModelConfig(**meta["config"])
             config.validate()
             tokenizer_hash = meta["tokenizer_hash"]
+            extra = meta.get("extra", {})
+            if not isinstance(extra, dict):
+                raise ValueError("extra is not a JSON object")
             params = {
                 key[len("param:"):]: Tensor(data[key], requires_grad=True)
                 for key in data.files
@@ -469,7 +471,7 @@ def load_checkpoint(path) -> Checkpoint:
     unexpected = set(params) - set(expected)
     if unexpected:
         raise ModelError(f"checkpoint has unexpected parameters: {sorted(unexpected)}")
-    return Checkpoint(config=config, params=params, tokenizer_hash=tokenizer_hash, extra=meta.get("extra", {}))
+    return Checkpoint(config=config, params=params, tokenizer_hash=tokenizer_hash, extra=extra)
 
 
 def with_fresh_classifier(checkpoint: Checkpoint, num_classes: int, seed: int) -> tuple[ModelConfig, dict[str, Tensor]]:

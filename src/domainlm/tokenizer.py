@@ -374,7 +374,6 @@ class Tokenizer:
 
     def save(self, directory) -> tuple[Path, Path]:
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         vocab_path = directory / "vocab.txt"
         merges_path = directory / "merges.txt"
         # Both files are written in full before either is renamed into place,
@@ -395,10 +394,14 @@ class Tokenizer:
         if not merges_lines or merges_lines[0] != MERGES_FILE_HEADER:
             raise TokenizerError(f"bad merges file header in {directory / 'merges.txt'}")
         token_to_id: dict[str, int] = {}
-        for line in vocab_lines[1:]:
+        for number, line in enumerate(vocab_lines[1:], start=2):
             if not line:
                 continue
-            token, _, idx = line.rpartition("\t")
+            token, tab, idx = line.rpartition("\t")
+            if not (tab and idx.isascii() and idx.isdecimal()):
+                raise TokenizerError(
+                    f"{directory / 'vocab.txt'} line {number}: expected <token>\\t<decimal id>, got {line!r}"
+                )
             token_to_id[token] = int(idx)
         id_to_token = {i: t for t, i in token_to_id.items()}
         vocab = Vocabulary(token_to_id, id_to_token)

@@ -697,7 +697,6 @@ def write_scaling_csv(results: Sequence[ScalingStudyResult], path) -> Path:
 
 
 def _write_run_dir(out_dir: Path, config: TrainingConfig, history: Sequence[LossRecord]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_flat_config(config, out_dir / "config.txt")
     write_loss_history(history, out_dir / "loss_history.csv")
 

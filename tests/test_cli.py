@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from domainlm import cli, corpus, evaluation, training
+from domainlm.configio import atomic_open
 from domainlm.corpus import save_corpus, split_corpus, SplitSpec, write_split_manifests
 from domainlm.model import Checkpoint, load_checkpoint, save_checkpoint, with_fresh_classifier
 from domainlm.training import TrainingDivergedError
@@ -68,6 +69,14 @@ def test_missing_corpus_names_path(tmp_path, capsys):
     code = cli.main(["tokenizer-train", str(tmp_path / "ghost.jsonl"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "ghost.jsonl" in capsys.readouterr().err
+
+
+def test_atomic_open_creates_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "file.txt"
+    with atomic_open(path, encoding="utf-8") as handle:
+        handle.write("text")
+    assert path.read_text(encoding="utf-8") == "text"
+    assert [p.name for p in path.parent.iterdir()] == ["file.txt"]
 
 
 def test_split_command_writes_manifests(tmp_path, workspace, capsys):
@@ -419,25 +428,49 @@ def _meta_not_an_object(data: bytes) -> bytes:
     return _with_meta(data, lambda meta: [meta])
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [_truncated, _empty, _unknown_config_key, _no_tokenizer_hash, _meta_not_an_object],
-    ids=lambda f: f.__name__.strip("_"),
-)
-def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, tmp_path, capsys, damage):
-    damaged = tmp_path / "damaged.npz"
-    damaged.write_bytes(damage(Path(classifier_checkpoint).read_bytes()))
-    code = cli.main([
+def _extra_not_an_object(data: bytes) -> bytes:
+    return _with_meta(data, lambda meta: {**meta, "extra": []})
+
+
+def _eval_binary(workspace, checkpoint) -> int:
+    return cli.main([
         "eval",
-        "--checkpoint", str(damaged),
+        "--checkpoint", str(checkpoint),
         "--corpus", str(workspace["corpus"]),
         "--split", str(workspace["splits"] / "test.txt"),
         "--task", "binary",
         "--tokenizer", str(workspace["tokenizer"]),
     ])
-    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_truncated, _empty, _unknown_config_key, _no_tokenizer_hash, _meta_not_an_object, _extra_not_an_object],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, tmp_path, capsys, damage):
+    damaged = tmp_path / "damaged.npz"
+    damaged.write_bytes(damage(Path(classifier_checkpoint).read_bytes()))
+    assert _eval_binary(workspace, damaged) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {damaged} is not a readable checkpoint: ")
+
+
+@pytest.mark.parametrize(
+    "labels", [5, [True], [False, True, True], [[0], [1]]], ids=["number", "one", "three", "lists"]
+)
+def test_eval_refuses_class_labels_that_do_not_fit_the_head(
+    workspace, classifier_checkpoint, tmp_path, capsys, labels
+):
+    """The binary head has two outputs, so `class_labels` must be a list of two labels."""
+    damaged = tmp_path / "labels.npz"
+    damaged.write_bytes(_with_meta(
+        Path(classifier_checkpoint).read_bytes(),
+        lambda meta: {**meta, "extra": {**meta["extra"], "class_labels": labels}},
+    ))
+    assert _eval_binary(workspace, damaged) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint class_labels must be 2 ")
 
 
 def test_mask_predict_requires_sentinel(workspace, capsys):

@@ -324,6 +324,33 @@ def test_fused_gradients_match_unfused_encoder(pooler_tanh):
         np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=1e-10, atol=1e-13, err_msg=name)
 
 
+def _tape_nodes(loss):
+    """Every tensor the tape of `loss` reaches, `loss` included."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _record_vjp_calls(nodes) -> dict:
+    """Wrap the VJP of each interior node of `nodes`; the dict lists, per node id, what each call returned."""
+    calls = {}
+    for node in nodes:
+        if node._vjp is not None:
+            calls[id(node)] = record = []
+
+            def wrapped(g, vjp=node._vjp, record=record):
+                record.append(vjp(g))
+                return record[-1]
+
+            node._vjp = wrapped
+    return calls
+
+
 @pytest.mark.parametrize("objective", ["mlm", "classifier"])
 def test_float32_step_keeps_every_node_and_gradient_float32(objective):
     config = ModelConfig(
@@ -339,27 +366,12 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
         hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, dropout_masks=masks)
         loss = cross_entropy(cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 1, 1]))
 
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
+    nodes = _tape_nodes(loss)
     assert {n.data.dtype for n in nodes} == {np.dtype(np.float32)}
 
-    contributions = []
-
-    def recording(vjp):
-        def wrapped(g):
-            contributions.append(vjp(g))
-            return contributions[-1]
-
-        return wrapped
-
-    for node in nodes:
-        node._vjps = tuple(recording(v) for v in node._vjps)
+    calls = _record_vjp_calls(nodes)
     grads = backward(loss, params)
+    contributions = [c for returns in calls.values() for returned in returns for c in returned]
     assert contributions
     assert {c.dtype for c in contributions} == {np.dtype(np.float32)}
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
@@ -586,6 +598,22 @@ def test_row_selection_matches_the_full_last_layer(num_layers, dtype, dropout_ra
     for name, g in full_grads.items():
         bound = tol * (scale if name.endswith("attn.bk") else np.abs(g).max())
         assert np.abs(selected_grads[name] - g).max() <= bound, name
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_each_node_runs_its_one_vjp_one_time_per_backward(dtype):
+    """A padded, row-selected MLM loss with dropout: each interior node's VJP runs once and returns one gradient
+    per parent, in that parent's shape and dtype."""
+    config = _selection_config(3, dtype, 0.1)
+    params = init_parameters(config, seed=2)
+    _, loss, *_ = _selection_losses(params, config, "mlm", dropout_seed=9)
+    interior = [node for node in _tape_nodes(loss) if node._parents]
+    expected = {id(node): [[(p.data.shape, p.data.dtype) for p in node._parents]] for node in interior}
+    calls = _record_vjp_calls(interior)
+    backward(loss, params)
+    assert {
+        key: [[(a.shape, a.dtype) for a in returned] for returned in returns] for key, returns in calls.items()
+    } == expected
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -221,6 +221,16 @@ def test_load_rejects_merges_of_another_vocabulary(tmp_path):
         Tokenizer.load(tmp_path / "a")
 
 
+@pytest.mark.parametrize("line", ["abc\tx", "999"], ids=["id_not_decimal", "no_tab"])
+def test_load_names_a_malformed_vocabulary_line(tmp_path, trained, line):
+    trained.save(tmp_path)
+    lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines() + [line]
+    (tmp_path / "vocab.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = f"{tmp_path / 'vocab.txt'} line {len(lines)}: expected <token>\\t<decimal id>, got {line!r}"
+    with pytest.raises(TokenizerError, match=re.escape(expected)):
+        Tokenizer.load(tmp_path)
+
+
 def _swap_cls_with_id_5(lines):
     cls, fifth = lines.index("[CLS]\t0"), next(i for i, line in enumerate(lines) if line.endswith("\t5"))
     lines[cls], lines[fifth] = "[CLS]\t5", lines[fifth].replace("\t5", "\t0")

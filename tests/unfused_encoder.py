@@ -18,17 +18,17 @@ from domainlm.model import ATTENTION_MASK_BIAS, ModelConfig
 
 def power(t: Tensor, exponent: float) -> Tensor:
     data = t.data
-    return Tensor._make(data ** exponent, (t,), (lambda g: g * exponent * data ** (exponent - 1),))
+    return Tensor._make(data ** exponent, (t,), lambda g: (g * exponent * data ** (exponent - 1),))
 
 
 def exp(t: Tensor) -> Tensor:
     out = np.exp(t.data)
-    return Tensor._make(out, (t,), (lambda g: g * out,))
+    return Tensor._make(out, (t,), lambda g: (g * out,))
 
 
 def log(t: Tensor) -> Tensor:
     data = t.data
-    return Tensor._make(np.log(data), (t,), (lambda g: g / data,))
+    return Tensor._make(np.log(data), (t,), lambda g: (g / data,))
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -36,7 +36,7 @@ def gelu(t: Tensor) -> Tensor:
     x = t.data
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     density = 1.0 / math.sqrt(2.0 * math.pi)
-    return Tensor._make(x * cdf, (t,), (lambda g: g * (cdf + x * (density * np.exp(-0.5 * x * x))),))
+    return Tensor._make(x * cdf, (t,), lambda g: (g * (cdf + x * (density * np.exp(-0.5 * x * x))),))
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
