@@ -4,8 +4,9 @@ A small tape: every operation on :class:`Tensor` records the parent tensors
 and one vector-Jacobian closure (VJP), which returns every parent's gradient.
 Calling ``backward()`` on a scalar loss walks the graph in reverse
 topological order, calls each node's VJP once, and accumulates gradients into
-``.grad`` of every leaf tensor created with ``requires_grad=True``; the walk
-consumes the graph, so a second ``backward()`` needs a new forward pass.
+``.grad`` of every leaf tensor that requires grad; the walk consumes the
+graph, so a second ``backward()`` needs a new forward pass. An operation on
+tensors none of which requires grad records nothing.
 
 The encoder's hot layers are fused nodes (``embedding``, ``linear``,
 ``feed_forward``, ``layer_norm``, ``attention``, ``softmax_cross_entropy``),
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "Tensor", "no_grad", "GraphError", "log_softmax",
+    "Tensor", "GraphError", "log_softmax",
     "embedding", "linear", "feed_forward", "layer_norm", "attention", "softmax_cross_entropy",
     "one_blas_thread", "run_tasks",
 ]
@@ -46,26 +47,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_grad_enabled = True
-
 
 class GraphError(RuntimeError):
     """Raised when backward() is called without a recorded forward graph."""
-
-
-class no_grad:
-    """Context manager that disables graph recording (fast inference path)."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
 
 
 # -- the second core -------------------------------------------------------------
@@ -121,8 +105,8 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
     runs 1, 3, ...; else all run in turn on the calling thread. Without
     control of the BLAS thread count they run in turn at the process's count.
     If tasks fail, the exception of the lowest-numbered failing one is
-    raised, as a loop over the tasks would raise it. The tasks share module
-    state such as `no_grad`, which the caller sets around the call.
+    raised, as a loop over the tasks would raise it. A task records a tape
+    only from its own leaves that require grad, so the threads share no switch.
     """
     if len(tasks) < 2 or _blas_thread_controls() is None:
         return [task() for task in tasks]
@@ -190,9 +174,9 @@ class Tensor:
     @staticmethod
     def _make(data, parents: tuple, vjp: Callable[[np.ndarray], tuple]) -> "Tensor":
         """A Tensor of `data` that records `parents` and `vjp` (g -> one gradient per parent, in order) if any parent
-        requires grad and recording is on."""
+        requires grad."""
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._vjp = vjp

@@ -3,9 +3,9 @@
 One binary with subcommands for tokenizer training, corpus splitting,
 pretraining (fresh or continued), classifier fine-tuning, evaluation, masked
 token prediction, the training-set-size scaling study, and topic analysis.
-Training commands read a flat key=value config file; every key can be
-overridden by a flag of the same name. Exit codes: 0 success, 1 validation
-error, 2 runtime or numerical error.
+Training commands read a flat key=value config file; every key a command
+reads can be overridden by a flag of the same name. Exit codes: 0 success,
+1 validation error, 2 runtime or numerical error.
 """
 
 from __future__ import annotations
@@ -163,13 +163,10 @@ def _write_manifest(command: str, run: _Run, started: float) -> Path:
 # -- config plumbing -------------------------------------------------------------
 
 
-def _add_config_override_flags(parser: argparse.ArgumentParser) -> None:
-    seen = set()
-    for cls in (TrainingConfig, ModelConfig):
-        for f in dataclasses.fields(cls):
-            if f.name in seen:
-                continue
-            seen.add(f.name)
+def _add_config_override_flags(parser: argparse.ArgumentParser, unread: str) -> None:
+    """A `--<field>` flag for each config field but `unread`, the one the command does not read."""
+    for f in dataclasses.fields(TrainingConfig) + dataclasses.fields(ModelConfig):
+        if f.name != unread:
             parser.add_argument(f"--{f.name}", dest=f"cfg__{f.name}", default=None, metavar="VALUE")
 
 
@@ -482,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--init", help="existing checkpoint to continue pretraining from")
     p.add_argument("--out", required=True)
-    _add_config_override_flags(p)
+    _add_config_override_flags(p, unread="eval_checkpoints")
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a classifier from a pretrained checkpoint")
@@ -493,7 +490,7 @@ def build_parser() -> _Parser:
     p.add_argument("--init", required=True, help="pretrained checkpoint path")
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--out", required=True)
-    _add_config_override_flags(p)
+    _add_config_override_flags(p, unread="segment_length")
     p.set_defaults(func=_cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -522,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fractions", default="0.05,0.25,1.0")
     p.add_argument("--subset-seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_config_override_flags(p)
+    _add_config_override_flags(p, unread="segment_length")
     p.set_defaults(func=_cmd_scale_study)
 
     p = sub.add_parser("topics", help="embedding projection, clustering, and topic words")

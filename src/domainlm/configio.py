@@ -1,8 +1,8 @@
 """Flat key=value config files.
 
 One `key = value` pair per line, `#` starts a comment. Every key corresponds
-to a dataclass field and can be overridden from the command line by a flag of
-the same name. Parsing collects all problems instead of stopping at the first
+to a dataclass field, and a command that reads the key takes a flag of the
+same name to override it. Parsing collects all problems instead of stopping at the first
 so a bad config is reported exhaustively.
 
 `atomic_open` is the one way the package writes a file: the content goes to
@@ -159,10 +159,7 @@ def build_dataclass(cls, mapping: dict[str, str], errors: list[str]):
 def split_known_keys(mapping: dict[str, str], *dataclass_types) -> tuple[dict[str, dict[str, str]], list[str]]:
     """Partition a flat mapping by which dataclass owns each key."""
     owners: dict[str, dict[str, str]] = {cls.__name__: {} for cls in dataclass_types}
-    field_owner = {}
-    for cls in dataclass_types:
-        for f in dataclasses.fields(cls):
-            field_owner.setdefault(f.name, cls.__name__)
+    field_owner = {f.name: cls.__name__ for cls in dataclass_types for f in dataclasses.fields(cls)}
     unknown = []
     for key, value in mapping.items():
         owner = field_owner.get(key)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, log_softmax, no_grad, one_blas_thread, run_tasks
+from .autodiff import Tensor, log_softmax, one_blas_thread, run_tasks
 from .corpus import Document
 from .data import (
     MaskingPolicy,
@@ -281,7 +281,7 @@ def cls_vectors(
         ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
         return encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids))).data[:, 0]
 
-    with one_blas_thread(), no_grad():
+    with one_blas_thread():
         rows = run_tasks([functools.partial(batch, start) for start in range(0, len(sequences), batch_size)])
     return np.concatenate(rows, axis=0)
 
@@ -294,8 +294,8 @@ def batched_cls_logits(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Class logits for each sequence; padding cannot affect the results."""
-    with one_blas_thread(), no_grad():
-        vectors = cls_vectors(params, config, sequences, pad_id, batch_size)
+    vectors = cls_vectors(params, config, sequences, pad_id, batch_size)
+    with one_blas_thread():
         return cls_logits_from_hidden(Tensor(vectors), params, config).data
 
 
@@ -364,6 +364,8 @@ def evaluate_mlm(
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
+    if len(segments) == 0:
+        raise EvaluationError("no segments to evaluate")
     policy = MaskingPolicy()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
@@ -376,16 +378,13 @@ def evaluate_mlm(
         log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
         return float(np.sum(-log_probs[np.arange(len(log_probs)), targets[real]])), len(log_probs)
 
-    with one_blas_thread(), no_grad():
+    with one_blas_thread():
         sums = run_tasks([functools.partial(batch, start) for start in range(0, len(masked), batch_size)])
     total = 0.0
     count = 0
     for batch_total, batch_count in sums:
         total += batch_total
         count += batch_count
-    if count == 0:
-        warnings.warn("no maskable tokens in any segment; defining loss = 0")
-        return 0.0
     return total / count
 
 

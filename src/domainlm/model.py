@@ -29,7 +29,6 @@ from .autodiff import (
     layer_norm,
     linear,
     log_softmax,
-    no_grad,
     one_blas_thread,
     softmax_cross_entropy,
 )
@@ -137,7 +136,7 @@ def init_parameters(config: ModelConfig, seed: int, include_classifier: bool = T
             data = np.zeros(shape)
         else:
             data = rng.normal(0.0, 0.02, size=shape)
-        params[name] = Tensor(data.astype(config.np_dtype), requires_grad=True)
+        params[name] = Tensor(data.astype(config.np_dtype))
     return params
 
 
@@ -145,8 +144,8 @@ def init_classifier_head(config: ModelConfig, seed: int) -> dict[str, Tensor]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1)))
     dtype = config.np_dtype
     return {
-        "cls.w": Tensor(rng.normal(0.0, 0.02, size=(config.hidden_dim, config.num_classes)).astype(dtype), requires_grad=True),
-        "cls.b": Tensor(np.zeros(config.num_classes, dtype=dtype), requires_grad=True),
+        "cls.w": Tensor(rng.normal(0.0, 0.02, size=(config.hidden_dim, config.num_classes)).astype(dtype)),
+        "cls.b": Tensor(np.zeros(config.num_classes, dtype=dtype)),
     }
 
 
@@ -369,7 +368,7 @@ def predict_top_k(text: str, k: int, checkpoint: Checkpoint, tokenizer: Tokenize
     ids = prefix_ids + [tokenizer.mask_id] + tokenizer.encode(suffix) + [tokenizer.sep_id]
     mask_position = len(prefix_ids)
 
-    with one_blas_thread(), no_grad():
+    with one_blas_thread():
         hidden = encoder_forward(
             checkpoint.params, checkpoint.config, np.array([ids]), positions=np.array([[mask_position]])
         )
@@ -409,9 +408,9 @@ class Checkpoint:
             raise ModelError(f"checkpoint vocab_size {self.config.vocab_size} != tokenizer size {tokenizer.vocab_size}")
 
     def encoder_params(self) -> dict[str, Tensor]:
-        """Trainable copies of every tensor but the classifier head."""
+        """Copies of every tensor but the classifier head."""
         return {
-            name: Tensor(p.data.copy(), requires_grad=True)
+            name: Tensor(p.data.copy())
             for name, p in self.params.items()
             if not name.startswith("cls.")
         }
@@ -450,7 +449,7 @@ def load_checkpoint(path) -> Checkpoint:
             if not isinstance(extra, dict):
                 raise ValueError("extra is not a JSON object")
             params = {
-                key[len("param:"):]: Tensor(data[key], requires_grad=True)
+                key[len("param:"):]: Tensor(data[key])
                 for key in data.files
                 if key.startswith("param:")
             }

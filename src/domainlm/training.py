@@ -353,6 +353,8 @@ def pretrain_mlm(
     policy = MaskingPolicy()
     if not segments:
         raise TrainingError("no training segments")
+    if val_segments is not None and not val_segments:
+        raise TrainingError("no validation segments")
 
     if isinstance(init, Checkpoint):
         init.check_tokenizer(tokenizer)
@@ -514,7 +516,7 @@ def finetune_classifier(
             checkpoints.append(meta)
             if best_meta is None or val_loss < best_meta.validation_loss:
                 best_meta = meta
-                best_params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in params.items()}
+                best_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
             history.append(LossRecord(step_1, train_loss, val_loss))
         elif step_1 % config.log_every == 0 or step_1 == total_steps:
             history.append(LossRecord(step_1, train_loss, None))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from domainlm.autodiff import _blas_thread_controls
-from domainlm.model import ModelConfig, init_parameters
+from domainlm.autodiff import Tensor, _blas_thread_controls
+from domainlm.model import ModelConfig
 from domainlm.synthetic import binary_corpus
 from domainlm.tokenizer import Tokenizer
 from domainlm.training import TrainingConfig, pack_segments, pretrain_mlm
@@ -100,5 +100,9 @@ def rel_error():
     return max_relative_error
 
 
-def random_parameters(config: ModelConfig, seed: int):
-    return init_parameters(config, seed)
+def as_leaves(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Leaf tensors that require grad over the same arrays, as each training step makes them.
+
+    Stored parameters never require grad, so a loss over them records no tape.
+    """
+    return {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}

@@ -52,7 +52,7 @@ from domainlm.training import (
     select_best_checkpoint,
 )
 
-from conftest import MEMO_SENTENCE, finite_difference_gradients, max_relative_error
+from conftest import MEMO_SENTENCE, as_leaves, finite_difference_gradients, max_relative_error
 from test_analysis import _oracle_cbtfidf
 from test_evaluation import _oracle_metrics
 
@@ -78,7 +78,7 @@ def test_criterion_01_gradient_correctness():
             num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32,
             vocab_size=64, max_positions=8, num_classes=2, dropout_rate=0.0,
         )
-        params = init_parameters(config, seed=12)
+        params = as_leaves(init_parameters(config, seed=12))
         ids = np.array([[1, 5, 9, 33, 17, 2]])
         rows = np.array([0, 0])
         cols = np.array([1, 3])

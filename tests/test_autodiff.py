@@ -14,7 +14,6 @@ from domainlm.autodiff import (
     layer_norm,
     linear,
     log_softmax,
-    no_grad,
     one_blas_thread,
     run_tasks,
     softmax_cross_entropy,
@@ -321,9 +320,10 @@ def test_backward_without_forward_raises():
 
 
 def test_no_grad_blocks_graph(rng):
-    a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    with no_grad():
-        loss = (a * a).sum()
+    """A graph whose leaves do not require grad records nothing, so there is nothing to walk back."""
+    a = Tensor(rng.normal(size=(2, 2)))
+    loss = (a * a).sum()
+    assert not loss.requires_grad and loss._parents == ()
     with pytest.raises(GraphError):
         loss.backward()
 

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -657,6 +659,40 @@ def test_segment_length_beyond_max_positions_reported_with_other_problems(
     assert f"segment_length 100 exceeds {whose}max_positions 64" in err
     assert steps == []
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("pretrain", "--eval_checkpoints"), ("finetune", "--segment_length"), ("scale-study", "--segment_length")],
+)
+def test_a_command_refuses_a_config_flag_it_does_not_read(tmp_path, workspace, capsys, command, flag):
+    """The flag is refused; the same key in the shared config file is still accepted."""
+    argv = [
+        command,
+        "--config", str(workspace["config"]),
+        "--corpus", str(workspace["corpus"]),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--out", str(tmp_path / "x"),
+    ]
+    if command == "finetune":
+        argv += ["--splits", str(workspace["splits"]), "--task", "binary", "--init", str(workspace["checkpoint"])]
+    elif command == "scale-study":
+        argv += ["--splits", str(workspace["splits"]), "--init", f"base={workspace['checkpoint']}"]
+    assert cli.main(argv + [flag, "8"]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 8\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_config_field_in_both_dataclasses_fails_when_the_parser_is_built(monkeypatch):
+    """A name both configs own would be routed to one of them only, so it is refused outright."""
+
+    @dataclasses.dataclass
+    class Clashing:
+        seed: int = 0
+
+    monkeypatch.setattr(cli, "ModelConfig", Clashing)
+    with pytest.raises(argparse.ArgumentError, match="--seed"):
+        cli.build_parser()
 
 
 # -- the process memory policy ----------------------------------------------------

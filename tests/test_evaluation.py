@@ -5,7 +5,7 @@ import pytest
 
 import domainlm.autodiff as autodiff_module
 import domainlm.evaluation as evaluation_module
-from domainlm.autodiff import log_softmax, no_grad, one_blas_thread
+from domainlm.autodiff import log_softmax, one_blas_thread
 from domainlm.data import (
     MaskingPolicy,
     apply_dynamic_masking,
@@ -264,6 +264,13 @@ def test_no_sequences_is_an_evaluation_error(function, toy_tokenizer, toy_base_c
         function(ckpt.params, ckpt.config, [], toy_tokenizer.pad_id)
 
 
+def test_no_segments_is_an_evaluation_error(toy_tokenizer, toy_base_checkpoint):
+    """An empty validation set has no loss; 0.0 would read as a perfect model."""
+    ckpt = toy_base_checkpoint
+    with pytest.raises(EvaluationError, match="no segments to evaluate"):
+        evaluate_mlm(ckpt.params, ckpt.config, [], toy_tokenizer)
+
+
 # -- batches on two threads -------------------------------------------------------------
 
 
@@ -271,11 +278,10 @@ def _serial_cls_vectors(params, config, sequences, pad_id, batch_size):
     """The one-thread loop that the two-thread pass replaced: the oracle."""
     pad_to = max(len(s) for s in sequences)
     rows = []
-    with no_grad():
-        for start in range(0, len(sequences), batch_size):
-            ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
-            hidden = encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids)))
-            rows.append(hidden.data[:, 0])
+    for start in range(0, len(sequences), batch_size):
+        ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
+        hidden = encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids)))
+        rows.append(hidden.data[:, 0])
     return np.concatenate(rows, axis=0)
 
 
@@ -284,14 +290,13 @@ def _serial_evaluate_mlm(params, config, segments, tokenizer, seed, batch_size):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, MaskingPolicy(), rng, tokenizer) for seg in segments]
     total, count = 0.0, 0
-    with no_grad():
-        for start in range(0, len(masked), batch_size):
-            ids, pad_mask, positions, targets = assemble_mlm_batch(masked[start : start + batch_size], tokenizer.pad_id)
-            hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
-            real = targets >= 0
-            log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
-            total += float(np.sum(-log_probs[np.arange(real.sum()), targets[real]]))
-            count += int(real.sum())
+    for start in range(0, len(masked), batch_size):
+        ids, pad_mask, positions, targets = assemble_mlm_batch(masked[start : start + batch_size], tokenizer.pad_id)
+        hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
+        real = targets >= 0
+        log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
+        total += float(np.sum(-log_probs[np.arange(real.sum()), targets[real]]))
+        count += int(real.sum())
     return total / count
 
 

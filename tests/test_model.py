@@ -32,7 +32,7 @@ from domainlm.model import (
 from domainlm.tokenizer import Tokenizer
 from domainlm.training import AdamW, TrainingConfig
 
-from conftest import finite_difference_gradients, max_relative_error
+from conftest import as_leaves, finite_difference_gradients, max_relative_error
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,7 @@ def test_gradients_match_finite_differences_small_model():
         num_layers=1, num_heads=2, hidden_dim=8, ff_dim=16, vocab_size=24,
         max_positions=6, num_classes=2, dropout_rate=0.0,
     )
-    params = init_parameters(config, seed=1)
+    params = as_leaves(init_parameters(config, seed=1))
     ids = np.array([[1, 5, 9, 13, 17]])
     mask_rows = np.array([0, 0])
     mask_cols = np.array([1, 3])
@@ -243,8 +243,9 @@ def test_backward_before_forward_raises(tiny_params):
 
 
 def test_constant_loss_gives_zero_gradients(tiny_config, tiny_params):
-    loss = (tiny_params["tok_emb"] * 0.0).sum()
-    grads = backward(loss, tiny_params)
+    params = as_leaves(tiny_params)
+    loss = (params["tok_emb"] * 0.0).sum()
+    grads = backward(loss, params)
     for g in grads.values():
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -287,7 +288,7 @@ def test_fused_training_matches_unfused_encoder_over_20_steps():
     batch = _mlm_batch(config, 16, 128, seed=0)
     runs = {}
     for impl in (fused, unfused_encoder):
-        params = init_parameters(config, seed=1, include_classifier=False)
+        params = as_leaves(init_parameters(config, seed=1, include_classifier=False))
         optimizer = AdamW(params, TrainingConfig(learning_rate=1e-3))
         losses = []
         for step in range(20):
@@ -315,7 +316,7 @@ def test_fused_gradients_match_unfused_encoder(pooler_tanh):
     ids, pad_mask, rows, cols, targets = _mlm_batch(config, 3, 12, seed=4)
     grads = []
     for impl in (fused, unfused_encoder):
-        params = init_parameters(config, seed=2)
+        params = as_leaves(init_parameters(config, seed=2))
         hidden = _encode(impl, params, config, ids, pad_mask, (9,))
         mlm = impl.cross_entropy(impl.mlm_logits_from_hidden(hidden[rows, cols], params, config), targets)
         cls = impl.cross_entropy(impl.cls_logits_from_hidden(hidden[:, 0], params, config), np.array([0, 2, 1]))
@@ -357,7 +358,7 @@ def test_float32_step_keeps_every_node_and_gradient_float32(objective):
         num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=8,
         dropout_rate=0.1, dtype="float32",
     )
-    params = init_parameters(config, seed=3)
+    params = as_leaves(init_parameters(config, seed=3))
     ids, pad_mask, rows, cols, targets = batch = _mlm_batch(config, 3, 8, seed=1)
     if objective == "mlm":
         loss = _mlm_loss(fused, params, config, batch, (0,))
@@ -435,7 +436,7 @@ def test_float_dropout_masks_are_refused():
 
 def _tape_bytes(config, masks):
     """Bytes allocated by a taped forward and still held while its output lives."""
-    params = init_parameters(config, seed=0)
+    params = as_leaves(init_parameters(config, seed=0))
     ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(4, 64))
     tracemalloc.start()
     try:
@@ -585,7 +586,7 @@ def test_row_selection_matches_the_full_last_layer(num_layers, dtype, dropout_ra
     config = _selection_config(num_layers, dtype, dropout_rate)
     grads = []
     for select in (False, True):
-        params = init_parameters(config, seed=2)
+        params = as_leaves(init_parameters(config, seed=2))
         full_loss, selected_loss, selected, at_rows = _selection_losses(params, config, objective, dropout_seed=9)
         np.testing.assert_array_equal(selected, at_rows)
         assert selected_loss.data.tobytes() == full_loss.data.tobytes()
@@ -605,7 +606,7 @@ def test_each_node_runs_its_one_vjp_one_time_per_backward(dtype):
     """A padded, row-selected MLM loss with dropout: each interior node's VJP runs once and returns one gradient
     per parent, in that parent's shape and dtype."""
     config = _selection_config(3, dtype, 0.1)
-    params = init_parameters(config, seed=2)
+    params = as_leaves(init_parameters(config, seed=2))
     _, loss, *_ = _selection_losses(params, config, "mlm", dropout_seed=9)
     interior = [node for node in _tape_nodes(loss) if node._parents]
     expected = {id(node): [[(p.data.shape, p.data.dtype) for p in node._parents]] for node in interior}

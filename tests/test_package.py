@@ -109,12 +109,13 @@ _WALK_A_TAPE = """
 import json
 import numpy as np
 import tracing
+from domainlm.autodiff import Tensor
 from domainlm.model import (
     ModelConfig, cross_entropy, draw_dropout_masks, encoder_forward, init_parameters, mlm_logits_from_hidden,
 )
 config = ModelConfig(num_layers=2, num_heads=2, hidden_dim=16, ff_dim=32, vocab_size=64, max_positions=8,
                      dropout_rate=0.1)
-params = init_parameters(config, seed=0)
+params = {name: Tensor(p.data, requires_grad=True) for name, p in init_parameters(config, seed=0).items()}
 ids = np.arange(16).reshape(2, 8) % 60 + 4
 hidden = encoder_forward(params, config, ids, dropout_masks=draw_dropout_masks(config, 8, (0,), range(2)))
 loss = cross_entropy(mlm_logits_from_hidden(hidden.reshape(-1, 16), params, config), ids.reshape(-1))
@@ -521,6 +522,35 @@ def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environme
                 environment_reads.append(where)
     assert blas_uses == {"autodiff:_blas_thread_controls"}
     assert environment_reads == []
+
+
+def test_no_module_keeps_a_global_switch():
+    """A per-run switch is an argument or a `threading.local`, never a module global that `run_tasks`' worker shares."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = _enclosing(tree)
+        found += [f"{path.stem}:{scope.get(id(node), '')}" for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_stored_parameters_do_not_require_grad(tmp_path, toy_docs, toy_tokenizer, toy_model_config, toy_base_checkpoint):
+    """Only a training step's own leaves record a tape, so inference over stored parameters records none."""
+    from domainlm.model import init_parameters, load_checkpoint, save_checkpoint, with_fresh_classifier
+    from domainlm.training import TrainingConfig, finetune_classifier
+
+    config = TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=2, eval_checkpoints=2, log_every=1)
+    finetuned = finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:16], toy_docs[16:24], toy_tokenizer)
+    sources = {
+        "init_parameters": init_parameters(toy_model_config, seed=0),
+        "with_fresh_classifier": with_fresh_classifier(toy_base_checkpoint, 3, seed=0)[1],
+        "Checkpoint.encoder_params": toy_base_checkpoint.encoder_params(),
+        "load_checkpoint": load_checkpoint(save_checkpoint(toy_base_checkpoint, tmp_path / "base.npz")).params,
+        "PretrainResult.checkpoint": toy_base_checkpoint.params,
+        "FinetuneResult.best_checkpoint": finetuned.best_checkpoint.params,
+    }
+    taped = {source: sorted(name for name, p in params.items() if p.requires_grad) for source, params in sources.items()}
+    assert taped == {source: [] for source in sources}
 
 
 def test_no_module_imports_scipy_sparse():

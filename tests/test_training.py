@@ -318,6 +318,15 @@ def test_pretrain_reports_validation_loss(toy_tokenizer, small_model_config, sma
     assert all(r.validation_loss is not None for r in result.history)
 
 
+def test_pretrain_refuses_empty_validation_segments(monkeypatch, toy_tokenizer, small_model_config, small_segments):
+    steps = []
+    monkeypatch.setattr(training_module, "_train_step", lambda *args: steps.append(args))
+    config = TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=2, log_every=1, seed=0)
+    with pytest.raises(TrainingError, match="no validation segments"):
+        pretrain_mlm(config, small_segments[:8], small_model_config, toy_tokenizer, val_segments=[])
+    assert steps == []
+
+
 def test_pretrain_writes_run_directory(tmp_path, toy_tokenizer, small_model_config, small_segments):
     config = TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=6, log_every=2, seed=0)
     result = pretrain_mlm(
