@@ -12,14 +12,14 @@ import numpy as np
 from domainlm.model import ModelConfig
 from domainlm.synthetic import binary_corpus
 from domainlm.tokenizer import Tokenizer
-from domainlm.training import MaskingPolicy, TrainingConfig, apply_dynamic_masking, pack_segments, pretrain_mlm
+from domainlm.training import TrainingConfig, apply_dynamic_masking, pack_segments, pretrain_mlm
 
 docs = binary_corpus(240, seed=11)
 tokenizer = Tokenizer.train((d.text for d in docs), 512)
 segments = pack_segments((tokenizer.encode(d.text) for d in docs), tokenizer.sep_id, segment_length=32)
 print(f"packed {len(docs)} documents into {len(segments)} segments of 32 tokens")
 
-masked = apply_dynamic_masking(segments[0], MaskingPolicy(), rng=0, tokenizer=tokenizer)
+masked = apply_dynamic_masking(segments[0], rng=0, tokenizer=tokenizer)
 first = int(masked.target_positions[0])
 window = slice(max(0, first - 3), first + 9)
 print(f"one masking draw selects {len(masked.target_positions)} of {len(segments[0])} positions:")

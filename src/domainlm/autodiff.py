@@ -349,10 +349,10 @@ class Tensor:
 # -- array-level helpers -------------------------------------------------------
 
 
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax of an array along `axis` (no tape)."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax of an array along its last axis (no tape)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 # -- fused nodes -----------------------------------------------------------------
@@ -566,7 +566,7 @@ def attention(
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer `targets` under softmax(logits), rows (N, C)."""
     rows = np.arange(targets.shape[0])
-    log_probs = log_softmax(logits.data, axis=-1)
+    log_probs = log_softmax(logits.data)
     loss = -(log_probs[rows, targets].sum() * (1.0 / rows.size))
 
     def vjp(g):

@@ -17,7 +17,6 @@ from .tokenizer import Tokenizer
 
 __all__ = [
     "TrainingError",
-    "MaskingPolicy",
     "MaskedSegment",
     "pack_segments",
     "apply_dynamic_masking",
@@ -29,35 +28,15 @@ __all__ = [
 
 # Seed-stream salt of the masking draws (see training for the other streams).
 _STREAM_MASK = 0x3A
+# The BERT/RoBERTa recipe: 15% of maskable tokens are selected; of those, 80%
+# become the mask token, 10% a random other token, and the rest stay unchanged.
+_MASK_RATE = 0.15
+_REPLACE_WITH_MASK = 0.8
+_REPLACE_WITH_RANDOM = 0.1
 
 
 class TrainingError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MaskingPolicy:
-    """Which fraction of maskable tokens to corrupt, and how.
-
-    Of the selected positions, `replace_with_mask` become the mask token,
-    `replace_with_random` become a random non-special token different from the
-    original, and `keep_original` stay unchanged (the model must still predict
-    them).
-    """
-
-    mask_rate: float = 0.15
-    replace_with_mask: float = 0.8
-    replace_with_random: float = 0.1
-    keep_original: float = 0.1
-
-    def validate(self) -> None:
-        if not (0.0 <= self.mask_rate < 1.0):
-            raise TrainingError(f"mask_rate must be in [0, 1), got {self.mask_rate}")
-        parts = (self.replace_with_mask, self.replace_with_random, self.keep_original)
-        if any(p < 0 for p in parts):
-            raise TrainingError("replacement ratios must be nonnegative")
-        if abs(sum(parts) - 1.0) > 1e-12:
-            raise TrainingError(f"replacement ratios must sum to 1, got {sum(parts)!r}")
 
 
 def pack_segments(
@@ -99,19 +78,16 @@ class MaskedSegment:
 
 def apply_dynamic_masking(
     segment: np.ndarray,
-    policy: MaskingPolicy,
     rng: np.random.Generator | int,
     tokenizer: Tokenizer,
 ) -> MaskedSegment:
     """Corrupt a fresh random selection of non-special positions.
 
-    round(mask_rate * maskable) positions are selected (at least one whenever
-    mask_rate > 0); targets record the original token ids at exactly those
-    positions. Random replacements are drawn from non-special tokens and never
-    equal the original token, so the corruption kind is recoverable from the
-    output.
+    round(0.15 * maskable) positions are selected, at least one; targets
+    record the original token ids at exactly those positions. Random
+    replacements are drawn from non-special tokens and never equal the
+    original token, so the corruption kind is recoverable from the output.
     """
-    policy.validate()
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence((int(rng), _STREAM_MASK)))
     segment = np.asarray(segment, dtype=np.int64)
@@ -121,19 +97,15 @@ def apply_dynamic_masking(
     if n_maskable == 0:
         raise TrainingError("segment contains only special tokens; nothing to mask")
 
-    if policy.mask_rate == 0.0:
-        empty = np.array([], dtype=np.int64)
-        return MaskedSegment(segment.copy(), empty, empty.copy())
-
-    n_select = max(1, int(policy.mask_rate * n_maskable + 0.5))
+    n_select = max(1, int(_MASK_RATE * n_maskable + 0.5))
     candidates = np.flatnonzero(maskable)
     selected = np.sort(rng.choice(candidates, size=n_select, replace=False))
     originals = segment[selected]
 
     draw = rng.random(n_select)
     corrupted = segment.copy()
-    to_mask = draw < policy.replace_with_mask
-    to_random = (~to_mask) & (draw < policy.replace_with_mask + policy.replace_with_random)
+    to_mask = draw < _REPLACE_WITH_MASK
+    to_random = (~to_mask) & (draw < _REPLACE_WITH_MASK + _REPLACE_WITH_RANDOM)
     corrupted[selected[to_mask]] = tokenizer.mask_id
 
     n_random = int(to_random.sum())

@@ -20,7 +20,6 @@ import numpy as np
 from .autodiff import Tensor, log_softmax, one_blas_thread, run_tasks
 from .corpus import Document
 from .data import (
-    MaskingPolicy,
     apply_dynamic_masking,
     assemble_mlm_batch,
     cls_positions,
@@ -113,6 +112,8 @@ class MetricsReport:
                 raise EvaluationError(f"{name} = {value} outside [0, 1]")
 
     def to_dict(self) -> dict:
+        if self.mode == "mlm":
+            return {"mode": "mlm", "loss": self.loss}
         return {
             "mode": self.mode,
             "accuracy": self.accuracy,
@@ -169,7 +170,6 @@ def classification_metrics(
     predictions: Sequence,
     labels: Sequence,
     mode: str = "weighted",
-    positive_label=True,
     class_labels: Sequence | None = None,
     loss: float | None = None,
 ) -> MetricsReport:
@@ -177,7 +177,7 @@ def classification_metrics(
 
     weighted: per-class metrics averaged with weights = class support / total
     (zero-support classes drop out of the weighting). binary: precision,
-    recall, and F1 of `positive_label` only. Zero-denominator metrics are
+    recall, and F1 of the `True` class only. Zero-denominator metrics are
     reported as 0 and flagged.
     """
     if mode not in ("weighted", "binary"):
@@ -216,9 +216,9 @@ def classification_metrics(
             agg.append(total)
         precision_agg, recall_agg, f1_agg = agg
     else:
-        if positive_label not in fractions:
-            raise EvaluationError(f"positive label {positive_label!r} not in class set")
-        precision_agg, recall_agg, f1_agg, _ = fractions[positive_label]
+        if True not in fractions:
+            raise EvaluationError("positive label True not in class set")
+        precision_agg, recall_agg, f1_agg, _ = fractions[True]
 
     report = MetricsReport(
         accuracy=float(accuracy),
@@ -242,8 +242,7 @@ def mlm_cross_entropy(logits: np.ndarray, target_ids: Sequence[int]) -> float:
     target_ids = np.asarray(target_ids, dtype=np.int64)
     logits = np.asarray(logits, dtype=np.float64)
     if target_ids.size == 0:
-        warnings.warn("mlm_cross_entropy over an empty target set; defining loss = 0")
-        return 0.0
+        raise EvaluationError("no targets")
     if logits.shape[0] != target_ids.shape[0]:
         raise EvaluationError(
             f"{logits.shape[0]} logit rows for {target_ids.shape[0]} targets"
@@ -345,7 +344,7 @@ def evaluate_classifier(
     mode = "binary" if task == "binary" else "weighted"
     all_classes = sorted(set(class_labels) | set(labels))
     return classification_metrics(
-        predictions, labels, mode=mode, positive_label=True, class_labels=all_classes, loss=loss
+        predictions, labels, mode=mode, class_labels=all_classes, loss=loss
     )
 
 
@@ -366,9 +365,8 @@ def evaluate_mlm(
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
     if len(segments) == 0:
         raise EvaluationError("no segments to evaluate")
-    policy = MaskingPolicy()
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
-    masked = [apply_dynamic_masking(seg, policy, rng, tokenizer) for seg in segments]
+    masked = [apply_dynamic_masking(seg, rng, tokenizer) for seg in segments]
 
     def batch(start: int) -> tuple[float, int]:
         chunk = masked[start : start + batch_size]

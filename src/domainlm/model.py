@@ -74,14 +74,19 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("num_layers", "num_heads", "hidden_dim", "ff_dim", "vocab_size", "max_positions", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ModelError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("tie_mlm_weights", "pooler_tanh"):
+            if not isinstance(getattr(self, name), bool):
+                raise ModelError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ModelError(
                 f"hidden_dim ({self.hidden_dim}) must be divisible by num_heads ({self.num_heads})"
             )
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ModelError("dropout_rate must be in [0, 1)")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not (0.0 <= rate < 1.0):
+            raise ModelError(f"dropout_rate must be a number in [0, 1), got {rate!r}")
         if self.dtype not in ("float64", "float32"):
             raise ModelError(f"dtype must be float64 or float32, got {self.dtype!r}")
 
@@ -223,7 +228,6 @@ def encoder_forward(
     config: ModelConfig,
     ids: np.ndarray,
     pad_mask: np.ndarray | None = None,
-    attention_sink: list | None = None,
     positions: np.ndarray | None = None,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> Tensor:
@@ -239,8 +243,7 @@ def encoder_forward(
     The last layer computes queries, keys, values and attention scores over
     every row, since every query attends to every key, and the softmax and
     everything after it only at those rows, with those rows of its dropout
-    masks. `attention_sink` receives (B, nh, L, L) probabilities per
-    layer, (B, nh, Q, L) for the last layer under `positions`.
+    masks.
     """
     ids = _check_ids(ids, config)
     batch, length = ids.shape
@@ -282,10 +285,8 @@ def encoder_forward(
         q = linear(normed, params[f"{p}.attn.wq"], params[f"{p}.attn.bq"])
         k = linear(normed, params[f"{p}.attn.wk"], params[f"{p}.attn.bk"])
         v = linear(normed, params[f"{p}.attn.wv"], params[f"{p}.attn.bv"])
-        context, probs = attention(q, k, v, heads, attn_bias, site(), keep_scale, positions if selecting else None)
-        if attention_sink is not None:
-            attention_sink.append(probs.copy())
-        del normed, q, k, v, probs
+        context = attention(q, k, v, heads, attn_bias, site(), keep_scale, positions if selecting else None)[0]
+        del normed, q, k, v
         # The residual stream is one array: each sum below is written into it.
         x = linear(context, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"], site(rows), keep_scale, rows(x))
         del context

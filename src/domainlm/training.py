@@ -24,7 +24,6 @@ from .configio import atomic_write_text, write_csv, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
     _STREAM_MASK,
-    MaskingPolicy,
     TrainingError,
     apply_dynamic_masking,
     assemble_mlm_batch,
@@ -57,10 +56,10 @@ from .model import (
 )
 from .tokenizer import Tokenizer
 
-# MaskingPolicy, TrainingError and the masking and packing functions live in
-# `data`; they are re-exported here under their established import path.
+# TrainingError and the masking and packing functions live in `data`. They are
+# re-exported here, the path the CLI, the demos and the benchmark use; its
+# tracer patches `training.pack_segments` and the masking functions by name.
 __all__ = [
-    "MaskingPolicy",
     "TrainingConfig",
     "CheckpointMeta",
     "LossRecord",
@@ -350,7 +349,6 @@ def pretrain_mlm(
     `val_segments` is given.
     """
     config.validate()
-    policy = MaskingPolicy()
     if not segments:
         raise TrainingError("no training segments")
     if val_segments is not None and not val_segments:
@@ -382,7 +380,7 @@ def pretrain_mlm(
     for step in range(total_steps):
         batch_idx = next(batches)
         mask_rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_MASK, step)))
-        masked = [apply_dynamic_masking(segments[i], policy, mask_rng, tokenizer) for i in batch_idx]
+        masked = [apply_dynamic_masking(segments[i], mask_rng, tokenizer) for i in batch_idx]
         batch = assemble_mlm_batch(masked, tokenizer.pad_id)
         train_loss = _train_step(optimizer, config, model_config, step, total_steps, "MLM", batch)
 
@@ -568,7 +566,6 @@ def hyperparameter_grid(
     train_docs: Sequence[Document],
     validation_docs: Sequence[Document],
     tokenizer: Tokenizer,
-    out_dir=None,
 ) -> list[GridCell]:
     """Fine-tune once per (learning rate, batch size) cell; never aborts the grid.
 
@@ -590,17 +587,7 @@ def hyperparameter_grid(
                 )
             except TrainingDivergedError:
                 cells.append(GridCell(lr, bs, float("nan"), float("nan"), float("nan"), "failed"))
-    if out_dir is not None:
-        write_grid_csv(cells, Path(out_dir) / "grid_results.csv")
     return cells
-
-
-def write_grid_csv(cells: Sequence[GridCell], path) -> Path:
-    rows = (
-        [cell.learning_rate, cell.batch_size, f"{cell.accuracy:.10f}", f"{cell.f1:.10f}", f"{cell.loss:.10f}", cell.status]
-        for cell in cells
-    )
-    return write_csv(path, ["learning_rate", "batch_size", "accuracy", "f1", "loss", "status"], rows)
 
 
 # -- scaling study ---------------------------------------------------------------

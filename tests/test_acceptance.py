@@ -41,7 +41,6 @@ from domainlm.synthetic import (
 )
 from domainlm.tokenizer import Tokenizer, train_bpe
 from domainlm.training import (
-    MaskingPolicy,
     TrainingConfig,
     apply_dynamic_masking,
     finetune_classifier,
@@ -104,11 +103,10 @@ def test_criterion_02_masking_statistics(toy_tokenizer):
         segments = pack_segments(docs, toy_tokenizer.sep_id, 512)[:10000]
         assert len(segments) == 10000
 
-        policy = MaskingPolicy()
         special_ids = set(toy_tokenizer.special_ids)
         selected = maskable = masked = kept = randomized = 0
         for step, segment in enumerate(segments):
-            out = apply_dynamic_masking(segment, policy, step, toy_tokenizer)
+            out = apply_dynamic_masking(segment, step, toy_tokenizer)
             originals = segment[out.target_positions]
             assert not set(originals.tolist()) & special_ids
             corrupted = out.input_ids[out.target_positions]
@@ -168,7 +166,7 @@ def test_criterion_04_metric_oracle_equivalence():
 
             binary_labels = [v % 2 == 0 for v in labels]
             binary_preds = [v % 2 == 0 for v in predictions]
-            binary = classification_metrics(binary_preds, binary_labels, mode="binary", positive_label=True)
+            binary = classification_metrics(binary_preds, binary_labels, mode="binary")
             acc, p, r, f = _oracle_metrics(binary_preds, binary_labels, "binary", positive=True)
             assert abs(binary.accuracy - acc) < 1e-9
             assert abs(binary.precision - p) < 1e-9

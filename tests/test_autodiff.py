@@ -201,6 +201,25 @@ def test_feed_forward_equals_the_composed_block_bit_for_bit(rng, dtype, dropping
         assert fused.dtype == np.dtype(dtype) and fused.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_one_row_product_equals_its_row_of_a_16_row_product(dtype):
+    """numpy sends a one-row product to BLAS gemv, which sums in another order; `_gemm` keeps it on gemm.
+
+    Inner dimensions above 256 and outputs narrower than 128 are left out:
+    there the doubled row differs too (the open small-matrix case).
+    """
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(16, 128)).astype(dtype)
+    for width in (128, 512, 1024):
+        w, b = (Tensor(rng.normal(size=shape).astype(dtype)) for shape in ((128, width), (width,)))
+        np.testing.assert_array_equal(linear(Tensor(x[:1]), w, b).data, linear(Tensor(x), w, b).data[:1])
+    for ff in (128, 256):
+        shapes = ((128, ff), (ff,), (ff, 128), (128,))
+        ff_params = [Tensor(0.1 * rng.normal(size=shape).astype(dtype)) for shape in shapes]
+        one = feed_forward(Tensor(x[:1]), *ff_params).data
+        np.testing.assert_array_equal(one, feed_forward(Tensor(x), *ff_params).data[:1])
+
+
 def test_embedding_gradients(rng):
     table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     positions = Tensor(rng.normal(size=(5, 4)), requires_grad=True)

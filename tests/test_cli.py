@@ -375,6 +375,24 @@ def test_eval_command_writes_metrics(tmp_path, workspace, capsys):
     assert (out / "metrics.txt").exists()
 
 
+def test_an_mlm_eval_writes_only_its_loss(tmp_path, workspace, capsys):
+    """An MLM evaluation has no accuracy, precision, recall or F1 to report."""
+    out = tmp_path / "eval"
+    code = cli.main([
+        "eval",
+        "--checkpoint", str(workspace["checkpoint"]),
+        "--corpus", str(workspace["corpus"]),
+        "--split", str(workspace["splits"] / "test.txt"),
+        "--task", "mlm",
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--out", str(out),
+    ])
+    assert code == 0
+    report = json.loads((out / "metrics.json").read_text())
+    assert sorted(report) == ["loss", "mode"] and report["mode"] == "mlm"
+    assert f"{report['loss']:.4f}" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def classifier_checkpoint(workspace, toy_base_checkpoint):
     """The base encoder with an untrained binary head: enough for `eval --task binary`."""
@@ -456,6 +474,32 @@ def test_eval_names_an_unreadable_checkpoint(workspace, classifier_checkpoint, t
     assert _eval_binary(workspace, damaged) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {damaged} is not a readable checkpoint: ")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_layers", lambda n: n + 0.5),
+        ("num_heads", lambda n: True),
+        ("hidden_dim", float),
+        ("tie_mlm_weights", lambda flag: 1),
+        ("pooler_tanh", lambda flag: "false"),
+        ("dropout_rate", lambda rate: False),
+    ],
+    ids=["fractional_layers", "bool_heads", "float_hidden_dim", "int_tie", "string_pooler", "bool_dropout"],
+)
+def test_eval_refuses_a_checkpoint_config_of_the_wrong_type(
+    workspace, classifier_checkpoint, tmp_path, capsys, field, value
+):
+    """A config value of the wrong type is named, not loaded as its nearest meaning or left to a traceback."""
+    damaged = tmp_path / "config.npz"
+    damaged.write_bytes(_with_meta(
+        Path(classifier_checkpoint).read_bytes(),
+        lambda meta: {**meta, "config": {**meta["config"], field: value(meta["config"][field])}},
+    ))
+    assert _eval_binary(workspace, damaged) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must be ")
 
 
 @pytest.mark.parametrize(

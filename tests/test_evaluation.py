@@ -7,7 +7,6 @@ import domainlm.autodiff as autodiff_module
 import domainlm.evaluation as evaluation_module
 from domainlm.autodiff import log_softmax, one_blas_thread
 from domainlm.data import (
-    MaskingPolicy,
     apply_dynamic_masking,
     assemble_mlm_batch,
     cls_positions,
@@ -61,9 +60,9 @@ def test_hand_computed_three_logit_case():
     assert mlm_cross_entropy(logits, [0]) == pytest.approx(LOSS_ONE_ZERO_ZERO, abs=1e-12)
 
 
-def test_empty_targets_define_zero_loss_with_warning():
-    with pytest.warns(UserWarning, match="empty"):
-        assert mlm_cross_entropy(np.zeros((0, 7)), []) == 0.0
+def test_no_targets_is_an_evaluation_error():
+    with pytest.raises(EvaluationError, match="no targets"):
+        mlm_cross_entropy(np.zeros((0, 7)), [])
 
 
 def test_loss_finite_for_extreme_finite_logits():
@@ -88,7 +87,7 @@ def test_hand_computed_binary_confusion():
     # TP=3, FP=1, FN=2, TN=4.
     labels = [True] * 5 + [False] * 5
     predictions = [True, True, True, False, False, True, False, False, False, False]
-    report = classification_metrics(predictions, labels, mode="binary", positive_label=True)
+    report = classification_metrics(predictions, labels, mode="binary")
     assert report.precision == pytest.approx(0.75, abs=1e-15)
     assert report.recall == pytest.approx(0.6, abs=1e-15)
     assert report.f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35, abs=1e-15)
@@ -169,7 +168,7 @@ def test_zero_support_class_excluded_from_weighting():
 def test_binary_equals_weighted_when_only_positives_present():
     labels = [True] * 6
     predictions = [True, True, False, True, False, True]
-    binary = classification_metrics(predictions, labels, mode="binary", positive_label=True)
+    binary = classification_metrics(predictions, labels, mode="binary")
     weighted = classification_metrics(predictions, labels, mode="weighted")
     assert binary.precision == weighted.precision
     assert binary.recall == weighted.recall
@@ -288,7 +287,7 @@ def _serial_cls_vectors(params, config, sequences, pad_id, batch_size):
 def _serial_evaluate_mlm(params, config, segments, tokenizer, seed, batch_size):
     """The one-thread loop that the two-thread pass replaced: the oracle."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
-    masked = [apply_dynamic_masking(seg, MaskingPolicy(), rng, tokenizer) for seg in segments]
+    masked = [apply_dynamic_masking(seg, rng, tokenizer) for seg in segments]
     total, count = 0.0, 0
     for start in range(0, len(masked), batch_size):
         ids, pad_mask, positions, targets = assemble_mlm_batch(masked[start : start + batch_size], tokenizer.pad_id)

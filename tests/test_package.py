@@ -233,17 +233,6 @@ def test_every_public_name_has_a_caller():
     assert unused == []
 
 
-# Defaulted parameters and dataclass fields no call in the program sets, each with the reason it stays.
-_UNSET_OPTIONS = {
-    "model.encoder_forward(attention_sink)": "the tests' only view of the attention weights inside the encoder",
-    "training.hyperparameter_grid(out_dir)": "the grid has no command; this is its only way to write grid_results.csv",
-    **{
-        f"data.MaskingPolicy({name})": "the recipe's masking split; the masking tests vary it"
-        for name in ("mask_rate", "replace_with_mask", "replace_with_random", "keep_original")
-    },
-}
-
-
 def _package_functions():
     """(where, called name, node, bound) for each function at module or class level in src/domainlm.
 
@@ -285,7 +274,7 @@ def _dataclass_fields():
 
 
 def _is_default(value: ast.expr, default: ast.expr, enclosing: str | None, functions: dict, calls: list, seen=()) -> bool:
-    """Whether `value`, passed inside function `enclosing`, is always a field's `default`.
+    """Whether `value`, passed inside function `enclosing`, is always an option's `default`.
 
     A name is followed to its one assignment in the function or, for a
     parameter, to the argument of every call of the function.
@@ -311,13 +300,16 @@ def _is_default(value: ast.expr, default: ast.expr, enclosing: str | None, funct
     return len(assigned) == 1 and _is_default(assigned[0], default, enclosing, functions, calls, seen)
 
 
-def _defaults(node: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
-    """Defaulted parameter -> its position in a call, or None for keyword-only ones."""
+def _defaults(node: ast.FunctionDef, bound: bool) -> dict[str, tuple[int | None, ast.expr]]:
+    """Defaulted parameter -> (its position in a call, or None for keyword-only ones; its default)."""
     positional = node.args.posonlyargs + node.args.args
     first = len(positional) - len(node.args.defaults)
-    out = {arg.arg: index - bound for index, arg in enumerate(positional[first:], first)}
+    out = {
+        arg.arg: (index - bound, default)
+        for (index, arg), default in zip(enumerate(positional[first:], first), node.args.defaults)
+    }
     out.update(
-        {arg.arg: None for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None}
+        {arg.arg: (None, default) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None}
     )
     return out
 
@@ -349,18 +341,19 @@ def test_every_option_has_a_caller():
     Calls are matched by name, as in `test_every_tape_op_has_a_caller`, so a
     method counts the calls of every method of that name. A call that only
     forwards its own function's defaulted parameter sets the option only if
-    that parameter is set in turn. A field is set by a value other than its
-    default, by `replace(..., field=...)`, by an assignment `<expr>.field =
-    ...`, and, for the classes that `build_dataclass` builds from flags, by
-    the flag of its name.
+    that parameter is set in turn. An option is set only by a value other
+    than its default; a field also by `replace(..., field=...)`, by an
+    assignment `<expr>.field = ...`, and, for the classes that
+    `build_dataclass` builds from flags, by the flag of its name.
     """
     options: dict[tuple[str, str], tuple[str, int | None]] = {}  # (where, parameter) -> (called name, position)
-    functions, calls = {}, []
+    functions, calls, defaults = {}, [], {}
     for where, called, node, bound in _package_functions():
-        options.update({(where, name): (called, index) for name, index in _defaults(node, bound).items()})
+        for name, (index, default) in _defaults(node, bound).items():
+            options[where, name], defaults[where, name] = (called, index), default
         functions[where] = called, node, bound
         calls += _named_calls(node, where)
-    fields, defaults = {}, {}
+    fields = {}
     for where, called, name, index, default in _dataclass_fields():
         fields[where, name], defaults[where, name] = (called, index), default
     options.update(fields)
@@ -392,7 +385,7 @@ def test_every_option_has_a_caller():
             value = _passed(call, key[1], None) if call_name == "replace" and key in fields else None
         if isinstance(value, ast.Name) and (enclosing, value.id) in options:
             return (enclosing, value.id) in set_options  # forwarded from the caller's own option
-        if key in fields and isinstance(value, ast.expr):
+        if isinstance(value, ast.expr):
             return not _is_default(value, defaults[key], enclosing, functions, calls)
         return value is not None
 
@@ -401,7 +394,7 @@ def test_every_option_has_a_caller():
         set_options |= found
     public = [key for key in options if not key[0].rsplit(".", 1)[1].startswith("_")]
     unset = sorted(f"{where}({name})" for where, name in public if (where, name) not in set_options)
-    assert unset == sorted(_UNSET_OPTIONS)
+    assert unset == []
 
 
 # Dataclass fields nothing in the program, the benchmark or the demos reads, each with the reason it stays.

@@ -10,7 +10,6 @@ from domainlm.evaluation import cls_vectors, evaluate_mlm
 from domainlm.model import ModelConfig, ModelError
 from domainlm.training import (
     AdamW,
-    MaskingPolicy,
     TrainingConfig,
     TrainingDivergedError,
     TrainingError,
@@ -75,7 +74,7 @@ def _plain_segment(length=512, lo=5, hi=400, seed=0):
 
 def test_masking_selects_seventy_seven_of_512(toy_tokenizer):
     segment = _plain_segment()
-    masked = apply_dynamic_masking(segment, MaskingPolicy(), 0, toy_tokenizer)
+    masked = apply_dynamic_masking(segment, 0, toy_tokenizer)
     assert len(masked.target_positions) == 77  # round(0.15 * 512)
     np.testing.assert_array_equal(masked.target_ids, segment[masked.target_positions])
 
@@ -85,15 +84,15 @@ def test_masking_never_selects_special_positions(toy_tokenizer):
     segment[::7] = toy_tokenizer.sep_id
     segment[1] = toy_tokenizer.cls_id
     for step in range(20):
-        masked = apply_dynamic_masking(segment, MaskingPolicy(), step, toy_tokenizer)
+        masked = apply_dynamic_masking(segment, step, toy_tokenizer)
         originals = segment[masked.target_positions]
         assert not set(originals.tolist()) & set(toy_tokenizer.special_ids)
 
 
 def test_masking_is_deterministic_per_seed(toy_tokenizer):
     segment = _plain_segment()
-    a = apply_dynamic_masking(segment, MaskingPolicy(), 123, toy_tokenizer)
-    b = apply_dynamic_masking(segment, MaskingPolicy(), 123, toy_tokenizer)
+    a = apply_dynamic_masking(segment, 123, toy_tokenizer)
+    b = apply_dynamic_masking(segment, 123, toy_tokenizer)
     np.testing.assert_array_equal(a.input_ids, b.input_ids)
     np.testing.assert_array_equal(a.target_positions, b.target_positions)
 
@@ -102,8 +101,8 @@ def test_masking_differs_across_steps(toy_tokenizer):
     segment = _plain_segment()
     differing = 0
     for step in range(50):
-        a = apply_dynamic_masking(segment, MaskingPolicy(), step, toy_tokenizer)
-        b = apply_dynamic_masking(segment, MaskingPolicy(), step + 1000, toy_tokenizer)
+        a = apply_dynamic_masking(segment, step, toy_tokenizer)
+        b = apply_dynamic_masking(segment, step + 1000, toy_tokenizer)
         if set(a.target_positions) != set(b.target_positions):
             differing += 1
     assert differing == 50
@@ -113,7 +112,7 @@ def test_masking_actions_recoverable_and_roughly_split(toy_tokenizer):
     n_mask = n_keep = n_random = 0
     for step in range(200):
         segment = _plain_segment(seed=step)
-        masked = apply_dynamic_masking(segment, MaskingPolicy(), step, toy_tokenizer)
+        masked = apply_dynamic_masking(segment, step, toy_tokenizer)
         corrupted = masked.input_ids[masked.target_positions]
         originals = segment[masked.target_positions]
         n_mask += int((corrupted == toy_tokenizer.mask_id).sum())
@@ -125,27 +124,14 @@ def test_masking_actions_recoverable_and_roughly_split(toy_tokenizer):
     assert abs(n_random / total - 0.1) < 0.02
 
 
-def test_zero_mask_rate_gives_empty_targets(toy_tokenizer):
-    masked = apply_dynamic_masking(_plain_segment(), MaskingPolicy(mask_rate=0.0), 0, toy_tokenizer)
-    assert masked.target_positions.size == 0
-    np.testing.assert_array_equal(masked.input_ids, _plain_segment())
-
-
 def test_all_special_segment_rejected(toy_tokenizer):
     segment = np.full(16, toy_tokenizer.sep_id, dtype=np.int64)
     with pytest.raises(TrainingError, match="special"):
-        apply_dynamic_masking(segment, MaskingPolicy(), 0, toy_tokenizer)
-
-
-def test_invalid_policy_rejected():
-    with pytest.raises(TrainingError, match="sum to 1"):
-        MaskingPolicy(replace_with_mask=0.5, replace_with_random=0.1, keep_original=0.1).validate()
-    with pytest.raises(TrainingError, match="mask_rate"):
-        MaskingPolicy(mask_rate=1.5).validate()
+        apply_dynamic_masking(segment, 0, toy_tokenizer)
 
 
 def test_tiny_segment_still_masks_one_position(toy_tokenizer):
-    masked = apply_dynamic_masking(np.array([9, 10], dtype=np.int64), MaskingPolicy(), 0, toy_tokenizer)
+    masked = apply_dynamic_masking(np.array([9, 10], dtype=np.int64), 0, toy_tokenizer)
     assert len(masked.target_positions) == 1
 
 
@@ -533,18 +519,6 @@ def test_grid_continues_past_failed_cells(monkeypatch, toy_docs, toy_tokenizer, 
     assert np.isnan(failed.loss)
 
 
-def test_grid_writes_csv(tmp_path, toy_docs, toy_tokenizer, toy_base_checkpoint):
-    base = TrainingConfig(learning_rate=1e-3, batch_size=16, epochs=1, eval_checkpoints=2, seed=4)
-    hyperparameter_grid(
-        "binary", base, [1e-3], [8, 16], toy_base_checkpoint,
-        toy_docs[:64], toy_docs[64:80], toy_tokenizer, out_dir=tmp_path,
-    )
-    with (tmp_path / "grid_results.csv").open() as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["learning_rate", "batch_size", "accuracy", "f1", "loss", "status"]
-    assert len(rows) == 3
-
-
 def test_empty_grid_rejected(toy_docs, toy_tokenizer, toy_base_checkpoint):
     base = TrainingConfig()
     with pytest.raises(TrainingError, match="grid"):
@@ -610,7 +584,6 @@ def _csv_cases():
     from domainlm import analysis
     from domainlm.corpus import Document
 
-    nan = float("nan")
     t = training_module
     matrix = analysis.EmbeddingMatrix(ids=["a", "b"], matrix=np.ones((2, 2)), checkpoint_hash="x")
     coords = np.array([[0.5, -0.25], [1.0, 2.0]])
@@ -622,14 +595,6 @@ def _csv_cases():
     scaling = t.ScalingStudyResult("base", [0.25, 1.0], [2, 8], [0.5, 0.125])
     index = [CheckpointMeta(2, 0.5, Path("ck") / "step_000002.npz"), CheckpointMeta(4, 0.25, None, is_best=True)]
     return {
-        "grid": (
-            lambda path: t.write_grid_csv(
-                [t.GridCell(1e-5, 16, 0.75, 0.5, 0.25, "ok"), t.GridCell(2e-5, 64, nan, nan, nan, "failed")], path
-            ),
-            b"learning_rate,batch_size,accuracy,f1,loss,status\r\n"
-            b"1e-05,16,0.7500000000,0.5000000000,0.2500000000,ok\r\n"
-            b"2e-05,64,nan,nan,nan,failed\r\n",
-        ),
         "scaling": (
             lambda path: t.write_scaling_csv([scaling], path),
             b"init_name,fraction,train_size,log_loss\r\nbase,0.25,2,0.5000000000\r\nbase,1.0,8,0.1250000000\r\n",
@@ -654,7 +619,7 @@ def _csv_cases():
     }
 
 
-@pytest.mark.parametrize("writer", ["grid", "scaling", "loss_history", "checkpoint_index", "projection", "topics"])
+@pytest.mark.parametrize("writer", ["scaling", "loss_history", "checkpoint_index", "projection", "topics"])
 def test_csv_writers_write_exact_bytes(tmp_path, writer):
     write, expected = _csv_cases()[writer]
     path = tmp_path / "sub" / f"{writer}.csv"

@@ -64,7 +64,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
     return centered * power(var + eps, -0.5) * g + b
 
 
-def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_masks=None, attention_sink=None):
+def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_masks=None):
     ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape
     nh, dh = config.num_heads, config.head_dim
@@ -95,8 +95,6 @@ def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_mas
         if attn_bias is not None:
             scores = scores + attn_bias
         attn = softmax(scores, axis=-1)
-        if attention_sink is not None:
-            attention_sink.append(attn.data.copy())
         attn = dropout(attn, rate, keep)
         context = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, length, config.hidden_dim)
         attn_out = dropout(context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"], rate, keep)
