@@ -37,7 +37,6 @@ from .model import (
 from .tokenizer import Tokenizer
 
 __all__ = [
-    "ConfusionMatrix",
     "MetricsReport",
     "EvaluationError",
     "mlm_cross_entropy",
@@ -52,38 +51,7 @@ class EvaluationError(ValueError):
     pass
 
 
-# -- confusion matrix and metrics -------------------------------------------------
-
-
-@dataclass
-class ConfusionMatrix:
-    """Rows are true classes, columns are predicted classes."""
-
-    counts: np.ndarray
-    class_labels: list
-
-    @classmethod
-    def from_pairs(cls, predictions: Sequence, labels: Sequence, class_labels: Sequence | None = None) -> "ConfusionMatrix":
-        if len(predictions) != len(labels):
-            raise EvaluationError(
-                f"got {len(predictions)} predictions for {len(labels)} labels"
-            )
-        if len(labels) == 0:
-            raise EvaluationError("cannot compute metrics over zero examples")
-        if class_labels is None:
-            class_labels = sorted(set(labels) | set(predictions))
-        index = {label: i for i, label in enumerate(class_labels)}
-        unknown = [x for x in list(labels) + list(predictions) if x not in index]
-        if unknown:
-            raise EvaluationError(f"label {unknown[0]!r} not in class set {list(class_labels)}")
-        counts = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
-        for pred, true in zip(predictions, labels):
-            counts[index[true], index[pred]] += 1
-        return cls(counts=counts, class_labels=list(class_labels))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+# -- classification metrics -------------------------------------------------------
 
 
 @dataclass
@@ -182,14 +150,27 @@ def classification_metrics(
     """
     if mode not in ("weighted", "binary"):
         raise EvaluationError(f"unknown metrics mode {mode!r}")
-    cm = ConfusionMatrix.from_pairs(predictions, labels, class_labels)
-    flags: list[str] = []
-    n = cm.total
-    counts = cm.counts
+    if len(predictions) != len(labels):
+        raise EvaluationError(f"got {len(predictions)} predictions for {len(labels)} labels")
+    n = len(labels)
+    if n == 0:
+        raise EvaluationError("cannot compute metrics over zero examples")
+    if class_labels is None:
+        class_labels = sorted(set(labels) | set(predictions))
+    class_labels = list(class_labels)
+    index = {label: i for i, label in enumerate(class_labels)}
+    unknown = [x for x in list(labels) + list(predictions) if x not in index]
+    if unknown:
+        raise EvaluationError(f"label {unknown[0]!r} not in class set {class_labels}")
+    # Rows are true classes, columns are predicted classes.
+    counts = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
+    for pred, true in zip(predictions, labels):
+        counts[index[true], index[pred]] += 1
 
+    flags: list[str] = []
     per_class: dict = {}
     fractions: dict = {}
-    for i, label in enumerate(cm.class_labels):
+    for i, label in enumerate(class_labels):
         tp = int(counts[i, i])
         predicted = int(counts[:, i].sum())
         support = int(counts[i, :].sum())
@@ -205,16 +186,11 @@ def classification_metrics(
     accuracy = Fraction(int(np.trace(counts)), n)
 
     if mode == "weighted":
-        agg = []
-        for metric_idx in range(3):
-            total = Fraction(0)
-            for label in cm.class_labels:
-                support = fractions[label][3]
-                if support == 0:
-                    continue
-                total += Fraction(support, n) * fractions[label][metric_idx]
-            agg.append(total)
-        precision_agg, recall_agg, f1_agg = agg
+        # Exact rationals: a zero-support class adds exactly 0.
+        precision_agg, recall_agg, f1_agg = (
+            sum(Fraction(fractions[label][3], n) * fractions[label][k] for label in class_labels)
+            for k in range(3)
+        )
     else:
         if True not in fractions:
             raise EvaluationError("positive label True not in class set")
@@ -263,12 +239,14 @@ def cls_vectors(
 ) -> np.ndarray:
     """Final-layer position-0 vectors (N, H), one padded batch at a time.
 
-    Every batch is padded to the longest sequence overall, so batch
-    composition cannot change the numbers, given a BLAS that sums each row
-    the same way whatever the row count (the README names the one known
-    exception). The last encoder layer runs at position 0 only. The batches
-    are spread over two threads by `run_tasks`, which leaves each batch as it
-    is, so the thread count cannot change the numbers either.
+    Every batch is padded to the longest sequence in the call, so within one
+    call batch composition cannot change the numbers, given a BLAS that sums
+    each row the same way whatever the row count (the README names the one
+    known exception). Across calls a vector can move in the last bits, since
+    that longest sequence sets its padded length. The last encoder layer
+    runs at position 0 only. The batches are spread over two threads by
+    `run_tasks`, which leaves each batch as it is, so the thread count cannot
+    change the numbers either.
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
@@ -311,19 +289,32 @@ def document_label(doc: Document, task: str):
 
 
 def evaluate_classifier(
-    params,
-    config: ModelConfig,
+    checkpoint: Checkpoint,
     documents: Sequence[Document],
-    class_labels: Sequence,
     task: str,
     tokenizer: Tokenizer,
     batch_size: int = 32,
 ) -> MetricsReport:
+    """Metrics of a fine-tuned classifier on labeled documents; the one reader of
+    the `objective` and `class_labels` (one per head output) that fine-tuning
+    writes into `checkpoint.extra`."""
+    class_labels = checkpoint.extra.get("class_labels")
+    if class_labels is None:
+        raise EvaluationError("checkpoint has no classifier head metadata; fine-tune first")
+    objective = checkpoint.extra.get("objective")
+    if objective != task:
+        raise EvaluationError(f"checkpoint was fine-tuned for {objective!r}, not for the {task!r} task")
+    config = checkpoint.config
+    if not (isinstance(class_labels, list) and len(class_labels) == config.num_classes
+            and all(isinstance(c, int) for c in class_labels)):
+        raise EvaluationError(
+            f"checkpoint class_labels must be {config.num_classes} integer or boolean labels, got {class_labels!r}"
+        )
+    class_labels = [bool(c) if task == "binary" else int(c) for c in class_labels]
     if not documents:
         raise EvaluationError("no documents to evaluate")
     sequences = [encode_for_classification(d, tokenizer, config.max_positions) for d in documents]
-    logits = batched_cls_logits(params, config, sequences, tokenizer.pad_id, batch_size)
-    class_labels = list(class_labels)
+    logits = batched_cls_logits(checkpoint.params, config, sequences, tokenizer.pad_id, batch_size)
     index = {label: i for i, label in enumerate(class_labels)}
     predictions = [class_labels[i] for i in logits.argmax(axis=-1)]
     labels = [document_label(d, task) for d in documents]
@@ -378,12 +369,7 @@ def evaluate_mlm(
 
     with one_blas_thread():
         sums = run_tasks([functools.partial(batch, start) for start in range(0, len(masked), batch_size)])
-    total = 0.0
-    count = 0
-    for batch_total, batch_count in sums:
-        total += batch_total
-        count += batch_count
-    return total / count
+    return sum(total for total, _ in sums) / sum(count for _, count in sums)
 
 
 def evaluate_checkpoint(
@@ -393,7 +379,7 @@ def evaluate_checkpoint(
     tokenizer: Tokenizer,
     batch_size: int = 32,
 ) -> MetricsReport:
-    """Evaluate a checkpoint on a document split; deterministic and batch-invariant."""
+    """Evaluate a checkpoint on a document split; deterministic, and batch-invariant within one call."""
     checkpoint.check_tokenizer(tokenizer)
     if task == "mlm":
         token_stream = (tokenizer.encode(d.text) for d in documents)
@@ -402,20 +388,4 @@ def evaluate_checkpoint(
         return MetricsReport(
             accuracy=0.0, precision=0.0, recall=0.0, f1=0.0, mode="mlm", loss=loss
         )
-    class_labels = checkpoint.extra.get("class_labels")
-    if class_labels is None:
-        raise EvaluationError("checkpoint has no classifier head metadata; fine-tune first")
-    num_classes = checkpoint.config.num_classes
-    if not (isinstance(class_labels, list) and len(class_labels) == num_classes
-            and all(isinstance(c, int) for c in class_labels)):
-        raise EvaluationError(
-            f"checkpoint class_labels must be {num_classes} integer or boolean labels, got {class_labels!r}"
-        )
-    if task == "binary":
-        class_labels = [bool(c) for c in class_labels]
-    else:
-        class_labels = [int(c) for c in class_labels]
-    return evaluate_classifier(
-        checkpoint.params, checkpoint.config, documents, class_labels, task, tokenizer, batch_size
-    )
-
+    return evaluate_classifier(checkpoint, documents, task, tokenizer, batch_size)

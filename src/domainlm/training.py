@@ -465,7 +465,7 @@ def finetune_classifier(
     if missing:
         warnings.warn(
             f"classes {missing} appear in validation but not in training; "
-            "metrics will report zero support for them"
+            "the head has an output for each but no training example of it"
         )
 
     model_config, params = with_fresh_classifier(init, len(class_labels), config.seed)
@@ -481,7 +481,6 @@ def finetune_classifier(
     optimizer = AdamW(params, config)
     batches = _batch_index_stream(len(train_seqs), config.batch_size, config.seed)
 
-    serializable_labels = [bool(c) if task == "binary" else int(c) for c in class_labels]
     checkpoints: list[CheckpointMeta] = []
     history: list[LossRecord] = []
     best_meta: CheckpointMeta | None = None
@@ -493,7 +492,7 @@ def finetune_classifier(
         return mlm_cross_entropy(logits, val_idx)
 
     def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
-        extra = {"objective": task, "class_labels": serializable_labels, "step": step_1}
+        extra = {"objective": task, "class_labels": class_labels, "step": step_1}
         return Checkpoint(config=model_config, params=weights, tokenizer_hash=tokenizer.fingerprint(), extra=extra)
 
     for step in range(total_steps):
@@ -524,9 +523,7 @@ def finetune_classifier(
     best_meta.is_best = True
 
     best_checkpoint = checkpoint_at(best_meta.step, best_params)
-    metrics = evaluate_classifier(
-        best_params, model_config, validation_docs, class_labels, task, tokenizer, config.batch_size
-    )
+    metrics = evaluate_classifier(best_checkpoint, validation_docs, task, tokenizer, config.batch_size)
     if out_dir is not None:
         _write_run_dir(out_dir, config, history)
         save_checkpoint(best_checkpoint, out_dir / "checkpoints" / "best.npz")
@@ -654,10 +651,7 @@ def scaling_study(
                 validation_docs=validation,
                 tokenizer=tokenizer,
             )
-            best = run.best_checkpoint
-            holdout_report = evaluate_classifier(
-                best.params, best.config, holdout, best.extra["class_labels"], "binary", tokenizer
-            )
+            holdout_report = evaluate_classifier(run.best_checkpoint, holdout, "binary", tokenizer)
             sizes.append(len(subset))
             losses.append(holdout_report.loss)
         results.append(

@@ -519,6 +519,65 @@ def test_eval_refuses_class_labels_that_do_not_fit_the_head(
     assert len(err) == 1 and err[0].startswith("error: checkpoint class_labels must be 2 ")
 
 
+@pytest.fixture(scope="module")
+def finetune_runs(workspace, tmp_path_factory):
+    """One `finetune` run directory per task, on the workspace splits."""
+    runs = {}
+    for task in ("binary", "multiclass"):
+        runs[task] = tmp_path_factory.mktemp(f"ft-{task}")
+        assert cli.main([
+            "finetune",
+            "--config", str(workspace["config"]),
+            "--corpus", str(workspace["corpus"]),
+            "--splits", str(workspace["splits"]),
+            "--task", task,
+            "--init", str(workspace["checkpoint"]),
+            "--tokenizer", str(workspace["tokenizer"]),
+            "--out", str(runs[task]),
+        ]) == 0
+    return runs
+
+
+def _eval(workspace, checkpoint, task: str, split: str, *extra: str) -> int:
+    return cli.main([
+        "eval",
+        "--checkpoint", str(checkpoint),
+        "--corpus", str(workspace["corpus"]),
+        "--split", str(workspace["splits"] / split),
+        "--task", task,
+        "--tokenizer", str(workspace["tokenizer"]),
+        *extra,
+    ])
+
+
+@pytest.mark.parametrize(
+    "source, task, message",
+    [
+        ("multiclass", "binary", "error: checkpoint was fine-tuned for 'multiclass', not for the 'binary' task"),
+        ("binary", "multiclass", "error: checkpoint was fine-tuned for 'binary', not for the 'multiclass' task"),
+        ("base", "binary", "error: checkpoint has no classifier head metadata; fine-tune first"),
+    ],
+    ids=["multiclass-as-binary", "binary-as-multiclass", "base-as-binary"],
+)
+def test_eval_refuses_a_checkpoint_not_fine_tuned_for_its_task(
+    workspace, finetune_runs, capsys, source, task, message
+):
+    checkpoint = workspace["checkpoint"] if source == "base" else finetune_runs[source] / "checkpoints" / "best.npz"
+    capsys.readouterr()
+    assert _eval(workspace, checkpoint, task, "test.txt") == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("task", ["binary", "multiclass"])
+def test_eval_of_the_best_checkpoint_reproduces_the_finetune_metrics(workspace, finetune_runs, tmp_path, task):
+    """`eval` on the validation split at the run's batch size (8) writes the run's own `metrics.json`."""
+    run = finetune_runs[task]
+    out = tmp_path / "eval"
+    checkpoint = run / "checkpoints" / "best.npz"
+    assert _eval(workspace, checkpoint, task, "finetune_validation.txt", "--batch-size", "8", "--out", str(out)) == 0
+    assert (out / "metrics.json").read_bytes() == (run / "metrics.json").read_bytes()
+
+
 def test_mask_predict_requires_sentinel(workspace, capsys):
     code = cli.main([
         "mask-predict",

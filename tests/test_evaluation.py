@@ -14,7 +14,6 @@ from domainlm.data import (
     pad_batch,
 )
 from domainlm.evaluation import (
-    ConfusionMatrix,
     EvaluationError,
     batched_cls_logits,
     classification_metrics,
@@ -200,9 +199,11 @@ def test_unknown_mode_rejected():
 
 
 def test_confusion_matrix_counts():
-    cm = ConfusionMatrix.from_pairs([0, 1, 1, 0], [0, 1, 0, 1], class_labels=[0, 1])
-    np.testing.assert_array_equal(cm.counts, [[1, 1], [1, 1]])
-    assert cm.total == 4
+    """Rows are true classes and columns predicted ones, so an asymmetric case tells them apart."""
+    report = classification_metrics([0, 0, 0, 1], [0, 1, 1, 1], class_labels=[0, 1])
+    per_class = {label: (m.precision, m.recall, m.support) for label, m in report.per_class.items()}
+    assert per_class == {0: (1 / 3, 1.0, 1), 1: (1.0, 1 / 3, 3)}
+    assert report.accuracy == 0.5
 
 
 # -- checkpoint evaluation -------------------------------------------------------------

@@ -455,12 +455,15 @@ def _enclosing(tree: ast.AST) -> dict[int, str]:
 
 
 def test_each_shared_job_has_one_implementation():
-    """One CSV writer, one checkpoint-tokenizer check, one dropout-stream seed and one manifest write.
+    """One CSV writer, one checkpoint-tokenizer check, one dropout-stream seed, one manifest write
+    and one reader of a classifier checkpoint's head metadata.
 
     The commands report what they read and wrote; `cli.main` times them and
-    writes the manifest.
+    writes the manifest. Fine-tuning writes `objective` and `class_labels`
+    into a checkpoint's `extra`; only `evaluation.evaluate_classifier` reads them.
     """
-    csv_writers, tokenizer_checks, dropout_reads, manifest_writes, clock_reads = [], [], [], [], []
+    csv_writers, tokenizer_checks, dropout_reads, manifest_writes, clock_reads, head_reads = [], [], [], [], [], []
+    head_keys = {"class_labels", "objective"}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scope = _enclosing(tree)
@@ -484,12 +487,29 @@ def test_each_shared_job_has_one_implementation():
                 manifest_writes.append(where)
             if isinstance(node, ast.Attribute) and node.attr == "time" and getattr(node.value, "id", None) == "time":
                 clock_reads.append(where)
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value in head_keys
+            ):
+                head_reads.append(where)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and "extra" in (getattr(node.func.value, "attr", None), getattr(node.func.value, "id", None))
+                and node.args
+                and getattr(node.args[0], "value", None) in head_keys
+            ):
+                head_reads.append(where)
     assert csv_writers == ["configio:write_csv"]
     assert tokenizer_checks == ["model:Checkpoint.check_tokenizer"]
     assert len(dropout_reads) == 1
     assert manifest_writes == ["cli:main"]
     assert "cli:main" in clock_reads
     assert [where for where in clock_reads if where.startswith("cli:_cmd_")] == []
+    assert set(head_reads) == {"evaluation:evaluate_classifier"}
 
 
 def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environment():

@@ -432,13 +432,18 @@ def test_finetune_multiclass_infers_classes(toy_docs, toy_tokenizer, toy_base_ch
 
 
 def test_finetune_warns_on_validation_only_class(toy_tokenizer, toy_base_checkpoint):
+    """Class 1 is in validation only: the head still has an output for it, and metrics count its documents."""
     from domainlm.synthetic import make_corpus
 
     train = make_corpus(32, (5,), seed=0, prefix="tr")
     val = make_corpus(8, (5, 1), seed=1, prefix="va")
     config = TrainingConfig(learning_rate=1e-3, batch_size=8, epochs=1, eval_checkpoints=2, seed=0)
-    with pytest.warns(UserWarning, match="validation but not in training"):
-        finetune_classifier(config, toy_base_checkpoint, "multiclass", train, val, toy_tokenizer)
+    with pytest.warns(UserWarning) as caught:
+        result = finetune_classifier(config, toy_base_checkpoint, "multiclass", train, val, toy_tokenizer)
+    (message,) = [str(w.message) for w in caught if "validation but not in training" in str(w.message)]
+    assert message.startswith("classes [1] ") and "no training example" in message
+    assert result.best_checkpoint.extra["class_labels"] == [1, 5]
+    assert result.metrics.per_class[1].support == 4
 
 
 def test_finetune_requires_validation_docs(toy_docs, toy_tokenizer, toy_base_checkpoint, ft_config):
