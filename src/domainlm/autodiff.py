@@ -19,8 +19,10 @@ Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
 
 ``run_tasks`` spreads independent pieces of work over the calling thread and
-one worker, with numpy's BLAS held at one thread (``one_blas_thread``) so that
-the bits of each piece do not depend on the CPU or BLAS thread count.
+one worker, and ``background_jobs`` runs a job on a worker while the caller
+goes on, with numpy's BLAS held at one thread (``one_blas_thread``) so that
+the bits of each piece do not depend on the CPU or BLAS thread count; at most
+two threads do model work at once.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -39,7 +42,7 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "GraphError", "log_softmax",
     "embedding", "linear", "feed_forward", "layer_norm", "attention", "softmax_cross_entropy",
-    "one_blas_thread", "run_tasks",
+    "one_blas_thread", "run_tasks", "background_jobs",
 ]
 
 # Python floats, not numpy float64 scalars: under NumPy 2 promotion a Python
@@ -57,7 +60,8 @@ class GraphError(RuntimeError):
 # OpenBLAS sums some products in another order at one and at two threads, and
 # after a two-thread product its idle worker spins for about 0.1 s on the
 # other core. So the package holds BLAS at one thread for a whole training run
-# or inference pass, and uses the second core itself, through `run_tasks`.
+# or inference pass, and uses the second core itself, through `run_tasks` and
+# `background_jobs`.
 
 
 def _worker_count(cpus) -> int:
@@ -97,22 +101,46 @@ def one_blas_thread():
         controls[1](before)
 
 
+# Per thread, so no thread reads another's: `nested` is set inside a task of
+# `run_tasks` and inside a background job, which already run on the second
+# core; inside `background_jobs`, `worker` is its one-thread pool.
+_local = threading.local()
+
+
+def _second_core_free() -> bool:
+    """Whether this thread may put model work on a second thread: two CPUs are usable and it is not one itself."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return _worker_count(cpus) >= 2 and not getattr(_local, "nested", False)
+
+
+def _nested(work: Callable[[], object]) -> object:
+    """work(), with every `run_tasks` inside it running its tasks in turn."""
+    outer = getattr(_local, "nested", False)
+    _local.nested = True
+    try:
+        return work()
+    finally:
+        _local.nested = outer
+
+
 def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
     """Each task's result, in task order.
 
     Two or more tasks run with BLAS held at one thread: where two CPUs are
     usable, the calling thread runs tasks 0, 2, 4, ... and one worker thread
-    runs 1, 3, ...; else all run in turn on the calling thread. Without
-    control of the BLAS thread count they run in turn at the process's count.
-    If tasks fail, the exception of the lowest-numbered failing one is
-    raised, as a loop over the tasks would raise it. A task records a tape
-    only from its own leaves that require grad, so the threads share no switch.
+    runs 1, 3, ...; else all run in turn on the calling thread. Inside a
+    task or a background job they also run in turn, and inside
+    `background_jobs` the worker is the background one, after any job in
+    flight, so that at most two threads do model work. Without control of
+    the BLAS thread count they run in turn at the process's count. If tasks
+    fail, the exception of the lowest-numbered failing one is raised, as a
+    loop over the tasks would raise it. A task records a tape only from its
+    own leaves that require grad, so the threads share no switch.
     """
     if len(tasks) < 2 or _blas_thread_controls() is None:
         return [task() for task in tasks]
     with one_blas_thread():
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-        if _worker_count(cpus) < 2:
+        if not _second_core_free():
             return [task() for task in tasks]
         n = len(tasks)
         results: list = [None] * n
@@ -123,18 +151,50 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
                 if min(failed) < i:
                     return  # a loop over the tasks would have stopped at that failure
                 try:
-                    results[i] = tasks[i]()
+                    results[i] = _nested(tasks[i])
                 except BaseException as exc:  # re-raised below, once both threads are done
                     results[i], failed[k] = exc, i
                     return
 
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-task") as pool:
+        # No third thread, and no malloc arena of its own, beside a background worker.
+        worker = getattr(_local, "worker", None)
+        with (
+            contextlib.nullcontext(worker) if worker is not None
+            else ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-task")
+        ) as pool:
             odd = pool.submit(run_share, 1)
             run_share(0)
             odd.result()
         if min(failed) < n:
             raise results[min(failed)]
         return results
+
+
+@contextlib.contextmanager
+def background_jobs() -> Iterator[Callable[[Callable[[], object]], Callable[[], object]]]:
+    """A `submit(job)` that returns `collect`: the job runs on one worker thread while the caller goes on.
+
+    `collect()` waits for the job and returns its result, or raises its
+    exception on the caller. Collect a job before submitting the next, so at
+    most one is in flight. Every `run_tasks` inside a job runs its tasks in
+    turn, and the caller's `run_tasks` gives its odd tasks to the same
+    worker, after the job: at most two threads do model work. BLAS is held
+    at one thread inside the block. Where `run_tasks` would run in turn, as
+    with one usable CPU or inside a task or another job, `collect()` runs
+    the job on the caller. The worker ends with the block, after its work,
+    also when the block raises.
+    """
+    with one_blas_thread():
+        if _blas_thread_controls() is None or not _second_core_free():
+            yield lambda job: job
+            return
+        outer = getattr(_local, "worker", None)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-job") as pool:
+            _local.worker = pool
+            try:
+                yield lambda job: pool.submit(_nested, job).result
+            finally:
+                _local.worker = outer
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -457,7 +517,10 @@ def feed_forward(
     x2 = x.data.reshape(-1, shape[-1])
     h = _gemm(x2, w1.data)
     h += b1.data
-    cdf = 0.5 * (1.0 + erf(h / _SQRT2))
+    cdf = np.divide(h, _SQRT2)  # 0.5 * (1 + erf(h / sqrt 2)), in place
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = _gemm(h * cdf, w2.data)
     out += b2.data
     out = out.reshape(shape[:-1] + out.shape[-1:])
@@ -465,10 +528,17 @@ def feed_forward(
 
     def vjp(g):
         d_out = rows(g)
-        d_h = (d_out @ w2.data.T) * (cdf + h * (_INV_SQRT_2PI * np.exp(-0.5 * h * h)))
+        scratch = np.multiply(h, -0.5)  # GELU'(h) = cdf + h * pdf(h), in the order of that expression
+        scratch *= h
+        np.exp(scratch, out=scratch)
+        scratch *= _INV_SQRT_2PI
+        scratch *= h
+        scratch += cdf
+        d_h = d_out @ w2.data.T
+        d_h *= scratch
         return (
             (d_h @ w1.data.T).reshape(shape), x2.T @ d_h, d_h.sum(axis=0),
-            (h * cdf).T @ d_out, d_out.sum(axis=0),
+            np.multiply(h, cdf, out=scratch).T @ d_out, d_out.sum(axis=0),
         )
 
     return _into_residual(residual, out, (x, w1, b1, w2, b2), vjp)

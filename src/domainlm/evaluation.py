@@ -159,6 +159,9 @@ def classification_metrics(
         class_labels = sorted(set(labels) | set(predictions))
     class_labels = list(class_labels)
     index = {label: i for i, label in enumerate(class_labels)}
+    if len(index) < len(class_labels):
+        repeated = next(label for i, label in enumerate(class_labels) if index[label] != i)
+        raise EvaluationError(f"class_labels repeat label {repeated!r}: {class_labels}")
     unknown = [x for x in list(labels) + list(predictions) if x not in index]
     if unknown:
         raise EvaluationError(f"label {unknown[0]!r} not in class set {class_labels}")
@@ -246,7 +249,8 @@ def cls_vectors(
     that longest sequence sets its padded length. The last encoder layer
     runs at position 0 only. The batches are spread over two threads by
     `run_tasks`, which leaves each batch as it is, so the thread count cannot
-    change the numbers either.
+    change the numbers either; in a fine-tuning validation pass, which runs as
+    a background job, they run in turn on the job's thread.
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")

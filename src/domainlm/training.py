@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, one_blas_thread, run_tasks
+from .autodiff import Tensor, background_jobs, one_blas_thread, run_tasks
 from .configio import atomic_write_text, write_csv, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
@@ -444,6 +444,12 @@ def finetune_classifier(
     The encoder is warm-started from `init`; the head is freshly initialized.
     Validation loss is computed at `eval_checkpoints` evenly spaced steps and
     the returned best checkpoint is the argmin (earliest on ties).
+
+    At an evaluation step the step's checkpoint is written from the live
+    weights, and the validation pass runs on a copy of them through
+    `autodiff.background_jobs`, on the second core while the next steps
+    train. Its loss is collected, in step order, before the next pass starts
+    and after the last step, so the results are those of passes run in turn.
     """
     config.validate()
     if task not in ("binary", "multiclass"):
@@ -487,36 +493,47 @@ def finetune_classifier(
     best_params: dict[str, Tensor] | None = None
     out_dir = Path(out_dir) if out_dir is not None else None
 
-    def validation_loss() -> float:
-        logits = batched_cls_logits(params, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
+    def validation_loss(weights: dict[str, Tensor]) -> float:
+        logits = batched_cls_logits(weights, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
         return mlm_cross_entropy(logits, val_idx)
 
     def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
         extra = {"objective": task, "class_labels": class_labels, "step": step_1}
         return Checkpoint(config=model_config, params=weights, tokenizer_hash=tokenizer.fingerprint(), extra=extra)
 
-    for step in range(total_steps):
-        batch_idx = next(batches)
-        ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
-        batch = (ids, pad_mask, cls_positions(len(ids)), train_idx[batch_idx][:, None])
-        train_loss = _train_step(optimizer, config, model_config, step, total_steps, "classification", batch)
+    def collect_validation(record: LossRecord, path: Path | None, weights: dict[str, Tensor], collect) -> None:
+        """Fill in an evaluation step's validation loss once its pass is done, and keep its weights if best."""
+        nonlocal best_meta, best_params
+        record.validation_loss = collect()
+        meta = CheckpointMeta(step=record.step, validation_loss=record.validation_loss, path=path)
+        checkpoints.append(meta)
+        if best_meta is None or meta.validation_loss < best_meta.validation_loss:
+            best_meta, best_params = meta, weights
 
-        step_1 = step + 1
-        if step_1 in eval_steps:
-            val_loss = validation_loss()
-            path = None
-            if out_dir is not None:
-                path = save_checkpoint(
-                    checkpoint_at(step_1, params), out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
-                )
-            meta = CheckpointMeta(step=step_1, validation_loss=val_loss, path=path)
-            checkpoints.append(meta)
-            if best_meta is None or val_loss < best_meta.validation_loss:
-                best_meta = meta
-                best_params = {n: Tensor(p.data.copy()) for n, p in params.items()}
-            history.append(LossRecord(step_1, train_loss, val_loss))
-        elif step_1 % config.log_every == 0 or step_1 == total_steps:
-            history.append(LossRecord(step_1, train_loss, None))
+    pending = None  # collect_validation's arguments for the pass in flight; its weights copy is the best if it wins
+    with background_jobs() as submit:
+        for step in range(total_steps):
+            batch_idx = next(batches)
+            ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
+            batch = (ids, pad_mask, cls_positions(len(ids)), train_idx[batch_idx][:, None])
+            train_loss = _train_step(optimizer, config, model_config, step, total_steps, "classification", batch)
+
+            step_1 = step + 1
+            if step_1 in eval_steps:
+                path = None
+                if out_dir is not None:
+                    path = save_checkpoint(
+                        checkpoint_at(step_1, params), out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
+                    )
+                if pending is not None:
+                    collect_validation(*pending)
+                record = LossRecord(step_1, train_loss)
+                history.append(record)
+                weights = {n: Tensor(p.data.copy()) for n, p in params.items()}
+                pending = (record, path, weights, submit(functools.partial(validation_loss, weights)))
+            elif step_1 % config.log_every == 0 or step_1 == total_steps:
+                history.append(LossRecord(step_1, train_loss, None))
+        collect_validation(*pending)
 
     assert best_meta is not None and best_params is not None
     assert best_meta is select_best_checkpoint(checkpoints)

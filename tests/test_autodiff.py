@@ -9,6 +9,7 @@ from domainlm.autodiff import (
     Tensor,
     _apply_keep,
     attention,
+    background_jobs,
     embedding,
     feed_forward,
     layer_norm,
@@ -475,3 +476,56 @@ def test_without_blas_thread_controls_tasks_run_in_turn(monkeypatch):
     with one_blas_thread():
         threads = run_tasks([threading.get_ident for _ in range(4)])
     assert threads == [threading.get_ident()] * 4
+
+
+def test_run_tasks_inside_a_task_runs_in_turn(monkeypatch):
+    _blas_controls()
+    _usable_cpus(monkeypatch, {0, 1})
+    inner = run_tasks([lambda: run_tasks([threading.get_ident] * 4)] * 2)
+    assert [len(set(threads)) for threads in inner] == [1, 1]
+    assert inner[0][0] == threading.get_ident() != inner[1][0]
+
+
+def test_a_background_worker_is_the_only_other_thread(monkeypatch):
+    """Inside a job tasks run in turn; the caller's odd tasks run on the same worker, after the job."""
+    _blas_controls()
+    _usable_cpus(monkeypatch, {0, 1})
+    here = threading.get_ident()
+    release = threading.Event()
+    ran = []
+
+    def job():
+        assert release.wait(timeout=30)
+        ran.append("job")
+        return run_tasks([threading.get_ident] * 4)
+
+    def releases_the_job():
+        release.set()
+        return threading.get_ident()
+
+    def odd():
+        ran.append("odd")
+        return threading.get_ident()
+
+    before = threading.active_count()
+    with background_jobs() as submit:
+        collect = submit(job)
+        threads = run_tasks([releases_the_job, odd, threading.get_ident, odd])
+        on_worker = collect()
+        assert len(set(on_worker)) == 1 and here not in on_worker
+        assert threads == [here, on_worker[0]] * 2
+        assert ran == ["job", "odd", "odd"]
+        failing = submit(lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            failing()
+    assert threading.active_count() == before
+
+
+def test_with_one_cpu_a_background_job_runs_on_the_caller_when_collected(monkeypatch):
+    _usable_cpus(monkeypatch, {0})
+    ran = []
+    with background_jobs() as submit:
+        collect = submit(lambda: ran.append(threading.get_ident()) or 7)
+        assert ran == []
+        assert collect() == 7
+    assert ran == [threading.get_ident()]

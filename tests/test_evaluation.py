@@ -193,6 +193,12 @@ def test_length_mismatch_rejected():
         classification_metrics([1], [1, 2])
 
 
+@pytest.mark.parametrize("class_labels, repeated", [([0, 0, 1], "0"), ([0, 1, 1], "1"), ([1, True], "1")])
+def test_repeated_class_labels_rejected(class_labels, repeated):
+    with pytest.raises(EvaluationError, match=rf"^class_labels repeat label {repeated}: "):
+        classification_metrics([0, 1, 1], [0, 1, 1], class_labels=class_labels)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(EvaluationError, match="mode"):
         classification_metrics([1], [1], mode="macro")

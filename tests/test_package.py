@@ -547,6 +547,21 @@ def test_no_module_keeps_a_global_switch():
     assert found == []
 
 
+def test_threads_start_only_in_autodiff():
+    """`run_tasks` and `background_jobs` are the only places that start a thread, so one rule bounds them all."""
+    starters = {"ThreadPoolExecutor", "Thread"}
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Name) and node.id in starters)
+                or (isinstance(node, ast.Attribute) and node.attr in starters)
+                or (isinstance(node, ast.ImportFrom) and {alias.name for alias in node.names} & starters)
+            ):
+                found.add(path.stem)
+    assert found == {"autodiff"}
+
+
 def test_stored_parameters_do_not_require_grad(tmp_path, toy_docs, toy_tokenizer, toy_model_config, toy_base_checkpoint):
     """Only a training step's own leaves record a tape, so inference over stored parameters records none."""
     from domainlm.model import init_parameters, load_checkpoint, save_checkpoint, with_fresh_classifier

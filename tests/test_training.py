@@ -1,5 +1,7 @@
 import csv
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from domainlm.training import (
     CheckpointMeta,
 )
 import domainlm.autodiff as autodiff_module
+import domainlm.evaluation as evaluation_module
 import domainlm.training as training_module
 
 _check_gradients = training_module._check_gradients
@@ -848,3 +851,158 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(toy_docs, toy_tokenizer,
         np.testing.assert_array_equal(two[1][name], want, err_msg=name)
     np.testing.assert_array_equal(two[2], one[2])
     assert one[3] == two[3]
+
+
+# -- validation on the second core ---------------------------------------------------
+
+
+def _two_usable_cpus(monkeypatch):
+    _needs_blas_thread_controls()
+    monkeypatch.setattr(autodiff_module.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _finetune_outputs(out_dir, config, docs, tokenizer, checkpoint) -> dict:
+    """Every output of a binary fine-tuning run: each .npz array as (dtype, shape, bytes), every other file's bytes."""
+    finetune_classifier(config, checkpoint, "binary", docs[:128], docs[128:228], tokenizer, out_dir=out_dir)
+    outputs = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        name = str(path.relative_to(out_dir))
+        if path.suffix == ".npz":
+            with np.load(path) as arrays:
+                for key in arrays:
+                    outputs[f"{name}:{key}"] = (arrays[key].dtype.str, arrays[key].shape, arrays[key].tobytes())
+        else:
+            outputs[name] = path.read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("batch_size, parts", [(16, 1), (64, 2)])
+def test_background_validation_writes_the_bytes_of_validation_in_turn(
+    monkeypatch, tmp_path, toy_docs, toy_tokenizer, toy_base_checkpoint, batch_size, parts
+):
+    """One-part and split steps: the same files whether validation runs on the worker or on the calling thread."""
+    _two_usable_cpus(monkeypatch)
+    config = TrainingConfig(
+        learning_rate=1e-3, batch_size=batch_size, total_steps=6, eval_checkpoints=3, log_every=1, seed=4
+    )
+    splits, validation_threads = [], []
+    real_split, real_logits = training_module._split, training_module.batched_cls_logits
+
+    def split(batch, length):
+        rows = real_split(batch, length)
+        splits.append(len(rows))
+        return rows
+
+    def logits(*args, **kwargs):
+        validation_threads.append(threading.get_ident())
+        return real_logits(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "_split", split)
+    monkeypatch.setattr(training_module, "batched_cls_logits", logits)
+    here = threading.get_ident()
+    on_worker = _finetune_outputs(tmp_path / "worker", config, toy_docs, toy_tokenizer, toy_base_checkpoint)
+    assert splits == [parts] * 6
+    assert len(validation_threads) == 3 and here not in validation_threads
+
+    validation_threads.clear()
+    monkeypatch.setattr(autodiff_module, "_worker_count", lambda cpus: 1)
+    in_turn = _finetune_outputs(tmp_path / "in_turn", config, toy_docs, toy_tokenizer, toy_base_checkpoint)
+    assert validation_threads == [here] * 3
+
+    assert sorted(on_worker) == sorted(in_turn)
+    assert len([name for name in on_worker if name.endswith("__meta__")]) == 4  # three steps and best.npz
+    for name, want in in_turn.items():
+        assert on_worker[name] == want, name
+    history = on_worker["loss_history.csv"].decode().splitlines()
+    assert [row.split(",")[0] for row in history[1:]] == ["1", "2", "3", "4", "5", "6"]
+    assert [row.endswith(",") for row in history[1:]] == [True, False] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_validation_pass_raises_on_the_caller(
+    monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint, workers
+):
+    _two_usable_cpus(monkeypatch)
+    monkeypatch.setattr(autodiff_module, "_worker_count", lambda cpus: workers)
+    calls = []
+    real = training_module.batched_cls_logits
+
+    def fails_second(*args, **kwargs):
+        calls.append(threading.get_ident())
+        if len(calls) == 2:
+            raise FloatingPointError("validation pass 2 failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "batched_cls_logits", fails_second)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=6, eval_checkpoints=3, seed=4)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^validation pass 2 failed$"):
+        finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer)
+    assert threading.active_count() == before
+    assert len(calls) == 2 and (threading.get_ident() in calls) == (workers == 1)
+
+
+def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint):
+    """Not after a run, nor after a step diverges while a validation pass is in flight."""
+    _two_usable_cpus(monkeypatch)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=6, eval_checkpoints=3, seed=4)
+    args = (config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer)
+    before = threading.active_count()
+    finetune_classifier(*args)
+    assert threading.active_count() == before
+
+    started, release = threading.Event(), threading.Event()
+    real = training_module.batched_cls_logits
+    seen = []
+
+    def held(*a, **k):
+        started.set()
+        assert release.wait(timeout=30)
+        return real(*a, **k)
+
+    def diverges_at_step_3(grads, step):
+        if step == 3:  # the pass of evaluation step 2 waits for `release`, so it is in flight
+            seen.append((started.wait(timeout=30), threading.active_count()))
+            release.set()
+            raise TrainingDivergedError("non-finite gradient at step 3")
+        _check_gradients(grads, step)
+
+    monkeypatch.setattr(training_module, "batched_cls_logits", held)
+    monkeypatch.setattr(training_module, "_check_gradients", diverges_at_step_3)
+    with pytest.raises(TrainingDivergedError, match="step 3"):
+        finetune_classifier(*args)
+    assert seen == [(True, before + 1)]
+    assert threading.active_count() == before
+
+
+def test_at_most_two_threads_run_the_encoder(monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint):
+    """Split steps and validation passes of two batches each: the halves and the pass never make three."""
+    _two_usable_cpus(monkeypatch)
+    lock = threading.Lock()
+    inside = {"now": 0, "peak": 0}
+
+    def counted(forward):
+        def wrapper(*args, **kwargs):
+            with lock:
+                inside["now"] += 1
+                inside["peak"] = max(inside["peak"], inside["now"])
+            try:
+                time.sleep(0.005)  # long enough for calls that may overlap to do so
+                return forward(*args, **kwargs)
+            finally:
+                with lock:
+                    inside["now"] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(training_module, "encoder_forward", counted(training_module.encoder_forward))
+    monkeypatch.setattr(evaluation_module, "encoder_forward", counted(evaluation_module.encoder_forward))
+    config = TrainingConfig(learning_rate=1e-3, batch_size=64, total_steps=6, eval_checkpoints=6, seed=4)
+    assert training_module._split(64, 16) == [slice(0, 32), slice(32, 64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more thread switches, so an interleaving that breaks the bound is likely
+    try:
+        finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:128], toy_docs[128:228], toy_tokenizer)
+    finally:
+        sys.setswitchinterval(interval)
+    assert inside == {"now": 0, "peak": 2}
