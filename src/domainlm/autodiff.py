@@ -423,6 +423,21 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 # the multiply it already does, so its tape holds the bits, not a float mask.
 
 
+# A quarter of a core's 2 MiB L2. `attention` and `feed_forward` run the chains
+# of an array larger than the L2 over blocks of leading rows of this size, so
+# each pass stays in cache (FlashAttention's blocking, Dao et al. 2022, over
+# leading rows only): no block cuts a GEMM call or a row reduction.
+_BLOCK_BYTES = (2 << 20) // 4
+
+
+def _blocks(n: int, nbytes: int) -> list[slice]:
+    """Slices of range(n) that cut an array of `nbytes` over n leading rows into blocks of about
+    `_BLOCK_BYTES`; one slice when it fits in four."""
+    count = 1 if nbytes <= 4 * _BLOCK_BYTES else min(n, -(-nbytes // _BLOCK_BYTES))
+    size = -(-n // count)
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, with each row of the result independent of how many rows `a` has.
 
@@ -511,34 +526,43 @@ def feed_forward(
 
     GELU is the exact erf form h * Phi(h). The node keeps x, h and Phi(h); its
     backward pass recomputes GELU(h) for the gradient of w2. With `residual`,
-    the sum is written into its array, as in `linear`.
+    the sum is written into its array, as in `linear`. The elementwise chains
+    between the GEMMs run over `_blocks` of rows.
     """
     shape = x.data.shape
     x2 = x.data.reshape(-1, shape[-1])
     h = _gemm(x2, w1.data)
-    h += b1.data
-    cdf = np.divide(h, _SQRT2)  # 0.5 * (1 + erf(h / sqrt 2)), in place
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = _gemm(h * cdf, w2.data)
+    blocks = _blocks(len(h), h.nbytes)
+    cdf, gelu = np.empty_like(h), np.empty_like(h)
+    for block in blocks:  # h += b1; cdf = 0.5 * (1 + erf(h / sqrt 2)), in place; gelu = h * cdf
+        hb, cb = h[block], cdf[block]
+        hb += b1.data
+        np.divide(hb, _SQRT2, out=cb)
+        erf(cb, out=cb)
+        cb += 1.0
+        cb *= 0.5
+        np.multiply(hb, cb, out=gelu[block])
+    out = _gemm(gelu, w2.data)
     out += b2.data
     out = out.reshape(shape[:-1] + out.shape[-1:])
     rows = _drop_in_place(out, keep, keep_scale)
 
     def vjp(g):
         d_out = rows(g)
-        scratch = np.multiply(h, -0.5)  # GELU'(h) = cdf + h * pdf(h), in the order of that expression
-        scratch *= h
-        np.exp(scratch, out=scratch)
-        scratch *= _INV_SQRT_2PI
-        scratch *= h
-        scratch += cdf
         d_h = d_out @ w2.data.T
-        d_h *= scratch
+        scratch = np.empty_like(h)
+        for block in blocks:  # d_h *= GELU'(h) = cdf + h * pdf(h), in the order of that expression; scratch = GELU(h)
+            hb, cb, sb = h[block], cdf[block], scratch[block]
+            np.multiply(hb, -0.5, out=sb)
+            sb *= hb
+            np.exp(sb, out=sb)
+            sb *= _INV_SQRT_2PI
+            sb *= hb
+            sb += cb
+            d_h[block] *= sb
+            np.multiply(hb, cb, out=sb)
         return (
-            (d_h @ w1.data.T).reshape(shape), x2.T @ d_h, d_h.sum(axis=0),
-            np.multiply(h, cdf, out=scratch).T @ d_out, d_out.sum(axis=0),
+            (d_h @ w1.data.T).reshape(shape), x2.T @ d_h, d_h.sum(axis=0), scratch.T @ d_out, d_out.sum(axis=0),
         )
 
     return _into_residual(residual, out, (x, w1, b1, w2, b2), vjp)
@@ -575,60 +599,75 @@ def attention(
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention over (batch, length, hidden) inputs.
 
-    scores = q k^T / sqrt(head_dim) + bias, softmax over keys, then dropout
-    with the keep bits `keep` (batch, heads, length, length) and
-    `keep_scale`, then the weighted sum of values. Returns the context
-    (batch, Q, hidden) and the attention probabilities (batch, heads, Q,
-    length) before dropout, where Q is `length`, or the width of `rows`
+    scores = q k^T / sqrt(head_dim) + bias (batch, 1, 1, length), softmax
+    over keys, then dropout with the keep bits `keep` (batch, heads, length,
+    length) and `keep_scale`, then the weighted sum of values. Returns the
+    context (batch, Q, hidden) and the attention probabilities (batch, heads,
+    Q, length) before dropout, where Q is `length`, or the width of `rows`
     (batch, Q) when that names the query rows to compute. The node keeps only
-    the probabilities and `keep` for its backward pass.
+    the probabilities and `keep` for its backward pass. The forward chain and
+    the backward pass run over `_blocks` of batch rows.
 
     With `rows`, the score product still runs over every query row and the
     named rows of it and of `keep` are taken: a few-row product can go to
     another BLAS kernel, which sums in another order, and the selected rows
     must equal the same rows of the full attention bit for bit.
     """
-    hidden = q.data.shape[-1]
+    batch, length, hidden = k.data.shape
     head_dim = hidden // num_heads
     scale = 1.0 / math.sqrt(head_dim)
+    width = length if rows is None else rows.shape[1]
+    dtype = q.data.dtype
 
-    def split(a):  # (B, n, H) -> (B, nh, n, dh)
+    def split(a):  # (B, n, H) -> (B, nh, n, dh), a view where `a` is contiguous
         return a.reshape(a.shape[0], a.shape[1], num_heads, head_dim).transpose(0, 2, 1, 3)
 
-    def merge(a):  # (B, nh, n, dh) -> (B, n, H)
-        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], hidden)
-
-    def dropped(probs):
-        return probs if keep is None else _apply_keep(probs, keep, keep_scale)
+    def dropped(probs, block):
+        return probs if keep is None else _apply_keep(probs, keep[block], keep_scale)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    picked_qh = qh
     if rows is not None:
         take = rows[:, None, :, None]
-        scores = np.take_along_axis(scores, take, axis=2)
-        qh = np.take_along_axis(qh, take, axis=2)
+        picked_qh = np.take_along_axis(qh, take, axis=2)
         if keep is not None:
             keep = np.take_along_axis(keep, take, axis=2)
-    if bias is not None:
-        scores += bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    context = merge(_gemm(dropped(probs), vh))
+    blocks = _blocks(batch, batch * num_heads * length * length * dtype.itemsize)
+    probs = np.empty((batch, num_heads, width, length), dtype)
+    context = np.empty((batch, width, hidden), dtype)
+    for block in blocks:
+        scores = probs[block]
+        if rows is None:
+            np.matmul(qh[block], kh[block].swapaxes(-1, -2), out=scores)
+        else:
+            scores[...] = np.take_along_axis(qh[block] @ kh[block].swapaxes(-1, -2), take[block], axis=2)
+        scores *= scale
+        if bias is not None:
+            scores += bias[block]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        split(context)[block] = _gemm(dropped(scores, block), vh[block])
 
     def vjp(g):
-        d_scores = split(g) @ vh.swapaxes(-1, -2)  # the gradient at the probabilities, then at the scaled scores
-        if keep is not None:
-            _apply_keep(d_scores, keep, keep_scale, out=d_scores)
-        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
-        d_scores *= probs
-        d_scores *= scale
-        d_q = merge(d_scores @ kh)
+        gh = split(g)
+        d_q, d_k, d_v = (np.empty((batch, n, hidden), dtype) for n in (width, length, length))
+        for block in blocks:
+            p = probs[block]
+            d_scores = gh[block] @ vh[block].swapaxes(-1, -2)  # the gradient at the probabilities, then at the scores
+            if keep is not None:
+                _apply_keep(d_scores, keep[block], keep_scale, out=d_scores)
+            d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
+            d_scores *= p
+            d_scores *= scale
+            split(d_q)[block] = d_scores @ kh[block]
+            split(d_k)[block] = d_scores.swapaxes(-1, -2) @ picked_qh[block]
+            split(d_v)[block] = dropped(p, block).swapaxes(-1, -2) @ gh[block]
         if rows is not None:
             full = np.zeros_like(q.data)
-            np.add.at(full, (np.arange(rows.shape[0])[:, None], rows), d_q)
+            np.add.at(full, (np.arange(batch)[:, None], rows), d_q)
             d_q = full
-        return d_q, merge(d_scores.swapaxes(-1, -2) @ qh), merge(dropped(probs).swapaxes(-1, -2) @ split(g))
+        return d_q, d_k, d_v
 
     return Tensor._make(context, (q, k, v), vjp), probs
 

@@ -138,16 +138,19 @@ def pad_batch(
     return ids, pad_mask
 
 
-def assemble_mlm_batch(masked: Sequence[MaskedSegment], pad_id: int):
-    """Pad masked segments to a common length; returns (ids, pad_mask, positions, targets).
+def assemble_mlm_batch(
+    masked: Sequence[MaskedSegment], pad_id: int, length: int | None = None, slots: int | None = None
+):
+    """Pad masked segments to `length` tokens and `slots` targets (default: the most in `masked`).
 
-    positions (B, Qmax) holds each segment's target positions, padded with
-    position 0, the form `encoder_forward(positions=...)` reads; targets
-    (B, Qmax) holds the target ids at the same slots, padded with -1.
+    Returns (ids, pad_mask, positions, targets). positions (B, slots) holds
+    each segment's target positions, padded with position 0, the form
+    `encoder_forward(positions=...)` reads; targets (B, slots) holds the
+    target ids at the same slots, padded with -1.
     """
-    ids, pad_mask = pad_batch([m.input_ids for m in masked], pad_id)
-    positions, _ = pad_batch([m.target_positions for m in masked], 0)
-    targets, _ = pad_batch([m.target_ids for m in masked], -1)
+    ids, pad_mask = pad_batch([m.input_ids for m in masked], pad_id, length)
+    positions, _ = pad_batch([m.target_positions for m in masked], 0, slots)
+    targets, _ = pad_batch([m.target_ids for m in masked], -1, slots)
     return ids, pad_mask, positions, targets
 
 

@@ -354,7 +354,11 @@ def evaluate_mlm(
     """Masked cross-entropy over segments with a fixed masking draw.
 
     The mask positions are a deterministic function of `seed`, so two
-    evaluations of different checkpoints on the same data are paired.
+    evaluations of different checkpoints on the same data are paired. Batches
+    of at most half the segments (so even one batch runs on two threads),
+    padded to the call's longest segment and most targets, and one sum over
+    the per-target losses: `batch_size` does not change the loss, save in
+    the small-matrix case the README names.
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
@@ -362,18 +366,21 @@ def evaluate_mlm(
         raise EvaluationError("no segments to evaluate")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, rng, tokenizer) for seg in segments]
+    length = max(len(m.input_ids) for m in masked)
+    slots = max(len(m.target_ids) for m in masked)
+    size = min(batch_size, -(-len(masked) // 2))
 
-    def batch(start: int) -> tuple[float, int]:
-        chunk = masked[start : start + batch_size]
-        ids, pad_mask, positions, targets = assemble_mlm_batch(chunk, tokenizer.pad_id)
+    def batch(start: int) -> np.ndarray:
+        chunk = masked[start : start + size]
+        ids, pad_mask, positions, targets = assemble_mlm_batch(chunk, tokenizer.pad_id, length, slots)
         hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
         real = targets >= 0
         log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
-        return float(np.sum(-log_probs[np.arange(len(log_probs)), targets[real]])), len(log_probs)
+        return -log_probs[np.arange(len(log_probs)), targets[real]]
 
     with one_blas_thread():
-        sums = run_tasks([functools.partial(batch, start) for start in range(0, len(masked), batch_size)])
-    return sum(total for total, _ in sums) / sum(count for _, count in sums)
+        losses = np.concatenate(run_tasks([functools.partial(batch, start) for start in range(0, len(masked), size)]))
+    return float(np.sum(losses)) / losses.size
 
 
 def evaluate_checkpoint(

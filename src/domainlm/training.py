@@ -445,11 +445,12 @@ def finetune_classifier(
     Validation loss is computed at `eval_checkpoints` evenly spaced steps and
     the returned best checkpoint is the argmin (earliest on ties).
 
-    At an evaluation step the step's checkpoint is written from the live
-    weights, and the validation pass runs on a copy of them through
-    `autodiff.background_jobs`, on the second core while the next steps
-    train. Its loss is collected, in step order, before the next pass starts
-    and after the last step, so the results are those of passes run in turn.
+    At an evaluation step the weights are copied, and a job on
+    `autodiff.background_jobs` writes the step's checkpoint from the copy and
+    runs the validation pass on it, on the second core while the next steps
+    train. Its loss, or its error, is collected in step order, before the
+    next job starts and after the last step, so the results are those of
+    jobs run in turn.
     """
     config.validate()
     if task not in ("binary", "multiclass"):
@@ -491,24 +492,31 @@ def finetune_classifier(
     history: list[LossRecord] = []
     best_meta: CheckpointMeta | None = None
     best_params: dict[str, Tensor] | None = None
+    # A collected weights copy that is not the best. The next evaluation step copies the weights into it, so at
+    # most two copies live, the best and the one in flight; a step's Checkpoint object does not keep its weights.
+    spare: dict[str, Tensor] | None = None
     out_dir = Path(out_dir) if out_dir is not None else None
-
-    def validation_loss(weights: dict[str, Tensor]) -> float:
-        logits = batched_cls_logits(weights, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
-        return mlm_cross_entropy(logits, val_idx)
 
     def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
         extra = {"objective": task, "class_labels": class_labels, "step": step_1}
         return Checkpoint(config=model_config, params=weights, tokenizer_hash=tokenizer.fingerprint(), extra=extra)
 
+    def write_and_validate(step_1: int, path: Path | None, weights: dict[str, Tensor]) -> float:
+        """Write the step's checkpoint, if a path is given, then return the validation loss of `weights`."""
+        if path is not None:
+            save_checkpoint(checkpoint_at(step_1, weights), path)
+        logits = batched_cls_logits(weights, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
+        return mlm_cross_entropy(logits, val_idx)
+
     def collect_validation(record: LossRecord, path: Path | None, weights: dict[str, Tensor], collect) -> None:
         """Fill in an evaluation step's validation loss once its pass is done, and keep its weights if best."""
-        nonlocal best_meta, best_params
+        nonlocal best_meta, best_params, spare
         record.validation_loss = collect()
         meta = CheckpointMeta(step=record.step, validation_loss=record.validation_loss, path=path)
         checkpoints.append(meta)
         if best_meta is None or meta.validation_loss < best_meta.validation_loss:
-            best_meta, best_params = meta, weights
+            best_meta, best_params, weights = meta, weights, best_params
+        spare = weights
 
     pending = None  # collect_validation's arguments for the pass in flight; its weights copy is the best if it wins
     with background_jobs() as submit:
@@ -520,17 +528,15 @@ def finetune_classifier(
 
             step_1 = step + 1
             if step_1 in eval_steps:
-                path = None
-                if out_dir is not None:
-                    path = save_checkpoint(
-                        checkpoint_at(step_1, params), out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
-                    )
                 if pending is not None:
                     collect_validation(*pending)
                 record = LossRecord(step_1, train_loss)
                 history.append(record)
-                weights = {n: Tensor(p.data.copy()) for n, p in params.items()}
-                pending = (record, path, weights, submit(functools.partial(validation_loss, weights)))
+                weights, spare = spare or {n: Tensor(np.empty_like(p.data)) for n, p in params.items()}, None
+                for name, p in params.items():
+                    np.copyto(weights[name].data, p.data)
+                path = None if out_dir is None else out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
+                pending = (record, path, weights, submit(functools.partial(write_and_validate, step_1, path, weights)))
             elif step_1 % config.log_every == 0 or step_1 == total_steps:
                 history.append(LossRecord(step_1, train_loss, None))
         collect_validation(*pending)

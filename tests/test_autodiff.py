@@ -20,7 +20,8 @@ from domainlm.autodiff import (
     softmax_cross_entropy,
 )
 
-from domainlm.model import ModelConfig, draw_dropout_masks
+from domainlm.data import cls_positions
+from domainlm.model import ModelConfig, draw_dropout_masks, encoder_forward, init_parameters
 
 import unfused_encoder
 from conftest import max_relative_error
@@ -383,6 +384,109 @@ def test_keep_bits_equal_the_float_mask_bit_for_bit(rng, dtype):
     assert np.signbit(expected[~keep]).any()
     for got in (_apply_keep(a, keep, 1 / 0.7), _apply_keep(a, keep, 1 / 0.7, out=a.copy())):
         assert got.dtype == np.dtype(dtype) and got.tobytes() == expected.tobytes()
+
+
+# -- blocks of leading rows -----------------------------------------------------------
+
+
+def _record_blocks(monkeypatch):
+    """The block count of each `_blocks` call, in call order."""
+    counts = []
+    real = autodiff_module._blocks
+
+    def spy(n, nbytes):
+        blocks = real(n, nbytes)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(autodiff_module, "_blocks", spy)
+    return counts
+
+
+@pytest.mark.parametrize("block_bytes", [8, 160])
+@pytest.mark.parametrize("width", [None, 1, 3])
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("dropping", [False, True])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_several_blocks_give_the_bits_of_one(monkeypatch, dtype, dropping, padded, width, block_bytes):
+    """With the block size patched down, attention and feed_forward give the bytes of one block, forward and backward.
+
+    `width` is the number of selected query `rows` (1: the [CLS] row), and
+    the feed-forward input has as many rows per sequence.
+    """
+    rng = np.random.default_rng(5)
+    batch, length, heads, hidden, ff = 7, 7, 2, 8, 24
+    q, k, v = (Tensor(rng.normal(size=(batch, length, hidden)).astype(dtype), requires_grad=True) for _ in range(3))
+    real = np.arange(length) < rng.integers(2, length + 1, size=(batch, 1))
+    bias = np.where(real, 0.0, -1e30).astype(dtype)[:, None, None, :] if padded else None
+    rows = None if width is None else rng.integers(0, length, size=(batch, width))
+    attn_keep = rng.random(size=(batch, heads, length, length)) >= 0.3 if dropping else None
+    n = length if width is None else width
+    x = Tensor(rng.normal(size=(batch, n, hidden)).astype(dtype), requires_grad=True)
+    ff_params = [
+        Tensor((0.3 * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+        for shape in ((hidden, ff), (ff,), (ff, hidden), (hidden,))
+    ]
+    ff_keep = rng.random(size=(batch, n, hidden)) >= 0.3 if dropping else None
+    weights = Tensor(rng.normal(size=(batch, n, hidden)).astype(dtype))
+
+    def run():
+        leaves = (q, k, v, x, *ff_params)
+        for t in leaves:
+            t.grad = None
+        context, probs = attention(q, k, v, heads, bias, attn_keep, 1 / 0.7, rows)
+        out = feed_forward(x, *ff_params, ff_keep, 1 / 0.7)
+        ((context + out) * weights).sum().backward()
+        return [context.data, probs, out.data] + [t.grad for t in leaves]
+
+    counts = _record_blocks(monkeypatch)
+    one = run()
+    assert counts == [1, 1]
+    monkeypatch.setattr(autodiff_module, "_BLOCK_BYTES", block_bytes)
+    several = run()
+    assert counts[2] > 1 and counts[3] > 1
+    for got, expected in zip(several, one):
+        assert got.dtype == np.dtype(dtype) and got.tobytes() == expected.tobytes()
+
+
+def _encoder_pass(batch, length, dtype, heads, hidden, ff, cls, taped):
+    """The encoder's output and, when `taped`, every parameter's gradient, over a ragged batch with dropout."""
+    config = ModelConfig(
+        num_layers=2, num_heads=heads, hidden_dim=hidden, ff_dim=ff, vocab_size=64, max_positions=length,
+        dropout_rate=0.1 if taped else 0.0, dtype=dtype,
+    )
+    rng = np.random.default_rng(9)
+    params = {name: Tensor(p.data, requires_grad=taped) for name, p in init_parameters(config, 0).items()}
+    ids = rng.integers(0, 64, size=(batch, length))
+    pad_mask = np.arange(length) < rng.integers(length // 2, length + 1, size=(batch, 1))
+    positions = cls_positions(batch) if cls else np.sort(rng.integers(0, length, size=(batch, 19)), axis=1)
+    masks = draw_dropout_masks(config, length, (3,), range(batch)) if taped else None
+    hidden_rows = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions, dropout_masks=masks)
+    if not taped:
+        return [hidden_rows.data]
+    (hidden_rows * Tensor(rng.normal(size=hidden_rows.shape).astype(dtype))).sum().backward()
+    return [hidden_rows.data] + [p.grad for p in params.values() if p.grad is not None]
+
+
+def test_blocks_start_above_l2_size(monkeypatch):
+    """One block at the fine-tuning and topic-export shapes; an 8 x 128 float64 half-step blocks, with the same bits.
+
+    The calls run in the order layer 0 attention, layer 0 feed-forward,
+    layer 1 attention, layer 1 feed-forward; the last layer's feed-forward
+    runs at the selected rows only.
+    """
+    counts = _record_blocks(monkeypatch)
+    _encoder_pass(16, 17, "float32", 4, 128, 512, cls=True, taped=True)  # a `finetune` step
+    _encoder_pass(32, 17, "float64", 2, 64, 256, cls=True, taped=False)  # a `topics` export batch
+    assert counts == [1] * 8
+    counts.clear()
+    blocked = _encoder_pass(8, 128, "float64", 4, 128, 512, cls=False, taped=True)  # a `pretrain` half-step
+    assert counts == [8, 8, 8, 1]
+    monkeypatch.setattr(autodiff_module, "_BLOCK_BYTES", 1 << 40)
+    whole = _encoder_pass(8, 128, "float64", 4, 128, 512, cls=False, taped=True)
+    assert counts[4:] == [1, 1, 1, 1]
+    for got, expected in zip(blocked, whole, strict=True):
+        assert got.tobytes() == expected.tobytes()
 
 
 # -- run_tasks -------------------------------------------------------------------

@@ -258,9 +258,11 @@ def test_evaluate_mlm_batch_invariance(toy_docs, toy_tokenizer, toy_base_checkpo
         (toy_tokenizer.encode(d.text) for d in toy_docs[200:230]), toy_tokenizer.sep_id, 32
     )
     ckpt = toy_base_checkpoint
-    a = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=1, batch_size=4)
-    b = evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=1, batch_size=32)
-    assert abs(a - b) < 1e-10
+    losses = {
+        size: evaluate_mlm(ckpt.params, ckpt.config, segments, toy_tokenizer, seed=1, batch_size=size)
+        for size in range(1, len(segments) + 1)
+    }
+    assert len(set(losses.values())) == 1, losses
 
 
 @pytest.mark.parametrize("function", [cls_vectors, batched_cls_logits])
@@ -292,18 +294,27 @@ def _serial_cls_vectors(params, config, sequences, pad_id, batch_size):
 
 
 def _serial_evaluate_mlm(params, config, segments, tokenizer, seed, batch_size):
-    """The one-thread loop that the two-thread pass replaced: the oracle."""
+    """The one-thread loop of the two-thread pass's definition: the oracle.
+
+    Batches of at most half the segments, each padded to the longest segment
+    and the most targets of the call; one sum over the per-target losses.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7A1)))
     masked = [apply_dynamic_masking(seg, rng, tokenizer) for seg in segments]
-    total, count = 0.0, 0
-    for start in range(0, len(masked), batch_size):
-        ids, pad_mask, positions, targets = assemble_mlm_batch(masked[start : start + batch_size], tokenizer.pad_id)
+    length = max(len(m.input_ids) for m in masked)
+    slots = max(len(m.target_ids) for m in masked)
+    size = min(batch_size, -(-len(masked) // 2))
+    losses = []
+    for start in range(0, len(masked), size):
+        ids, pad_mask, positions, targets = assemble_mlm_batch(
+            masked[start : start + size], tokenizer.pad_id, length, slots
+        )
         hidden = encoder_forward(params, config, ids, pad_mask=pad_mask, positions=positions)
         real = targets >= 0
         log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
-        total += float(np.sum(-log_probs[np.arange(real.sum()), targets[real]]))
-        count += int(real.sum())
-    return total / count
+        losses.append(-log_probs[np.arange(real.sum()), targets[real]])
+    losses = np.concatenate(losses)
+    return float(np.sum(losses)) / losses.size
 
 
 def _record_forwards(monkeypatch):

@@ -880,13 +880,24 @@ def _finetune_outputs(out_dir, config, docs, tokenizer, checkpoint) -> dict:
 def test_background_validation_writes_the_bytes_of_validation_in_turn(
     monkeypatch, tmp_path, toy_docs, toy_tokenizer, toy_base_checkpoint, batch_size, parts
 ):
-    """One-part and split steps: the same files whether validation runs on the worker or on the calling thread."""
+    """One-part and split steps: the same files whether the job that writes a step's checkpoint and validates it runs
+    on the worker or on the calling thread, and each step file holds the weights of its step."""
     _two_usable_cpus(monkeypatch)
     config = TrainingConfig(
         learning_rate=1e-3, batch_size=batch_size, total_steps=6, eval_checkpoints=3, log_every=1, seed=4
     )
-    splits, validation_threads = [], []
+    splits, validation_threads, write_threads, weights_at = [], [], [], {}
     real_split, real_logits = training_module._split, training_module.batched_cls_logits
+    real_step, real_save = training_module._train_step, training_module.save_checkpoint
+
+    def train_step(optimizer, *args):
+        loss = real_step(optimizer, *args)
+        weights_at[args[2] + 1] = {name: p.data.copy() for name, p in optimizer.params.items()}
+        return loss
+
+    def save(checkpoint, path):
+        write_threads.append(threading.get_ident())
+        return real_save(checkpoint, path)
 
     def split(batch, length):
         rows = real_split(batch, length)
@@ -899,15 +910,23 @@ def test_background_validation_writes_the_bytes_of_validation_in_turn(
 
     monkeypatch.setattr(training_module, "_split", split)
     monkeypatch.setattr(training_module, "batched_cls_logits", logits)
+    monkeypatch.setattr(training_module, "_train_step", train_step)
+    monkeypatch.setattr(training_module, "save_checkpoint", save)
     here = threading.get_ident()
     on_worker = _finetune_outputs(tmp_path / "worker", config, toy_docs, toy_tokenizer, toy_base_checkpoint)
     assert splits == [parts] * 6
     assert len(validation_threads) == 3 and here not in validation_threads
+    assert len(write_threads) == 4 and here not in write_threads[:3] and write_threads[3] == here  # best.npz here
 
     validation_threads.clear()
+    write_threads.clear()
     monkeypatch.setattr(autodiff_module, "_worker_count", lambda cpus: 1)
     in_turn = _finetune_outputs(tmp_path / "in_turn", config, toy_docs, toy_tokenizer, toy_base_checkpoint)
-    assert validation_threads == [here] * 3
+    assert validation_threads == [here] * 3 and write_threads == [here] * 4
+    for step in (2, 4, 6):
+        for name, want in weights_at[step].items():
+            key = f"checkpoints/step_{step:06d}.npz:param:{name}"
+            assert in_turn[key] == on_worker[key] == (want.dtype.str, want.shape, want.tobytes()), key
 
     assert sorted(on_worker) == sorted(in_turn)
     assert len([name for name in on_worker if name.endswith("__meta__")]) == 4  # three steps and best.npz
@@ -940,6 +959,39 @@ def test_a_failing_validation_pass_raises_on_the_caller(
         finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer)
     assert threading.active_count() == before
     assert len(calls) == 2 and (threading.get_ident() in calls) == (workers == 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_checkpoint_write_raises_on_the_caller(
+    monkeypatch, tmp_path, toy_docs, toy_tokenizer, toy_base_checkpoint, workers
+):
+    """The second step file's write error surfaces when its job is collected, after the next evaluation step."""
+    _two_usable_cpus(monkeypatch)
+    monkeypatch.setattr(autodiff_module, "_worker_count", lambda cpus: workers)
+    paths, steps = [], []
+    real_step = training_module._train_step
+
+    def fails_second(checkpoint, path):
+        paths.append(path)
+        if len(paths) == 2:
+            raise PermissionError(f"cannot write {path}")
+        return path
+
+    def train_step(*args):
+        steps.append(args[3])
+        return real_step(*args)
+
+    monkeypatch.setattr(training_module, "save_checkpoint", fails_second)
+    monkeypatch.setattr(training_module, "_train_step", train_step)
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=6, eval_checkpoints=3, seed=4)
+    before = threading.active_count()
+    second = tmp_path / "checkpoints" / "step_000004.npz"
+    with pytest.raises(PermissionError, match=f"^cannot write {second}$"):
+        finetune_classifier(
+            config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer, out_dir=tmp_path
+        )
+    assert threading.active_count() == before
+    assert paths == [tmp_path / "checkpoints" / "step_000002.npz", second] and steps == list(range(6))
 
 
 def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint):
