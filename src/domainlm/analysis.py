@@ -193,8 +193,8 @@ def cluster_embeddings(
 
     if min_cluster_size < 2:
         raise AnalysisError(f"min_cluster_size must be at least 2, got {min_cluster_size}")
-    if radius <= 0:
-        raise AnalysisError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise AnalysisError(f"radius must be positive and finite, got {radius}")
     x, ids = matrix.matrix, matrix.ids
     n = x.shape[0]
     if n < min_cluster_size:

@@ -18,11 +18,11 @@ Every operation computes in the dtype of its operands.
 Gradients are exact analytic derivatives of the forward computation, which is
 what the finite-difference checks in the test suite verify.
 
-``run_tasks`` spreads independent pieces of work over the calling thread and
-one worker, and ``background_jobs`` runs a job on a worker while the caller
-goes on, with numpy's BLAS held at one thread (``one_blas_thread``) so that
-the bits of each piece do not depend on the CPU or BLAS thread count; at most
-two threads do model work at once.
+Every training run and inference pass runs in a ``one_blas_thread`` block,
+which holds numpy's BLAS at one thread, so that no bits depend on the CPU or
+BLAS thread count, and owns the run's one worker thread: ``run_tasks``
+spreads independent pieces of work over the caller and that worker, and
+``submit`` runs a job on it while the caller goes on.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -42,7 +42,7 @@ from scipy.special import erf
 __all__ = [
     "Tensor", "GraphError", "log_softmax",
     "embedding", "linear", "feed_forward", "layer_norm", "attention", "softmax_cross_entropy",
-    "one_blas_thread", "run_tasks", "background_jobs",
+    "one_blas_thread", "run_tasks", "submit",
 ]
 
 # Python floats, not numpy float64 scalars: under NumPy 2 promotion a Python
@@ -60,12 +60,12 @@ class GraphError(RuntimeError):
 # OpenBLAS sums some products in another order at one and at two threads, and
 # after a two-thread product its idle worker spins for about 0.1 s on the
 # other core. So the package holds BLAS at one thread for a whole training run
-# or inference pass, and uses the second core itself, through `run_tasks` and
-# `background_jobs`.
+# or inference pass, and uses the second core itself, through one worker that
+# the run's `one_blas_thread` block owns: `run_tasks` and `submit` put work on it.
 
 
 def _worker_count(cpus) -> int:
-    """Threads `run_tasks` runs on, given the CPUs the process may use: at most two."""
+    """Threads a run does model work on, given the CPUs the process may use: at most two."""
     return min(2, len(cpus))
 
 
@@ -82,65 +82,69 @@ def _blas_thread_controls():
     return get, set_
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold numpy's BLAS at one thread inside the block, and restore its count after.
-
-    An entry while BLAS already runs on one thread, as a nested one does,
-    changes nothing. Without control of the thread count it does nothing.
-    """
-    controls = _blas_thread_controls()
-    before = controls[0]() if controls is not None else 1
-    if before == 1:
-        yield
-        return
-    controls[1](1)
-    try:
-        yield
-    finally:
-        controls[1](before)
-
-
-# Per thread, so no thread reads another's: `nested` is set inside a task of
-# `run_tasks` and inside a background job, which already run on the second
-# core; inside `background_jobs`, `worker` is its one-thread pool.
+# Per thread, so no thread reads another's: inside a `one_blas_thread` block,
+# `worker` is the block's worker or None, and None inside a task or a job.
 _local = threading.local()
 
 
-def _second_core_free() -> bool:
-    """Whether this thread may put model work on a second thread: two CPUs are usable and it is not one itself."""
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread inside the block, which owns this thread's one worker.
+
+    The outermost block on a thread restores BLAS's thread count after, and
+    where two CPUs are usable and the count is controllable it makes the
+    worker that `run_tasks` and `submit` use, a one-thread pool started on
+    first use and joined when the block exits, also when it raises. An inner
+    block, as any block inside a task or a job is, changes nothing.
+    """
+    if hasattr(_local, "worker"):
+        yield
+        return
+    controls = _blas_thread_controls()
+    before = controls[0]() if controls is not None else 1
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return _worker_count(cpus) >= 2 and not getattr(_local, "nested", False)
+    free = controls is not None and _worker_count(cpus) >= 2
+    _local.worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-worker") if free else None
+    if before != 1:
+        controls[1](1)
+    try:
+        yield
+    finally:
+        if _local.worker is not None:
+            _local.worker.shutdown()
+        del _local.worker
+        if before != 1:
+            controls[1](before)
 
 
 def _nested(work: Callable[[], object]) -> object:
-    """work(), with every `run_tasks` inside it running its tasks in turn."""
-    outer = getattr(_local, "nested", False)
-    _local.nested = True
+    """work(), with every `run_tasks` and `submit` inside it running in turn.
+
+    On the worker, `worker` stays None after: its blocks are inner ones, as its owner holds BLAS at one thread.
+    """
+    outer = getattr(_local, "worker", None)
+    _local.worker = None
     try:
         return work()
     finally:
-        _local.nested = outer
+        _local.worker = outer
 
 
 def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
     """Each task's result, in task order.
 
-    Two or more tasks run with BLAS held at one thread: where two CPUs are
-    usable, the calling thread runs tasks 0, 2, 4, ... and one worker thread
-    runs 1, 3, ...; else all run in turn on the calling thread. Inside a
-    task or a background job they also run in turn, and inside
-    `background_jobs` the worker is the background one, after any job in
-    flight, so that at most two threads do model work. Without control of
-    the BLAS thread count they run in turn at the process's count. If tasks
-    fail, the exception of the lowest-numbered failing one is raised, as a
-    loop over the tasks would raise it. A task records a tape only from its
-    own leaves that require grad, so the threads share no switch.
+    The tasks run inside a `one_blas_thread` block: where it has a worker,
+    the calling thread runs tasks 0, 2, 4, ... and the worker runs 1, 3,
+    ..., after any job in flight, so that at most two threads do model work;
+    else, as inside a task or a job, all run in turn on the calling thread.
+    If tasks fail, the exception of the lowest-numbered failing one is
+    raised, as a loop over the tasks would raise it. A task records a tape
+    only from its own leaves that require grad, so the threads share no
+    switch.
     """
-    if len(tasks) < 2 or _blas_thread_controls() is None:
-        return [task() for task in tasks]
     with one_blas_thread():
-        if not _second_core_free():
+        worker = _local.worker
+        if len(tasks) < 2 or worker is None:
             return [task() for task in tasks]
         n = len(tasks)
         results: list = [None] * n
@@ -156,45 +160,27 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> list:
                     results[i], failed[k] = exc, i
                     return
 
-        # No third thread, and no malloc arena of its own, beside a background worker.
-        worker = getattr(_local, "worker", None)
-        with (
-            contextlib.nullcontext(worker) if worker is not None
-            else ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-task")
-        ) as pool:
-            odd = pool.submit(run_share, 1)
-            run_share(0)
-            odd.result()
+        odd = worker.submit(run_share, 1)
+        run_share(0)
+        odd.result()
         if min(failed) < n:
             raise results[min(failed)]
         return results
 
 
-@contextlib.contextmanager
-def background_jobs() -> Iterator[Callable[[Callable[[], object]], Callable[[], object]]]:
-    """A `submit(job)` that returns `collect`: the job runs on one worker thread while the caller goes on.
+def submit(job: Callable[[], object]) -> Callable[[], object]:
+    """Start `job` on the worker of the enclosing `one_blas_thread` block; returns `collect`.
 
     `collect()` waits for the job and returns its result, or raises its
     exception on the caller. Collect a job before submitting the next, so at
     most one is in flight. Every `run_tasks` inside a job runs its tasks in
-    turn, and the caller's `run_tasks` gives its odd tasks to the same
-    worker, after the job: at most two threads do model work. BLAS is held
-    at one thread inside the block. Where `run_tasks` would run in turn, as
-    with one usable CPU or inside a task or another job, `collect()` runs
-    the job on the caller. The worker ends with the block, after its work,
-    also when the block raises.
+    turn, and the caller's `run_tasks` gives its odd tasks to the worker
+    after the job: at most two threads do model work. Where work runs in
+    turn, as with one usable CPU, outside a block or inside a task or
+    another job, `collect()` runs the job on the caller.
     """
-    with one_blas_thread():
-        if _blas_thread_controls() is None or not _second_core_free():
-            yield lambda job: job
-            return
-        outer = getattr(_local, "worker", None)
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="domainlm-job") as pool:
-            _local.worker = pool
-            try:
-                yield lambda job: pool.submit(_nested, job).result
-            finally:
-                _local.worker = outer
+    worker = getattr(_local, "worker", None)
+    return job if worker is None else worker.submit(_nested, job).result
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -382,16 +382,17 @@ def _cmd_scale_study(args) -> _Run:
         fractions = [float(f) for f in args.fractions.split(",") if f]
     except ValueError:
         raise CliValidationError(f"cannot parse --fractions {args.fractions!r}")
-    inits: dict[str, Checkpoint] = {}
     init_paths: dict[str, str] = {}
     for item in args.init or []:
         name, _, path = item.partition("=")
         if not name or not path:
             raise CliValidationError(f"--init expects name=path, got {item!r}")
+        if name in init_paths:
+            raise CliValidationError(f"--init names {name!r} more than once")
         init_paths[name] = path
-        inits[name] = load_checkpoint(path)
-    if not inits:
+    if not init_paths:
         raise CliValidationError("at least one --init name=path is required")
+    inits = {name: load_checkpoint(path) for name, path in init_paths.items()}
     config, _, snapshot = _load_configs(args, [ckpt.config for ckpt in inits.values()])
     splits = [Path(args.splits) / f"{name}.txt" for name in ("finetune_train", "finetune_validation", "test")]
     train_pool, validation, holdout = _load_split_docs(args.corpus, splits)

@@ -247,10 +247,11 @@ def cls_vectors(
     each row the same way whatever the row count (the README names the one
     known exception). Across calls a vector can move in the last bits, since
     that longest sequence sets its padded length. The last encoder layer
-    runs at position 0 only. The batches are spread over two threads by
-    `run_tasks`, which leaves each batch as it is, so the thread count cannot
-    change the numbers either; in a fine-tuning validation pass, which runs as
-    a background job, they run in turn on the job's thread.
+    runs at position 0 only. The batches are spread over the calling thread
+    and the run's worker by `run_tasks`, with BLAS at one thread, which
+    leaves each batch as it is, so the thread count cannot change the
+    numbers either; in a fine-tuning validation pass, which runs as a job on
+    that worker, they run in turn on the worker.
     """
     if batch_size < 1:
         raise EvaluationError(f"batch_size must be at least 1, got {batch_size}")
@@ -262,8 +263,7 @@ def cls_vectors(
         ids, mask = pad_batch(sequences[start : start + batch_size], pad_id, pad_to)
         return encoder_forward(params, config, ids, pad_mask=mask, positions=cls_positions(len(ids))).data[:, 0]
 
-    with one_blas_thread():
-        rows = run_tasks([functools.partial(batch, start) for start in range(0, len(sequences), batch_size)])
+    rows = run_tasks([functools.partial(batch, start) for start in range(0, len(sequences), batch_size)])
     return np.concatenate(rows, axis=0)
 
 
@@ -378,8 +378,7 @@ def evaluate_mlm(
         log_probs = log_softmax(mlm_logits_from_hidden(hidden[real], params, config).data)
         return -log_probs[np.arange(len(log_probs)), targets[real]]
 
-    with one_blas_thread():
-        losses = np.concatenate(run_tasks([functools.partial(batch, start) for start in range(0, len(masked), size)]))
+    losses = np.concatenate(run_tasks([functools.partial(batch, start) for start in range(0, len(masked), size)]))
     return float(np.sum(losses)) / losses.size
 
 

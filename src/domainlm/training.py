@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, background_jobs, one_blas_thread, run_tasks
+from .autodiff import Tensor, one_blas_thread, run_tasks, submit
 from .configio import atomic_write_text, write_csv, write_flat_config
 from .corpus import Document, nested_subsets
 from .data import (
@@ -126,7 +126,11 @@ class TrainingConfig:
             raise TrainingError("; ".join(problems))
 
     def problems(self) -> list[str]:
-        out = []
+        out = [
+            f"{name} must be finite, got {getattr(self, name)}"
+            for name in ("learning_rate", "weight_decay", "adam_eps")
+            if not math.isfinite(getattr(self, name))
+        ]
         if self.learning_rate <= 0:
             out.append(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -445,12 +449,12 @@ def finetune_classifier(
     Validation loss is computed at `eval_checkpoints` evenly spaced steps and
     the returned best checkpoint is the argmin (earliest on ties).
 
-    At an evaluation step the weights are copied, and a job on
-    `autodiff.background_jobs` writes the step's checkpoint from the copy and
-    runs the validation pass on it, on the second core while the next steps
-    train. Its loss, or its error, is collected in step order, before the
-    next job starts and after the last step, so the results are those of
-    jobs run in turn.
+    At an evaluation step the weights are copied, and a job submitted to the
+    run's worker (`autodiff.submit`) writes the step's checkpoint from the
+    copy and runs the validation pass on it, on the second core while the
+    next steps train. Its loss, or its error, is collected in step order,
+    before the next job starts and after the last step, so the results are
+    those of jobs run in turn.
     """
     config.validate()
     if task not in ("binary", "multiclass"):
@@ -519,27 +523,26 @@ def finetune_classifier(
         spare = weights
 
     pending = None  # collect_validation's arguments for the pass in flight; its weights copy is the best if it wins
-    with background_jobs() as submit:
-        for step in range(total_steps):
-            batch_idx = next(batches)
-            ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
-            batch = (ids, pad_mask, cls_positions(len(ids)), train_idx[batch_idx][:, None])
-            train_loss = _train_step(optimizer, config, model_config, step, total_steps, "classification", batch)
+    for step in range(total_steps):
+        batch_idx = next(batches)
+        ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
+        batch = (ids, pad_mask, cls_positions(len(ids)), train_idx[batch_idx][:, None])
+        train_loss = _train_step(optimizer, config, model_config, step, total_steps, "classification", batch)
 
-            step_1 = step + 1
-            if step_1 in eval_steps:
-                if pending is not None:
-                    collect_validation(*pending)
-                record = LossRecord(step_1, train_loss)
-                history.append(record)
-                weights, spare = spare or {n: Tensor(np.empty_like(p.data)) for n, p in params.items()}, None
-                for name, p in params.items():
-                    np.copyto(weights[name].data, p.data)
-                path = None if out_dir is None else out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
-                pending = (record, path, weights, submit(functools.partial(write_and_validate, step_1, path, weights)))
-            elif step_1 % config.log_every == 0 or step_1 == total_steps:
-                history.append(LossRecord(step_1, train_loss, None))
-        collect_validation(*pending)
+        step_1 = step + 1
+        if step_1 in eval_steps:
+            if pending is not None:
+                collect_validation(*pending)
+            record = LossRecord(step_1, train_loss)
+            history.append(record)
+            weights, spare = spare or {n: Tensor(np.empty_like(p.data)) for n, p in params.items()}, None
+            for name, p in params.items():
+                np.copyto(weights[name].data, p.data)
+            path = None if out_dir is None else out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
+            pending = (record, path, weights, submit(functools.partial(write_and_validate, step_1, path, weights)))
+        elif step_1 % config.log_every == 0 or step_1 == total_steps:
+            history.append(LossRecord(step_1, train_loss, None))
+    collect_validation(*pending)
 
     assert best_meta is not None and best_params is not None
     assert best_meta is select_best_checkpoint(checkpoints)

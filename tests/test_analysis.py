@@ -236,8 +236,9 @@ def test_min_cluster_size_below_two_rejected():
 
 
 def test_nonpositive_radius_rejected():
-    with pytest.raises(AnalysisError, match="radius"):
-        cluster_embeddings(_matrix(np.zeros((10, 3))), min_cluster_size=2, radius=0.0)
+    for radius in (0.0, float("nan"), float("inf")):
+        with pytest.raises(AnalysisError, match="radius"):
+            cluster_embeddings(_matrix(np.zeros((10, 3))), min_cluster_size=2, radius=radius)
 
 
 # -- class-based TF-IDF ----------------------------------------------------------------

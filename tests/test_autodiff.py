@@ -9,7 +9,6 @@ from domainlm.autodiff import (
     Tensor,
     _apply_keep,
     attention,
-    background_jobs,
     embedding,
     feed_forward,
     layer_norm,
@@ -18,6 +17,7 @@ from domainlm.autodiff import (
     one_blas_thread,
     run_tasks,
     softmax_cross_entropy,
+    submit,
 )
 
 from domainlm.data import cls_positions
@@ -612,7 +612,7 @@ def test_a_background_worker_is_the_only_other_thread(monkeypatch):
         return threading.get_ident()
 
     before = threading.active_count()
-    with background_jobs() as submit:
+    with one_blas_thread():
         collect = submit(job)
         threads = run_tasks([releases_the_job, odd, threading.get_ident, odd])
         on_worker = collect()
@@ -628,7 +628,7 @@ def test_a_background_worker_is_the_only_other_thread(monkeypatch):
 def test_with_one_cpu_a_background_job_runs_on_the_caller_when_collected(monkeypatch):
     _usable_cpus(monkeypatch, {0})
     ran = []
-    with background_jobs() as submit:
+    with one_blas_thread():
         collect = submit(lambda: ran.append(threading.get_ident()) or 7)
         assert ran == []
         assert collect() == 7

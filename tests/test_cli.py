@@ -269,6 +269,22 @@ def test_invalid_learning_rate_names_field(tmp_path, workspace, capsys):
     assert not (tmp_path / "x").exists()  # no partial writes on validation failure
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "adam_eps"])
+def test_non_finite_training_setting_rejected_before_any_step(
+    tmp_path, workspace, classifier_checkpoint, capsys, monkeypatch, field, value
+):
+    steps = []
+    monkeypatch.setattr(training, "_train_step", lambda *a: steps.append(a))
+    argv, _ = _recorded_run("finetune", {**workspace, "classifier": classifier_checkpoint})
+    out = tmp_path / "x"
+    assert cli.main([*argv, f"--{field}", value, "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {field} must be finite, got {float(value)}"]
+    assert steps == []
+    assert not out.exists()
+
+
 def test_all_config_errors_reported_at_once(tmp_path, workspace, capsys):
     code = cli.main([
         "pretrain",
@@ -633,6 +649,24 @@ def test_scale_study_requires_init(workspace, tmp_path, capsys):
     ])
     assert code == 1
     assert "--init" in capsys.readouterr().err
+
+
+def test_scale_study_refuses_a_repeated_init_name(workspace, tmp_path, capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path))
+    out = tmp_path / "x"
+    code = cli.main([
+        "scale-study",
+        "--corpus", str(workspace["corpus"]),
+        "--splits", str(workspace["splits"]),
+        "--tokenizer", str(workspace["tokenizer"]),
+        "--init", f"a={workspace['checkpoint']}",
+        "--init", f"a={workspace['checkpoint']}.other",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --init names 'a' more than once"]
+    assert loaded == [] and not out.exists()
 
 
 def test_topics_command(tmp_path, workspace, capsys):

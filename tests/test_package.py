@@ -548,7 +548,7 @@ def test_no_module_keeps_a_global_switch():
 
 
 def test_threads_start_only_in_autodiff():
-    """`run_tasks` and `background_jobs` are the only places that start a thread, so one rule bounds them all."""
+    """A `one_blas_thread` block's worker is the only thread the package starts, so one rule bounds them all."""
     starters = {"ThreadPoolExecutor", "Thread"}
     found = set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):

@@ -1027,6 +1027,29 @@ def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, to
     assert threading.active_count() == before
 
 
+def test_a_run_starts_one_thread(
+    monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint, split_model_config, long_segments
+):
+    """A split-step pretraining run with a held-out pass, and a fine-tuning run with its validation jobs and final
+    evaluation, each put all their second-core work on one worker thread, joined when the run ends."""
+    _two_usable_cpus(monkeypatch)
+    started, halves = [], _record_threads(monkeypatch)
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or real_start(thread))
+    before = threading.active_count()
+
+    config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=2, log_every=1, seed=5)
+    result = pretrain_mlm(config, long_segments, split_model_config, toy_tokenizer, val_segments=long_segments[:4])
+    assert len(halves) == 4 and len(set(halves)) == 2  # two split steps, one half of each on the worker
+    assert all(record.validation_loss is not None for record in result.history)
+    assert len(started) == 1 and threading.active_count() == before
+
+    started.clear()
+    config = TrainingConfig(learning_rate=1e-3, batch_size=8, total_steps=6, eval_checkpoints=3, seed=4)
+    finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer)
+    assert len(started) == 1 and threading.active_count() == before
+
+
 def test_at_most_two_threads_run_the_encoder(monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint):
     """Split steps and validation passes of two batches each: the halves and the pass never make three."""
     _two_usable_cpus(monkeypatch)
