@@ -17,6 +17,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -75,6 +76,11 @@ class EmbeddingMatrix:
         if not np.all(np.isfinite(self.matrix)):
             raise AnalysisError("embedding matrix contains non-finite entries")
 
+    @cached_property
+    def pca_axes(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """`_pca_axes` of the rows, computed on first use: the rows must not change after."""
+        return _pca_axes(self.matrix)
+
 
 def export_cls_embeddings(
     checkpoint: Checkpoint,
@@ -107,27 +113,30 @@ def export_cls_embeddings(
 # -- projection -------------------------------------------------------------------
 
 
-def pca_project(matrix: np.ndarray, n_components: int) -> np.ndarray:
-    """Project rows onto the top principal components, deterministically.
+def _pca_axes(matrix) -> tuple[np.ndarray, np.ndarray | None]:
+    """The centered float64 rows and their principal axes, largest first.
 
-    Sign convention: each component's largest-magnitude loading is positive,
-    so identical inputs always give identical coordinates.
+    Sign convention: each axis's largest-magnitude loading is positive, so
+    identical inputs always give identical coordinates. Identical rows have
+    no axes (None), with a warning.
     """
     x = np.asarray(matrix, dtype=np.float64)
     centered = x - x.mean(axis=0, keepdims=True)
     if np.max(np.abs(centered)) == 0.0:
         warnings.warn("all embedding rows are identical; projecting every point to the origin")
-        return np.zeros((x.shape[0], n_components))
+        return centered, None
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:n_components]
-    for row in range(components.shape[0]):
-        pivot = np.argmax(np.abs(components[row]))
-        if components[row, pivot] < 0:
-            components[row] = -components[row]
-    coords = centered @ components.T
-    if coords.shape[1] < n_components:
-        coords = np.pad(coords, ((0, 0), (0, n_components - coords.shape[1])))
-    return coords
+    pivots = np.abs(vt).argmax(axis=1)
+    vt[vt[np.arange(len(vt)), pivots] < 0] *= -1
+    return centered, vt
+
+
+def pca_project(matrix: EmbeddingMatrix | np.ndarray, n_components: int) -> np.ndarray:
+    """Rows on the top `n_components` axes; an `EmbeddingMatrix`'s projections share one SVD."""
+    centered, vt = matrix.pca_axes if isinstance(matrix, EmbeddingMatrix) else _pca_axes(matrix)
+    if vt is None:
+        return np.zeros((centered.shape[0], n_components))
+    return centered @ vt[:n_components].T
 
 
 def project_2d(matrix: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -137,7 +146,7 @@ def project_2d(matrix: EmbeddingMatrix | np.ndarray) -> np.ndarray:
         raise AnalysisError(f"need at least 3 rows to project, got {x.shape[0]}")
     if x.shape[1] < 2:
         raise AnalysisError(f"need at least 2 dimensions, got {x.shape[1]}")
-    return pca_project(x, 2)
+    return pca_project(matrix, 2)
 
 
 # -- clustering -------------------------------------------------------------------
@@ -174,6 +183,35 @@ def _smallest_connected_row(n: int, pairs: np.ndarray) -> np.ndarray:
             return label
 
 
+def _radius_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """Every row pair (i < j) whose squared distance, summed directly, is at most radius².
+
+    One GEMM per block of at most 128 rows (2 MiB from 2048 rows on), upper
+    triangle only, gives |a|² - 2 a·b + |b|², which is within `tol` of the
+    direct sum in any order of summation: it decides the pairs outside
+    radius² ± tol and the direct sum decides the few inside.
+    """
+    n = len(points)
+    r2 = radius * radius
+    norms = np.einsum("ij,ij->i", points, points)[:, None]
+    tol = 1e-12 * (2 * norms.max() + r2)
+    # Row i of `lhs` times row j of `rhs` is |p_i|² - 2 p_i·p_j + |p_j|².
+    lhs = np.hstack([-2 * points, norms, np.ones_like(norms)])
+    rhs = np.hstack([points, np.ones_like(norms), norms])
+    rows = max(1, min(128, 2**18 // n))
+    found = []
+    for start in range(0, n, rows):
+        d2 = lhs[start : start + rows] @ rhs[start:].T
+        flat = np.flatnonzero(d2 <= r2 + tol)
+        near = d2.ravel()[flat] >= r2 - tol
+        i, j = flat // (n - start) + start, flat % (n - start) + start
+        keep = j > i
+        near &= keep
+        keep[near] = np.sum((points[i[near]] - points[j[near]]) ** 2, axis=-1) <= r2
+        found.append(np.stack([i[keep], j[keep]], axis=1, dtype=np.int32))
+    return np.concatenate(found)
+
+
 def cluster_embeddings(
     matrix: EmbeddingMatrix,
     min_cluster_size: int,
@@ -184,13 +222,9 @@ def cluster_embeddings(
     Points whose distance is at most `radius` are density-connected; connected
     groups of at least `min_cluster_size` points become clusters (numbered by
     decreasing size, then by smallest member row), everything else is an
-    outlier. The radius graph is built from k-d tree pairs, so memory grows
-    with the number of close pairs rather than with n^2.
+    outlier. The radius graph is built block by block (`_radius_pairs`), so
+    memory holds one block of distances plus the close pairs, not n^2.
     """
-    # Imported here, not at module level: it adds resident memory to every
-    # command that imports this module, and only this function needs it.
-    from scipy.spatial import cKDTree
-
     if min_cluster_size < 2:
         raise AnalysisError(f"min_cluster_size must be at least 2, got {min_cluster_size}")
     if not 0 < radius < np.inf:
@@ -200,9 +234,8 @@ def cluster_embeddings(
     if n < min_cluster_size:
         raise AnalysisError(f"{n} rows cannot contain a cluster of size {min_cluster_size}")
 
-    reduced = pca_project(x, min(16, x.shape[1], n))
-    pairs = cKDTree(reduced).query_pairs(radius, output_type="ndarray")
-    smallest = _smallest_connected_row(n, pairs)
+    reduced = pca_project(matrix, min(16, x.shape[1], n))
+    smallest = _smallest_connected_row(n, _radius_pairs(reduced, radius))
     first_row, component, sizes = np.unique(smallest, return_inverse=True, return_counts=True)
 
     order = np.lexsort((first_row, -sizes))

@@ -323,7 +323,11 @@ def read_split_manifest(path) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"split manifest not found: {path}")
-    return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    first_line: dict[str, int] = {}
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if line and first_line.setdefault(line, line_no) != line_no:
+            raise CorpusError(f"{path}:{line_no}: id {line!r} repeats line {first_line[line]}")
+    return list(first_line)
 
 
 def select_documents(docs: Sequence[Document], ids: Sequence[str]) -> list[Document]:

@@ -14,6 +14,7 @@ from domainlm.analysis import (
     AnalysisError,
     ClusterAssignment,
     EmbeddingMatrix,
+    _radius_pairs,
     cbtfidf_topics,
     cluster_embeddings,
     export_cls_embeddings,
@@ -212,6 +213,75 @@ def test_clustering_matches_dense_bfs_oracle(x, radius, min_cluster_size):
     assignment = cluster_embeddings(_matrix(x), min_cluster_size=min_cluster_size, radius=radius)
     assert assignment.assignments == {f"d{row}": c for row, c in expected.items()}
     assert assignment.n_clusters == max(expected.values())
+
+
+def _cloud_near_radius(n, dim, radius, seed, center=0.0):
+    """`n` points in a 10-wide cube; about half sit at radius ± 1e-13 from an earlier point. Rows shuffled."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(center - 5.0, center + 5.0, size=(n, dim))
+    for row in range(1, n):
+        if rng.random() < 0.5:
+            u = rng.normal(size=dim)
+            x[row] = x[rng.integers(row)] + (radius + rng.choice([-1e-13, 1e-13])) * u / np.linalg.norm(u)
+    return x[rng.permutation(n)]
+
+
+_ACROSS_BLOCKS = dict(
+    n=st.integers(200, 700),
+    dim=st.integers(1, 16),
+    radius=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**_ACROSS_BLOCKS)
+def test_radius_pairs_match_direct_sums_and_a_k_d_tree_across_blocks(n, dim, radius, seed):
+    # 200-700 rows span 2-6 blocks of 128, most with a ragged last block. Away
+    # from the origin the expanded form |a|² + |b|² - 2 a·b loses more than
+    # 1e-13 to cancellation, so only the direct sums decide these pairs.
+    from scipy.spatial import cKDTree
+
+    x = _cloud_near_radius(n, dim, radius, seed, center=50.0)
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    assert np.any(np.abs(d2 - radius * radius) < 1e-12)  # pairs inside the band that the direct sum decides
+    pairs = _radius_pairs(x, radius)
+    assert pairs.dtype == np.int32
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == len(pairs)
+    i, j = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+    assert found == set(zip(i.tolist(), j.tolist()))
+    assert found == set(map(tuple, cKDTree(x).query_pairs(radius, output_type="ndarray").tolist()))
+
+
+@settings(max_examples=10, deadline=None)
+@given(**_ACROSS_BLOCKS, min_cluster_size=st.integers(2, 6))
+def test_clustering_matches_dense_bfs_oracle_across_blocks(n, dim, radius, seed, min_cluster_size):
+    x = _cloud_near_radius(n, dim, radius, seed)
+    expected, _ = _oracle_cluster(x, min_cluster_size, radius)
+    assignment = cluster_embeddings(_matrix(x), min_cluster_size=min_cluster_size, radius=radius)
+    assert assignment.assignments == {f"d{row}": c for row, c in expected.items()}
+    assert assignment.n_clusters == max(expected.values())
+
+
+def test_identical_rows_warn_once_per_matrix():
+    matrix = _matrix(np.ones((6, 4)))
+    with pytest.warns(UserWarning, match="identical") as record:
+        coords = project_2d(matrix)
+        assignment = cluster_embeddings(matrix, min_cluster_size=2, radius=1.0)
+    assert len(record) == 1
+    np.testing.assert_array_equal(coords, np.zeros((6, 2)))
+    assert assignment.n_clusters == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_projection_of_a_matrix_is_its_own_two_axis_product(seed):
+    # At (120, 32), the first two columns of the 16-axis product differ from
+    # the 2-axis product in the last bits; the projection must stay the latter.
+    x = np.random.default_rng(seed).normal(size=(120, 32))
+    matrix = _matrix(x)
+    cluster_embeddings(matrix, min_cluster_size=2, radius=1.0)
+    np.testing.assert_array_equal(project_2d(matrix), pca_project(x, 2))
 
 
 def test_clustering_memory_stays_below_dense_distance_tensor():

@@ -690,6 +690,46 @@ def test_topics_command(tmp_path, workspace, capsys):
     assert "clusters" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, manifest", [("topics", "pretrain.txt"), ("finetune", "finetune_train.txt")])
+def test_a_repeated_manifest_id_is_refused(tmp_path, workspace, command, manifest, capsys):
+    """A repeated id would pair a document with its copy in `topics` and weight it twice in training."""
+    splits = tmp_path / "splits"
+    splits.mkdir()
+    for path in workspace["splits"].iterdir():
+        (splits / path.name).write_bytes(path.read_bytes())
+    ids = (splits / manifest).read_text(encoding="utf-8").splitlines()
+    (splits / manifest).write_text("".join(f"{i}\n" for i in ids + ids[:3]), encoding="utf-8")
+    argv, _ = _recorded_run(command, {**workspace, "splits": splits, "classifier": workspace["checkpoint"]})
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {splits / manifest}:{len(ids) + 1}: id {ids[0]!r} repeats line 1"
+    ]
+    assert not out.exists()
+
+
+def test_topics_runs_one_svd_and_no_k_d_tree(tmp_path, workspace, monkeypatch):
+    """The projection and the clusterer share one PCA, and the radius graph needs no `scipy.spatial`."""
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    argv, _ = _recorded_run("topics", {**workspace, "classifier": workspace["checkpoint"]})
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(svd_calls) == 1
+
+    code = (
+        "import sys; from domainlm import cli; "
+        "assert cli.main(sys.argv[1:]) == 0; "
+        "print('scipy.spatial' in sys.modules)"
+    )
+    assert _run_child(code, *argv, "--out", str(tmp_path / "child")).splitlines()[-1] == "False"
+
+
 def test_runtime_errors_exit_two(monkeypatch, workspace, tmp_path, capsys):
     def diverge(*args, **kwargs):
         raise TrainingDivergedError("non-finite MLM loss at step 1")

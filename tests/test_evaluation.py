@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domainlm.autodiff as autodiff_module
 import domainlm.evaluation as evaluation_module
@@ -22,7 +24,7 @@ from domainlm.evaluation import (
     evaluate_mlm,
     mlm_cross_entropy,
 )
-from domainlm.model import encoder_forward, mlm_logits_from_hidden
+from domainlm.model import ModelConfig, encoder_forward, init_parameters, mlm_logits_from_hidden
 from domainlm.corpus import nested_subsets
 from domainlm.model import ModelError
 from domainlm.training import (
@@ -263,6 +265,31 @@ def test_evaluate_mlm_batch_invariance(toy_docs, toy_tokenizer, toy_base_checkpo
         for size in range(1, len(segments) + 1)
     }
     assert len(set(losses.values())) == 1, losses
+
+
+# The `topics` bench model's shape. At ff 256 no product has an inner
+# dimension above 256, the case in which OpenBLAS's small-matrix kernel can
+# sum a short batch otherwise than the full-size kernel (see the README).
+_TOPICS_CONFIG = ModelConfig(
+    num_layers=2, num_heads=2, hidden_dim=64, ff_dim=256, vocab_size=300, max_positions=64, dropout_rate=0.0
+)
+_TOPICS_PARAMS = init_parameters(_TOPICS_CONFIG, seed=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lengths=st.lists(st.integers(2, 48), min_size=2, max_size=48),
+    batch_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cls_vectors_are_bitwise_batch_invariant_at_the_topics_shape(lengths, batch_fraction, seed):
+    rng = np.random.default_rng(seed)
+    sequences = [rng.integers(1, _TOPICS_CONFIG.vocab_size, size=n) for n in lengths]
+    batch_size = 1 + int(batch_fraction * (len(sequences) - 1))
+    order = rng.permutation(len(sequences))
+    whole = cls_vectors(_TOPICS_PARAMS, _TOPICS_CONFIG, sequences, 0, batch_size=len(sequences))
+    shuffled = cls_vectors(_TOPICS_PARAMS, _TOPICS_CONFIG, [sequences[i] for i in order], 0, batch_size=batch_size)
+    np.testing.assert_array_equal(shuffled, whole[order])
 
 
 @pytest.mark.parametrize("function", [cls_vectors, batched_cls_logits])

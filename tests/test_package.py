@@ -581,8 +581,8 @@ def test_stored_parameters_do_not_require_grad(tmp_path, toy_docs, toy_tokenizer
     assert taped == {source: [] for source in sources}
 
 
-def test_no_module_imports_scipy_sparse():
-    """The clusterer joins its radius pairs by label propagation, without the sparse-graph package and its import."""
+def _package_imports_of(package: str) -> list[str]:
+    """Each absolute import of `package` or of its submodules in the package, as "module: name"."""
     imported = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -590,4 +590,14 @@ def test_no_module_imports_scipy_sparse():
                 imported += [f"{path.stem}: {alias.name}" for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names]
-    assert [name for name in imported if name.split(": ")[1].startswith("scipy.sparse")] == []
+    return [name for name in imported if name.split(": ")[1].startswith(package)]
+
+
+def test_no_module_imports_scipy_sparse():
+    """The clusterer joins its radius pairs by label propagation, without the sparse-graph package and its import."""
+    assert _package_imports_of("scipy.sparse") == []
+
+
+def test_no_module_imports_scipy_spatial():
+    """The clusterer finds its radius pairs with blocked numpy products; the k-d tree's import cost more than its query."""
+    assert _package_imports_of("scipy.spatial") == []
