@@ -172,11 +172,12 @@ def _smallest_connected_row(n: int, pairs: np.ndarray) -> np.ndarray:
     Label propagation: each pair gives both ends the smaller label, then pointer
     jumping, until a round changes nothing and so every pair's ends agree.
     """
+    first, second = pairs.T.astype(np.intp, order="C")  # converted once, not at every gather and scatter
     label = np.arange(n)
     while True:
         before = label.copy()
-        np.minimum.at(label, pairs[:, 0], label[pairs[:, 1]])
-        np.minimum.at(label, pairs[:, 1], label[pairs[:, 0]])
+        np.minimum.at(label, first, label[second])
+        np.minimum.at(label, second, label[first])
         while not np.array_equal(jumped := label[label], label):
             label = jumped
         if np.array_equal(label, before):

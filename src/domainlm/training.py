@@ -35,11 +35,9 @@ from .data import (
 from .evaluation import (
     EvaluationError,
     MetricsReport,
-    batched_cls_logits,
     document_label,
     evaluate_classifier,
     evaluate_mlm,
-    mlm_cross_entropy,
 )
 from .model import (
     Checkpoint,
@@ -446,15 +444,17 @@ def finetune_classifier(
     """Fine-tune a classifier head (and the whole encoder) on labeled documents.
 
     The encoder is warm-started from `init`; the head is freshly initialized.
-    Validation loss is computed at `eval_checkpoints` evenly spaced steps and
-    the returned best checkpoint is the argmin (earliest on ties).
+    At `eval_checkpoints` evenly spaced steps `evaluate_classifier` scores the
+    weights on the validation split; the best checkpoint is the one of least
+    validation loss (earliest on ties, `select_best_checkpoint`), and the
+    run's `metrics` are that step's own report.
 
     At an evaluation step the weights are copied, and a job submitted to the
     run's worker (`autodiff.submit`) writes the step's checkpoint from the
-    copy and runs the validation pass on it, on the second core while the
-    next steps train. Its loss, or its error, is collected in step order,
-    before the next job starts and after the last step, so the results are
-    those of jobs run in turn.
+    copy and evaluates it, on the second core while the next steps train.
+    Its report, or its error, is collected in step order, before the next
+    job starts and after the last step, so the results are those of jobs
+    run in turn.
     """
     config.validate()
     if task not in ("binary", "multiclass"):
@@ -482,10 +482,7 @@ def finetune_classifier(
     model_config, params = with_fresh_classifier(init, len(class_labels), config.seed)
     index = {label: i for i, label in enumerate(class_labels)}
     train_idx = np.array([index[lab] for lab in train_labels], dtype=np.int64)
-    val_idx = np.array([index[lab] for lab in val_labels], dtype=np.int64)
-
     train_seqs = [encode_for_classification(d, tokenizer, model_config.max_positions) for d in train_docs]
-    val_seqs = [encode_for_classification(d, tokenizer, model_config.max_positions) for d in validation_docs]
 
     total_steps = _resolve_total_steps(config, len(train_seqs))
     eval_steps = set(checkpoint_steps(total_steps, config.eval_checkpoints))
@@ -496,6 +493,7 @@ def finetune_classifier(
     history: list[LossRecord] = []
     best_meta: CheckpointMeta | None = None
     best_params: dict[str, Tensor] | None = None
+    metrics: MetricsReport | None = None  # the best step's report
     # A collected weights copy that is not the best. The next evaluation step copies the weights into it, so at
     # most two copies live, the best and the one in flight; a step's Checkpoint object does not keep its weights.
     spare: dict[str, Tensor] | None = None
@@ -503,23 +501,24 @@ def finetune_classifier(
 
     def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
         extra = {"objective": task, "class_labels": class_labels, "step": step_1}
-        return Checkpoint(config=model_config, params=weights, tokenizer_hash=tokenizer.fingerprint(), extra=extra)
+        return Checkpoint(config=model_config, params=weights, tokenizer_hash=init.tokenizer_hash, extra=extra)
 
-    def write_and_validate(step_1: int, path: Path | None, weights: dict[str, Tensor]) -> float:
-        """Write the step's checkpoint, if a path is given, then return the validation loss of `weights`."""
+    def write_and_validate(step_1: int, path: Path | None, weights: dict[str, Tensor]) -> MetricsReport:
+        """Write the step's checkpoint, if a path is given, then return its report on the validation split."""
+        checkpoint = checkpoint_at(step_1, weights)
         if path is not None:
-            save_checkpoint(checkpoint_at(step_1, weights), path)
-        logits = batched_cls_logits(weights, model_config, val_seqs, tokenizer.pad_id, config.batch_size)
-        return mlm_cross_entropy(logits, val_idx)
+            save_checkpoint(checkpoint, path)
+        return evaluate_classifier(checkpoint, validation_docs, task, tokenizer, config.batch_size)
 
     def collect_validation(record: LossRecord, path: Path | None, weights: dict[str, Tensor], collect) -> None:
         """Fill in an evaluation step's validation loss once its pass is done, and keep its weights if best."""
-        nonlocal best_meta, best_params, spare
-        record.validation_loss = collect()
-        meta = CheckpointMeta(step=record.step, validation_loss=record.validation_loss, path=path)
+        nonlocal best_meta, best_params, metrics, spare
+        report = collect()
+        record.validation_loss = report.loss
+        meta = CheckpointMeta(step=record.step, validation_loss=report.loss, path=path)
         checkpoints.append(meta)
-        if best_meta is None or meta.validation_loss < best_meta.validation_loss:
-            best_meta, best_params, weights = meta, weights, best_params
+        if select_best_checkpoint([meta] if best_meta is None else [best_meta, meta]) is meta:
+            best_meta, best_params, metrics, weights = meta, weights, report, best_params
         spare = weights
 
     pending = None  # collect_validation's arguments for the pass in flight; its weights copy is the best if it wins
@@ -544,12 +543,10 @@ def finetune_classifier(
             history.append(LossRecord(step_1, train_loss, None))
     collect_validation(*pending)
 
-    assert best_meta is not None and best_params is not None
-    assert best_meta is select_best_checkpoint(checkpoints)
+    assert best_meta is not None and best_params is not None and metrics is not None
     best_meta.is_best = True
 
     best_checkpoint = checkpoint_at(best_meta.step, best_params)
-    metrics = evaluate_classifier(best_checkpoint, validation_docs, task, tokenizer, config.batch_size)
     if out_dir is not None:
         _write_run_dir(out_dir, config, history)
         save_checkpoint(best_checkpoint, out_dir / "checkpoints" / "best.npz")

@@ -455,14 +455,17 @@ def _enclosing(tree: ast.AST) -> dict[int, str]:
 
 
 def test_each_shared_job_has_one_implementation():
-    """One CSV writer, one checkpoint-tokenizer check, one dropout-stream seed, one manifest write
-    and one reader of a classifier checkpoint's head metadata.
+    """One CSV writer, one checkpoint-tokenizer check, one dropout-stream seed, one manifest write,
+    one reader of a classifier checkpoint's head metadata and one classifier scorer.
 
     The commands report what they read and wrote; `cli.main` times them and
     writes the manifest. Fine-tuning writes `objective` and `class_labels`
-    into a checkpoint's `extra`; only `evaluation.evaluate_classifier` reads them.
+    into a checkpoint's `extra`; only `evaluation.evaluate_classifier` reads
+    them, and only it turns a classifier's logits into a loss: fine-tuning's
+    validation passes go through it too.
     """
     csv_writers, tokenizer_checks, dropout_reads, manifest_writes, clock_reads, head_reads = [], [], [], [], [], []
+    scorer_calls = []
     head_keys = {"class_labels", "objective"}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -503,6 +506,11 @@ def test_each_shared_job_has_one_implementation():
                 and getattr(node.args[0], "value", None) in head_keys
             ):
                 head_reads.append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in {
+                "batched_cls_logits",
+                "mlm_cross_entropy",
+            }:
+                scorer_calls.append(where)
     assert csv_writers == ["configio:write_csv"]
     assert tokenizer_checks == ["model:Checkpoint.check_tokenizer"]
     assert len(dropout_reads) == 1
@@ -510,6 +518,7 @@ def test_each_shared_job_has_one_implementation():
     assert "cli:main" in clock_reads
     assert [where for where in clock_reads if where.startswith("cli:_cmd_")] == []
     assert set(head_reads) == {"evaluation:evaluate_classifier"}
+    assert sorted(scorer_calls) == ["evaluation:evaluate_classifier"] * 2
 
 
 def test_blas_thread_controls_live_in_one_helper_and_nothing_reads_the_environment():

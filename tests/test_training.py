@@ -8,7 +8,7 @@ import pytest
 
 from domainlm.autodiff import Tensor
 from domainlm.data import encode_for_classification
-from domainlm.evaluation import cls_vectors, evaluate_mlm
+from domainlm.evaluation import cls_vectors, evaluate_classifier, evaluate_mlm
 from domainlm.model import ModelConfig, ModelError
 from domainlm.training import (
     AdamW,
@@ -410,6 +410,24 @@ def test_finetune_selects_argmin_checkpoint(toy_docs, toy_tokenizer, toy_base_ch
     assert result.best.validation_loss == min(losses)
     assert [m.is_best for m in result.checkpoints].count(True) == 1
     assert result.best is select_best_checkpoint(result.checkpoints)
+
+
+def test_finetune_scores_each_evaluation_step_once_and_reports_the_best_steps_pass(
+    monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint
+):
+    """One classifier pass per evaluation step and none after the loop; `metrics` is the best step's own report,
+    field for field what evaluating the best checkpoint afresh gives, here for a best step before the last."""
+    passes = []
+    real = evaluation_module.batched_cls_logits
+    monkeypatch.setattr(evaluation_module, "batched_cls_logits", lambda *a, **k: passes.append(1) or real(*a, **k))
+    config = TrainingConfig(learning_rate=0.05, batch_size=16, total_steps=12, eval_checkpoints=6, seed=4)
+    validation = toy_docs[64:100]
+    result = finetune_classifier(config, toy_base_checkpoint, "binary", toy_docs[:64], validation, toy_tokenizer)
+    assert len(passes) == config.eval_checkpoints
+    assert result.best.step == 6 and result.checkpoints[-1].step == 12
+    assert result.metrics.loss == result.best.validation_loss
+    fresh = evaluate_classifier(result.best_checkpoint, validation, "binary", toy_tokenizer, config.batch_size)
+    assert result.metrics == fresh
 
 
 def test_finetune_single_checkpoint_evaluates_final_step(
@@ -887,7 +905,7 @@ def test_background_validation_writes_the_bytes_of_validation_in_turn(
         learning_rate=1e-3, batch_size=batch_size, total_steps=6, eval_checkpoints=3, log_every=1, seed=4
     )
     splits, validation_threads, write_threads, weights_at = [], [], [], {}
-    real_split, real_logits = training_module._split, training_module.batched_cls_logits
+    real_split, real_logits = training_module._split, evaluation_module.batched_cls_logits
     real_step, real_save = training_module._train_step, training_module.save_checkpoint
 
     def train_step(optimizer, *args):
@@ -909,7 +927,7 @@ def test_background_validation_writes_the_bytes_of_validation_in_turn(
         return real_logits(*args, **kwargs)
 
     monkeypatch.setattr(training_module, "_split", split)
-    monkeypatch.setattr(training_module, "batched_cls_logits", logits)
+    monkeypatch.setattr(evaluation_module, "batched_cls_logits", logits)
     monkeypatch.setattr(training_module, "_train_step", train_step)
     monkeypatch.setattr(training_module, "save_checkpoint", save)
     here = threading.get_ident()
@@ -944,7 +962,7 @@ def test_a_failing_validation_pass_raises_on_the_caller(
     _two_usable_cpus(monkeypatch)
     monkeypatch.setattr(autodiff_module, "_worker_count", lambda cpus: workers)
     calls = []
-    real = training_module.batched_cls_logits
+    real = evaluation_module.batched_cls_logits
 
     def fails_second(*args, **kwargs):
         calls.append(threading.get_ident())
@@ -952,7 +970,7 @@ def test_a_failing_validation_pass_raises_on_the_caller(
             raise FloatingPointError("validation pass 2 failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(training_module, "batched_cls_logits", fails_second)
+    monkeypatch.setattr(evaluation_module, "batched_cls_logits", fails_second)
     config = TrainingConfig(learning_rate=1e-3, batch_size=16, total_steps=6, eval_checkpoints=3, seed=4)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="^validation pass 2 failed$"):
@@ -1004,7 +1022,7 @@ def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, to
     assert threading.active_count() == before
 
     started, release = threading.Event(), threading.Event()
-    real = training_module.batched_cls_logits
+    real = evaluation_module.batched_cls_logits
     seen = []
 
     def held(*a, **k):
@@ -1019,7 +1037,7 @@ def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, to
             raise TrainingDivergedError("non-finite gradient at step 3")
         _check_gradients(grads, step)
 
-    monkeypatch.setattr(training_module, "batched_cls_logits", held)
+    monkeypatch.setattr(evaluation_module, "batched_cls_logits", held)
     monkeypatch.setattr(training_module, "_check_gradients", diverges_at_step_3)
     with pytest.raises(TrainingDivergedError, match="step 3"):
         finetune_classifier(*args)
@@ -1030,8 +1048,8 @@ def test_no_thread_outlives_fine_tuning(monkeypatch, toy_docs, toy_tokenizer, to
 def test_a_run_starts_one_thread(
     monkeypatch, toy_docs, toy_tokenizer, toy_base_checkpoint, split_model_config, long_segments
 ):
-    """A split-step pretraining run with a held-out pass, and a fine-tuning run with its validation jobs and final
-    evaluation, each put all their second-core work on one worker thread, joined when the run ends."""
+    """A split-step pretraining run with a held-out pass, and a fine-tuning run with its validation jobs, each put all
+    their second-core work on one worker thread, joined when the run ends."""
     _two_usable_cpus(monkeypatch)
     started, halves = [], _record_threads(monkeypatch)
     real_start = threading.Thread.start
