@@ -78,8 +78,22 @@ class EmbeddingMatrix:
 
     @cached_property
     def pca_axes(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """`_pca_axes` of the rows, computed on first use: the rows must not change after."""
-        return _pca_axes(self.matrix)
+        """The centered float64 rows and their principal axes, largest first, computed on first use: the rows
+        must not change after.
+
+        Sign convention: each axis's largest-magnitude loading is positive, so
+        identical inputs always give identical coordinates. Identical rows have
+        no axes (None), with a warning.
+        """
+        x = np.asarray(self.matrix, dtype=np.float64)
+        centered = x - x.mean(axis=0, keepdims=True)
+        if np.max(np.abs(centered)) == 0.0:
+            warnings.warn("all embedding rows are identical; projecting every point to the origin")
+            return centered, None
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        pivots = np.abs(vt).argmax(axis=1)
+        vt[vt[np.arange(len(vt)), pivots] < 0] *= -1
+        return centered, vt
 
 
 def export_cls_embeddings(
@@ -113,39 +127,21 @@ def export_cls_embeddings(
 # -- projection -------------------------------------------------------------------
 
 
-def _pca_axes(matrix) -> tuple[np.ndarray, np.ndarray | None]:
-    """The centered float64 rows and their principal axes, largest first.
-
-    Sign convention: each axis's largest-magnitude loading is positive, so
-    identical inputs always give identical coordinates. Identical rows have
-    no axes (None), with a warning.
-    """
-    x = np.asarray(matrix, dtype=np.float64)
-    centered = x - x.mean(axis=0, keepdims=True)
-    if np.max(np.abs(centered)) == 0.0:
-        warnings.warn("all embedding rows are identical; projecting every point to the origin")
-        return centered, None
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    pivots = np.abs(vt).argmax(axis=1)
-    vt[vt[np.arange(len(vt)), pivots] < 0] *= -1
-    return centered, vt
-
-
-def pca_project(matrix: EmbeddingMatrix | np.ndarray, n_components: int) -> np.ndarray:
-    """Rows on the top `n_components` axes; an `EmbeddingMatrix`'s projections share one SVD."""
-    centered, vt = matrix.pca_axes if isinstance(matrix, EmbeddingMatrix) else _pca_axes(matrix)
+def pca_project(matrix: EmbeddingMatrix, n_components: int) -> np.ndarray:
+    """Rows on the top `n_components` axes; a matrix's projections share one SVD."""
+    centered, vt = matrix.pca_axes
     if vt is None:
         return np.zeros((centered.shape[0], n_components))
     return centered @ vt[:n_components].T
 
 
-def project_2d(matrix: EmbeddingMatrix | np.ndarray) -> np.ndarray:
+def project_2d(matrix: EmbeddingMatrix) -> np.ndarray:
     """Two-dimensional PCA coordinates, one (x, y) row per embedding row."""
-    x = matrix.matrix if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix)
-    if x.shape[0] < 3:
-        raise AnalysisError(f"need at least 3 rows to project, got {x.shape[0]}")
-    if x.shape[1] < 2:
-        raise AnalysisError(f"need at least 2 dimensions, got {x.shape[1]}")
+    rows, dims = matrix.matrix.shape
+    if rows < 3:
+        raise AnalysisError(f"need at least 3 rows to project, got {rows}")
+    if dims < 2:
+        raise AnalysisError(f"need at least 2 dimensions, got {dims}")
     return pca_project(matrix, 2)
 
 

@@ -8,6 +8,7 @@ every time a segment is masked, from a generator the caller seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,24 +50,16 @@ def pack_segments(
     Documents are concatenated with a separator token between them and the
     stream is chopped every `segment_length` tokens, so segments freely cross
     document boundaries. A final short segment is kept (it is padded at batch
-    assembly, not dropped).
+    assembly, not dropped). The stream is built once, as one int64 array, and
+    the segments are views of it.
     """
     if segment_length < 1:
         raise TrainingError("segment_length must be at least 1")
-    segments: list[np.ndarray] = []
-    buffer: list[int] = []
-    for i, tokens in enumerate(token_stream):
-        if i > 0:
-            buffer.append(separator_id)
-        buffer.extend(int(t) for t in tokens)
-        while len(buffer) >= segment_length:
-            segments.append(np.array(buffer[:segment_length], dtype=np.int64))
-            del buffer[:segment_length]
-    if buffer:
-        segments.append(np.array(buffer, dtype=np.int64))
-    if not segments:
+    separated = chain.from_iterable(chain((separator_id,), tokens) for tokens in token_stream)
+    stream = np.fromiter(separated, dtype=np.int64)[1:]  # less the first document's separator
+    if not len(stream):
         raise TrainingError("token stream is empty; nothing to pack")
-    return segments
+    return np.split(stream, range(segment_length, len(stream), segment_length))
 
 
 @dataclass
@@ -91,8 +84,9 @@ def apply_dynamic_masking(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(np.random.SeedSequence((int(rng), _STREAM_MASK)))
     segment = np.asarray(segment, dtype=np.int64)
-    special_ids = np.fromiter(tokenizer.special_ids, dtype=np.int64)
-    maskable = ~np.isin(segment, special_ids)
+    # `Vocabulary.validate` holds the specials at ids 0 … lo-1.
+    lo = len(tokenizer.specials.as_tuple())
+    maskable = segment >= lo
     n_maskable = int(maskable.sum())
     if n_maskable == 0:
         raise TrainingError("segment contains only special tokens; nothing to mask")
@@ -110,7 +104,6 @@ def apply_dynamic_masking(
 
     n_random = int(to_random.sum())
     if n_random:
-        lo = len(tokenizer.specials.as_tuple())
         hi = tokenizer.vocab_size
         if hi - lo < 2:
             raise TrainingError("vocabulary too small to draw replacement tokens")

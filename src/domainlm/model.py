@@ -91,10 +91,6 @@ class ModelConfig:
             raise ModelError(f"dtype must be float64 or float32, got {self.dtype!r}")
 
     @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
-
-    @property
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
@@ -466,6 +462,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ModelError(
                 f"parameter {name!r} has shape {params[name].data.shape}, config expects {shape}"
             )
+        if params[name].data.dtype != config.np_dtype:
+            raise ModelError(f"parameter {name!r} has dtype {params[name].data.dtype}, config expects {config.dtype}")
         if not np.all(np.isfinite(params[name].data)):
             raise ModelError(f"parameter {name!r} contains non-finite values")
     unexpected = set(params) - set(expected)

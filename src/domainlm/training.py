@@ -491,37 +491,32 @@ def finetune_classifier(
 
     checkpoints: list[CheckpointMeta] = []
     history: list[LossRecord] = []
-    best_meta: CheckpointMeta | None = None
-    best_params: dict[str, Tensor] | None = None
-    metrics: MetricsReport | None = None  # the best step's report
-    # A collected weights copy that is not the best. The next evaluation step copies the weights into it, so at
-    # most two copies live, the best and the one in flight; a step's Checkpoint object does not keep its weights.
+    best: tuple[CheckpointMeta, Checkpoint, MetricsReport] | None = None  # the best step's own checkpoint and report
+    # A collected weights copy that is not the best's. The next evaluation step copies the weights into it, so at
+    # most two copies live, the best and the one in flight, however many step Checkpoints a caller keeps.
     spare: dict[str, Tensor] | None = None
     out_dir = Path(out_dir) if out_dir is not None else None
 
-    def checkpoint_at(step_1: int, weights: dict[str, Tensor]) -> Checkpoint:
+    def write_and_validate(step_1: int, path: Path | None, weights: dict) -> tuple[Checkpoint, MetricsReport]:
+        """Write the step's checkpoint, if a path is given, then return it and its report on the validation split."""
         extra = {"objective": task, "class_labels": class_labels, "step": step_1}
-        return Checkpoint(config=model_config, params=weights, tokenizer_hash=init.tokenizer_hash, extra=extra)
-
-    def write_and_validate(step_1: int, path: Path | None, weights: dict[str, Tensor]) -> MetricsReport:
-        """Write the step's checkpoint, if a path is given, then return its report on the validation split."""
-        checkpoint = checkpoint_at(step_1, weights)
+        checkpoint = Checkpoint(config=model_config, params=weights, tokenizer_hash=init.tokenizer_hash, extra=extra)
         if path is not None:
             save_checkpoint(checkpoint, path)
-        return evaluate_classifier(checkpoint, validation_docs, task, tokenizer, config.batch_size)
+        return checkpoint, evaluate_classifier(checkpoint, validation_docs, task, tokenizer, config.batch_size)
 
-    def collect_validation(record: LossRecord, path: Path | None, weights: dict[str, Tensor], collect) -> None:
-        """Fill in an evaluation step's validation loss once its pass is done, and keep its weights if best."""
-        nonlocal best_meta, best_params, metrics, spare
-        report = collect()
+    def collect_validation(record: LossRecord, path: Path | None, collect) -> None:
+        """Fill in an evaluation step's validation loss once its pass is done, and keep its checkpoint if best."""
+        nonlocal best, spare
+        checkpoint, report = collect()
         record.validation_loss = report.loss
         meta = CheckpointMeta(step=record.step, validation_loss=report.loss, path=path)
         checkpoints.append(meta)
-        if select_best_checkpoint([meta] if best_meta is None else [best_meta, meta]) is meta:
-            best_meta, best_params, metrics, weights = meta, weights, report, best_params
-        spare = weights
+        if best is None or select_best_checkpoint([best[0], meta]) is meta:
+            best, checkpoint = (meta, checkpoint, report), best and best[1]  # the old best's weights are spare
+        spare = checkpoint and checkpoint.params
 
-    pending = None  # collect_validation's arguments for the pass in flight; its weights copy is the best if it wins
+    pending = None  # collect_validation's arguments for the pass in flight
     for step in range(total_steps):
         batch_idx = next(batches)
         ids, pad_mask = pad_batch([train_seqs[i] for i in batch_idx], tokenizer.pad_id)
@@ -538,15 +533,13 @@ def finetune_classifier(
             for name, p in params.items():
                 np.copyto(weights[name].data, p.data)
             path = None if out_dir is None else out_dir / "checkpoints" / f"step_{step_1:06d}.npz"
-            pending = (record, path, weights, submit(functools.partial(write_and_validate, step_1, path, weights)))
+            pending = (record, path, submit(functools.partial(write_and_validate, step_1, path, weights)))
         elif step_1 % config.log_every == 0 or step_1 == total_steps:
             history.append(LossRecord(step_1, train_loss, None))
     collect_validation(*pending)
 
-    assert best_meta is not None and best_params is not None and metrics is not None
+    best_meta, best_checkpoint, metrics = best
     best_meta.is_best = True
-
-    best_checkpoint = checkpoint_at(best_meta.step, best_params)
     if out_dir is not None:
         _write_run_dir(out_dir, config, history)
         save_checkpoint(best_checkpoint, out_dir / "checkpoints" / "best.npz")

@@ -43,7 +43,7 @@ def _pairwise(x):
 def test_projection_of_2d_data_preserves_distances():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 2)) @ np.array([[2.0, 0.3], [-0.5, 1.0]])
-    coords = project_2d(x)
+    coords = project_2d(_matrix(x))
     np.testing.assert_allclose(_pairwise(coords), _pairwise(x), atol=1e-9)
 
 
@@ -52,7 +52,7 @@ def test_projection_separates_blobs():
     a = rng.normal(size=(50, 64)) * 0.5
     b = rng.normal(size=(50, 64)) * 0.5
     b[:, 0] += 30.0
-    coords = project_2d(np.vstack([a, b]))
+    coords = project_2d(_matrix(np.vstack([a, b])))
     centroid_gap = np.linalg.norm(coords[:50].mean(0) - coords[50:].mean(0))
     within = np.mean([
         np.linalg.norm(coords[:50] - coords[:50].mean(0), axis=1).mean(),
@@ -64,31 +64,31 @@ def test_projection_separates_blobs():
 def test_identical_rows_project_to_origin_with_warning():
     x = np.ones((5, 8))
     with pytest.warns(UserWarning, match="identical"):
-        coords = project_2d(x)
+        coords = project_2d(_matrix(x))
     np.testing.assert_array_equal(coords, np.zeros((5, 2)))
 
 
 def test_projection_is_deterministic():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(30, 16))
-    np.testing.assert_array_equal(project_2d(x), project_2d(x))
+    np.testing.assert_array_equal(project_2d(_matrix(x)), project_2d(_matrix(x)))
 
 
 def test_projection_sign_convention_fixed():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(25, 6))
-    coords = project_2d(x)
+    coords = project_2d(_matrix(x))
     # By convention the largest-magnitude loading of each component is
     # positive, so the projection of the doubled dataset matches exactly.
-    doubled = project_2d(np.vstack([x, x]))
+    doubled = project_2d(_matrix(np.vstack([x, x])))
     np.testing.assert_allclose(doubled[:25], coords, atol=1e-8)
 
 
 def test_projection_requires_three_rows_and_two_dims():
     with pytest.raises(AnalysisError, match="3 rows"):
-        project_2d(np.zeros((2, 4)))
+        project_2d(_matrix(np.zeros((2, 4))))
     with pytest.raises(AnalysisError, match="2 dimensions"):
-        project_2d(np.zeros((5, 1)))
+        project_2d(_matrix(np.zeros((5, 1))))
 
 
 # -- clustering -------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _oracle_cluster(x, min_cluster_size, radius, intermediate_dim=16):
     Returns row -> cluster number (OUTLIER for rows outside every cluster).
     """
     n = x.shape[0]
-    reduced = pca_project(x, min(intermediate_dim, x.shape[1], n))
+    reduced = pca_project(_matrix(x), min(intermediate_dim, x.shape[1], n))
     d2 = np.sum((reduced[:, None, :] - reduced[None, :, :]) ** 2, axis=-1)
     adjacent = d2 <= radius * radius
     component = np.full(n, -1, dtype=np.int64)
@@ -281,7 +281,7 @@ def test_projection_of_a_matrix_is_its_own_two_axis_product(seed):
     x = np.random.default_rng(seed).normal(size=(120, 32))
     matrix = _matrix(x)
     cluster_embeddings(matrix, min_cluster_size=2, radius=1.0)
-    np.testing.assert_array_equal(project_2d(matrix), pca_project(x, 2))
+    np.testing.assert_array_equal(project_2d(matrix), pca_project(_matrix(x), 2))
 
 
 def test_clustering_memory_stays_below_dense_distance_tensor():

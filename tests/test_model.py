@@ -708,6 +708,17 @@ def test_checkpoint_shape_validation(tmp_path, tiny_config, tiny_params):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dtype, stored", [("float64", np.float32), ("float32", np.float64)])
+def test_checkpoint_dtype_validation(tmp_path, tiny_config, dtype, stored):
+    """A parameter stored in a dtype other than the config's is refused by name, in either direction."""
+    config = replace(tiny_config, dtype=dtype)
+    params = init_parameters(config, seed=3)
+    params["layer0.ff.w1"] = Tensor(params["layer0.ff.w1"].data.astype(stored))
+    path = save_checkpoint(Checkpoint(config, params, tokenizer_hash="x"), tmp_path / "mixed.npz")
+    with pytest.raises(ModelError, match=f"'layer0.ff.w1' has dtype {np.dtype(stored)}, config expects {dtype}"):
+        load_checkpoint(path)
+
+
 def test_compressed_checkpoint_still_loads(tmp_path, tiny_config, tiny_params):
     """Checkpoints are written uncompressed now; files written with zlib still load."""
     ckpt = Checkpoint(tiny_config, tiny_params, tokenizer_hash="abc", extra={"step": 3})

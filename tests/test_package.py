@@ -209,26 +209,34 @@ def test_every_tape_op_has_a_caller():
 
 
 def _public_names():
-    """(module, name) for each function, class and constant defined at module level in src/domainlm."""
+    """(module, where, name, attribute_only) for each function, class and constant defined at module level in
+    src/domainlm, and for each method and property of a public class there but `Tensor`, dunders left out."""
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             names = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else _assigned(node)
             for name in names:
                 if name != "__all__" and (not name.startswith("_") or name.endswith("__")):
-                    yield path.stem, name
+                    yield path.stem, name, name, False
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and node.name != "Tensor":
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                        yield path.stem, f"{node.name}.{member.name}", member.name, True
 
 
 def test_every_public_name_has_a_caller():
-    """A public name that nothing in the program, the benchmark or the demos reads is deleted.
+    """A public name, or a method or property of a public class, that nothing in the program, the benchmark or the
+    demos reads is deleted.
 
     Uses are counted as in `test_every_tape_op_has_a_caller`; `__all__` and
-    imports are not uses, so a name only re-exported counts as unused.
+    imports are not uses, so a name only re-exported counts as unused. A
+    member counts attribute uses of its name only (`Tensor`'s have their own
+    test).
     """
     directories = (PACKAGE_DIR, ROOT / "perfbench", ROOT / "demos")
     unused = [
-        f"{module}.{name}"
-        for module, name in _public_names()
-        if _references(name, attribute_only=False, home=module, directories=directories) == 0
+        f"{module}.{where}"
+        for module, where, name, attribute_only in _public_names()
+        if _references(name, attribute_only=attribute_only, home=module, directories=directories) == 0
     ]
     assert unused == []
 

@@ -2,9 +2,12 @@ import csv
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from domainlm.autodiff import Tensor
 from domainlm.data import encode_for_classification
@@ -65,6 +68,45 @@ def test_packing_single_token_stream(toy_tokenizer):
 def test_packing_empty_stream_rejected(toy_tokenizer):
     with pytest.raises(TrainingError, match="empty"):
         pack_segments([], toy_tokenizer.sep_id, 512)
+
+
+def _pack_token_by_token(docs, separator_id, segment_length):
+    """Reference packing, one token at a time: a separator between documents, a segment every `segment_length`
+    tokens, and the short tail kept."""
+    segments, current = [], []
+    for i, tokens in enumerate(docs):
+        for token in ([separator_id] if i else []) + list(tokens):
+            current.append(int(token))
+            if len(current) == segment_length:
+                segments.append(current)
+                current = []
+    return segments + [current] if current else segments
+
+
+_token_lists = st.lists(st.integers(5, 600), max_size=40)
+_documents = st.lists(
+    st.one_of(_token_lists, _token_lists.map(lambda ids: np.array(ids, dtype=np.int64)),
+              _token_lists.map(lambda ids: [np.int32(t) for t in ids])),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=_documents, segment_length=st.integers(1, 24))
+@example(docs=[[], [7, 8], [], []], segment_length=3)  # empty documents, first and last among them
+@example(docs=[list(range(5, 60)), [np.int64(9)]], segment_length=16)  # a document longer than a segment
+@example(docs=[[5, np.int64(6)], np.array([7])], segment_length=1)
+def test_packing_matches_a_token_by_token_reference(docs, segment_length):
+    expected = _pack_token_by_token(docs, 2, segment_length)
+    if not expected:
+        with pytest.raises(TrainingError, match="empty"):
+            pack_segments(docs, 2, segment_length)
+        return
+    segments = pack_segments(docs, 2, segment_length)
+    assert [s.tolist() for s in segments] == expected
+    assert {s.dtype for s in segments} == {np.dtype(np.int64)}
+    # Views of one packed array, not a copy per segment.
+    assert segments[0].base is not None and all(s.base is segments[0].base for s in segments)
 
 
 # -- masking -----------------------------------------------------------------------
@@ -428,6 +470,29 @@ def test_finetune_scores_each_evaluation_step_once_and_reports_the_best_steps_pa
     assert result.metrics.loss == result.best.validation_loss
     fresh = evaluate_classifier(result.best_checkpoint, validation, "binary", toy_tokenizer, config.batch_size)
     assert result.metrics == fresh
+
+
+def test_finetune_best_checkpoint_is_the_one_its_step_saved(
+    monkeypatch, tmp_path, toy_docs, toy_tokenizer, toy_base_checkpoint
+):
+    """The result's best checkpoint is the object the best step's job saved, and best.npz is that step's file
+    byte for byte, here for a best step before the last."""
+    saved = {}
+    real = training_module.save_checkpoint
+
+    def spy(checkpoint, path):
+        saved[Path(path).name] = checkpoint
+        return real(checkpoint, path)
+
+    monkeypatch.setattr(training_module, "save_checkpoint", spy)
+    config = TrainingConfig(learning_rate=0.05, batch_size=16, total_steps=12, eval_checkpoints=6, seed=4)
+    result = finetune_classifier(
+        config, toy_base_checkpoint, "binary", toy_docs[:64], toy_docs[64:100], toy_tokenizer, out_dir=tmp_path
+    )
+    assert result.best.step == 6 and result.checkpoints[-1].step == 12
+    step_file = f"step_{result.best.step:06d}.npz"
+    assert result.best_checkpoint is saved[step_file]
+    assert (tmp_path / "checkpoints" / "best.npz").read_bytes() == (tmp_path / "checkpoints" / step_file).read_bytes()
 
 
 def test_finetune_single_checkpoint_evaluates_final_step(

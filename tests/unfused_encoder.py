@@ -67,7 +67,7 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
 def encoder_forward(params, config: ModelConfig, ids, pad_mask=None, dropout_masks=None):
     ids = np.asarray(ids, dtype=np.int64)
     batch, length = ids.shape
-    nh, dh = config.num_heads, config.head_dim
+    nh, dh = config.num_heads, config.hidden_dim // config.num_heads
     scale = 1.0 / np.sqrt(dh)
 
     if pad_mask is None:
